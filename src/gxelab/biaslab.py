@@ -17,6 +17,7 @@ instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .gxe import GxeModelSpec, fit_gxe, rge_check
 from .pgi import build_pgi, incremental_r2
 from .phenosim import (CohortSizes, ScenarioDataset, ScenarioSpec,
                        simulate_scenario, treated_indicator)
-from .util import ConfigError, SimulationError, child_rng, indexed_map
+from .util import (CalibrationError, ConfigError, EstimationError, PedigreeError, SimulationError,
+                   child_rng, indexed_map)
 
 DEFAULT_SIZES = CohortSizes(n_discovery=64, n_analysis=2000, n_snps=120)
 E_COLUMNS = ("exogenous", "predetermined", "endogenous_correlated")
@@ -128,6 +130,44 @@ def _fit_cell(ds: ScenarioDataset, weights: GwasResult) -> dict[str, float]:
     return {"G": fit.coef("G"), "E": fit.coef("E"), "GxE": fit.coef("GxE")}
 
 
+_REPLICATE_ERRORS = (ConfigError, PedigreeError, EstimationError, SimulationError, CalibrationError,
+                    np.linalg.LinAlgError)
+
+
+def _run_replicates(reps: int, seed: int, tag: int, threads: int,
+                    fit: Callable[[np.random.Generator], dict]) -> list[dict]:
+    """fit(child_rng(seed, tag, r)) for every replicate r, in replicate order.
+
+    A replicate that raises a simulation or estimation error counts as
+    failed and is left out; more than 1% failures (at least 2) raise
+    SimulationError. Any other exception is a bug and propagates.
+    """
+    rows: list[dict | None] = [None] * reps
+
+    def work(r: int):
+        try:
+            rows[r] = fit(child_rng(seed, tag, r))
+        except _REPLICATE_ERRORS:
+            pass  # left as None: counted against the failure cap
+
+    indexed_map(work, reps, threads)
+    ok = [r for r in rows if r is not None]
+    n_failed = reps - len(ok)
+    if n_failed > max(1, int(0.01 * reps)):
+        raise SimulationError(f"{n_failed}/{reps} replicates failed")
+    return ok
+
+
+def _bias_report(spec: ScenarioSpec, ok: list[dict], reps: int) -> BiasReport:
+    def report(term: str, true_value: float) -> CoefficientReport:
+        vals = np.array([r[term] for r in ok])
+        return CoefficientReport(true_value=true_value, mean_estimate=float(vals.mean()),
+                                 mc_se=float(vals.std(ddof=1) / np.sqrt(len(vals))))
+
+    return BiasReport(g=report("G", spec.beta_g), e=report("E", spec.beta_e), gxe=report("GxE", spec.beta_x),
+                      reps=len(ok), n_failed=reps - len(ok), spec=spec)
+
+
 def run_cell(
     spec: ScenarioSpec,
     reps: int,
@@ -139,33 +179,13 @@ def run_cell(
     """Replicated pipeline for one scenario cell."""
     if discovery not in ("plim", "finite"):
         raise ConfigError(f"unknown discovery mode {discovery!r}")
-    results: list[dict[str, float] | None] = [None] * reps
+    weights = plim_weights if discovery == "plim" else finite_weights
 
-    def work(r: int):
-        try:
-            ds = simulate_scenario(spec, sizes, seed=int(child_rng(seed, 61, r).integers(2**31)))
-            w = plim_weights(ds) if discovery == "plim" else finite_weights(ds)
-            results[r] = _fit_cell(ds, w)
-        except Exception:  # counted against the failure cap
-            results[r] = None
+    def fit(rng: np.random.Generator) -> dict:
+        ds = simulate_scenario(spec, sizes, seed=int(rng.integers(2**31)))
+        return _fit_cell(ds, weights(ds))
 
-    indexed_map(work, reps, threads)
-    ok = [r for r in results if r is not None]
-    n_failed = reps - len(ok)
-    if n_failed > max(1, int(0.01 * reps)):
-        raise SimulationError(f"{n_failed}/{reps} replicates failed")
-
-    def report(term: str, true_value: float) -> CoefficientReport:
-        vals = np.array([r[term] for r in ok])
-        return CoefficientReport(true_value=true_value, mean_estimate=float(vals.mean()),
-                                 mc_se=float(vals.std(ddof=1) / np.sqrt(len(vals))))
-
-    return BiasReport(
-        g=report("G", spec.beta_g),
-        e=report("E", spec.beta_e),
-        gxe=report("GxE", spec.beta_x),
-        reps=len(ok), n_failed=n_failed, spec=spec,
-    )
+    return _bias_report(spec, _run_replicates(reps, seed, 61, threads, fit), reps)
 
 
 @dataclass
@@ -239,17 +259,16 @@ def noisy_environment_experiment(
     if not (0.0 < reliability <= 1.0):
         raise ConfigError("reliability must be in (0, 1]")
     noise_var = (1.0 - reliability) / reliability
-    e_coefs, x_coefs = np.empty(reps), np.empty(reps)
-    for r in range(reps):
-        rng = child_rng(seed, 69, r)
+
+    def fit(rng: np.random.Generator) -> dict:
         G = rng.standard_normal(n)
         e_true = rng.standard_normal(n)
         y = beta_g * G + beta_e * e_true + beta_x * G * e_true + rng.standard_normal(n)
         e_obs = e_true + rng.standard_normal(n) * np.sqrt(noise_var)
-        fit = fit_gxe({"Y": y, "G": G, "E": e_obs}, GxeModelSpec())
-        e_coefs[r] = fit.coef("E")
-        x_coefs[r] = fit.coef("GxE")
-    return float(e_coefs.mean()), float(x_coefs.mean())
+        return fit_gxe({"Y": y, "G": G, "E": e_obs}, GxeModelSpec()).coefficients
+
+    ok = _run_replicates(reps, seed, 69, 1, fit)
+    return float(np.mean([r["E"] for r in ok])), float(np.mean([r["GxE"] for r in ok]))
 
 
 @dataclass
@@ -277,30 +296,21 @@ def gwas_selection_experiment(
     discovery shrinks the interaction."""
     if spec.e_regime != "endogenous_gwas_selection":
         raise ConfigError("experiment requires the endogenous_gwas_selection regime")
-    rows: list[dict | None] = [None] * reps
 
-    def work(r: int):
-        ds = simulate_scenario(spec, sizes, seed=int(child_rng(seed, 67, r).integers(2**31)))
+    def fit(rng: np.random.Generator) -> dict:
+        ds = simulate_scenario(spec, sizes, seed=int(rng.integers(2**31)))
         ana = ds.analysis
         w = plim_weights(ds)
-        fit = _fit_cell(ds, w)
         child = build_pgi(w, ana.children)
         treated = treated_indicator(ana.e)
         r2 = {arm: incremental_r2(child.values[treated == arm], ana.y[treated == arm]) for arm in (0, 1)}
         corr, _, p = rge_check(child.values, ana.e)
         remedy = _fit_cell(ds, balanced_plim_weights(ds))
-        rows[r] = {**fit, "r2_treated": r2[1], "r2_control": r2[0],
-                   "rge_corr": corr, "rge_sig": p < 0.05, "remedy_gxe": remedy["GxE"]}
+        return {**_fit_cell(ds, w), "r2_treated": r2[1], "r2_control": r2[0],
+                "rge_corr": corr, "rge_sig": p < 0.05, "remedy_gxe": remedy["GxE"]}
 
-    indexed_map(work, reps, threads)
-    ok = [r for r in rows if r is not None]
-
-    def report(term: str, true_value: float) -> CoefficientReport:
-        vals = np.array([r[term] for r in ok])
-        return CoefficientReport(true_value, float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals))))
-
-    bias = BiasReport(g=report("G", spec.beta_g), e=report("E", spec.beta_e),
-                      gxe=report("GxE", spec.beta_x), reps=len(ok), n_failed=reps - len(ok), spec=spec)
+    ok = _run_replicates(reps, seed, 67, threads, fit)
+    bias = _bias_report(spec, ok, reps)
     fitted = bias.gxe.mean_estimate
     remedy_mean = float(np.mean([r["remedy_gxe"] for r in ok]))
     diag = SelectionDiagnostics(

@@ -112,7 +112,10 @@ def _read_columns(path: str) -> dict[str, np.ndarray]:
         if name == "iid" or name == "family":
             out[name] = np.array(col)
         else:
-            out[name] = np.array([float(v) for v in col])
+            try:
+                out[name] = np.array([float(v) for v in col])
+            except ValueError:
+                raise ConfigError(f"column {name!r} of {path} holds a non-numeric value") from None
     return out
 
 
@@ -379,31 +382,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config for the subcommand")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--threads", type=int, help="worker threads (overrides config; default 1)")
+    parser.add_argument("--out", help="output directory (overrides config; default .)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload: dict = {}
-        seed = args.seed
-        threads = args.threads
-        out = args.out
+        raw: dict = {}
         if args.config:
             with open(args.config) as f:
                 raw = json.load(f)
             if not isinstance(raw, dict):
                 raise ConfigError("config must be a JSON object")
-            meta_keys = {"seed", "threads", "out"}
-            payload = {k: v for k, v in raw.items() if k not in meta_keys}
-            if seed is None and "seed" in raw:
-                seed = int(raw["seed"])
-            if args.threads == 1 and "threads" in raw:
-                threads = int(raw["threads"])
-            if out == "." and "out" in raw:
-                out = str(raw["out"])
+        payload = {k: v for k, v in raw.items() if k not in ("seed", "threads", "out")}
+        # a flag wins over the config, which wins over the built-in default
+        seed = args.seed if args.seed is not None else raw.get("seed")
+        threads = args.threads if args.threads is not None else raw.get("threads", 1)
+        try:
+            seed, threads = None if seed is None else int(seed), int(threads)
+        except (TypeError, ValueError):
+            raise ConfigError(f"seed and threads must be integers, got {seed!r} and {threads!r}") from None
+        out = str(args.out if args.out is not None else raw.get("out", "."))
         cfg = validate_config(args.command, payload)
         if args.command in SEED_REQUIRED and seed is None:
             raise ConfigError(f"{args.command} is stochastic: a seed is required (--seed or config)")

@@ -2,8 +2,12 @@
 
 run_gwas residualizes the outcome and every SNP column on the controls once
 (Frisch-Waugh), so the per-SNP loop is O(n) regardless of the control count;
-trio and sibling designs use batched small normal equations. All standard
-errors are HC1; p-values are two-sided normal, floored at 1e-320.
+the sibling fixed-effects variant shares its per-SNP slope formula with the
+family means as the controls. The trio and sibling mean-control designs fit
+one small regression per SNP through regress.batched_ols_hc1. All standard
+errors are HC1; p-values are two-sided normal, floored at 1e-320. A SNP with
+no usable variation (a singular per-SNP design) is reported with beta 0,
+se 1e300 and p 1 instead of stopping the panel.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genome import GenotypeMatrix, Pedigree, SnpSpec
-from .regress import P_FLOOR, pvalue_from_z
+from .regress import P_FLOOR, batched_ols_hc1, checked_qr, pvalue_from_z
 from .util import ConfigError, EstimationError, fmt_float, indexed_map, read_tsv, write_tsv
 
 GENOME_WIDE_SIG = 5e-8
@@ -68,20 +72,15 @@ def result_from_stats(panel: list[SnpSpec], beta, se, n, design, n_dropped=0) ->
     )
 
 
-def _control_matrix(n: int, controls: np.ndarray | None, names: list[str] | None) -> tuple[np.ndarray, list[str]]:
-    if controls is None:
-        return np.ones((n, 1)), ["intercept"]
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    if controls.shape[0] != n:
-        controls = controls.T
-    C = np.column_stack([np.ones(n), controls])
-    labels = ["intercept"] + (list(names) if names else [f"control{i}" for i in range(controls.shape[1])])
-    r = np.linalg.qr(C, mode="r")
-    diag = np.abs(np.diag(r))
-    bad = np.nonzero(diag <= 1e-10 * diag.max())[0]
-    if bad.size:
-        raise EstimationError(f"controls are rank deficient; offending columns: {[labels[i] for i in bad]}")
-    return C, labels
+def _slope_hc1(X: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slope of y on each column of X and its HC1 standard error, for y and X
+    already residualized on the k - 1 other regressors (Frisch-Waugh)."""
+    n = X.shape[0]
+    sxx = np.einsum("nj,nj->j", X, X)
+    b = (X.T @ y) / sxx
+    resid = y[:, None] - X * b
+    meat = np.einsum("nj,nj->j", X * X, resid * resid)
+    return b, np.sqrt(meat / sxx**2 * (n / (n - k)))
 
 
 def run_gwas(
@@ -97,9 +96,16 @@ def run_gwas(
     n = g.n_individuals
     if y.shape[0] != n:
         raise ConfigError("outcome length does not match genotypes")
-    C, _ = _control_matrix(n, controls, control_names)
+    C = np.ones((n, 1))
+    labels = ["intercept"]
+    if controls is not None:
+        controls = np.atleast_2d(np.asarray(controls, dtype=float))
+        if controls.shape[0] != n:
+            controls = controls.T
+        C = np.column_stack([C, controls])
+        labels += list(control_names) if control_names else [f"control{i}" for i in range(controls.shape[1])]
     k = C.shape[1] + 1
-    q, _ = np.linalg.qr(C)
+    q, _ = checked_qr(C, labels)
     y_r = y - q @ (q.T @ y)
 
     J = g.n_snps
@@ -111,47 +117,10 @@ def run_gwas(
         lo, hi = chunks[ci]
         X = g.dosages[:, lo:hi].astype(float)
         X -= q @ (q.T @ X)
-        sxx = np.einsum("nj,nj->j", X, X)
-        sxy = X.T @ y_r
-        b = sxy / sxx
-        resid = y_r[:, None] - X * b
-        meat = np.einsum("nj,nj->j", X * X, resid * resid)
-        var = meat / sxx**2 * (n / (n - k))
-        beta[lo:hi] = b
-        se[lo:hi] = np.sqrt(var)
+        beta[lo:hi], se[lo:hi] = _slope_hc1(X, y_r, k)
 
     indexed_map(work, len(chunks), threads)
     return result_from_stats(g.panel, beta, se, n, design)
-
-
-def _batched_family_design(columns: list[np.ndarray], y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-SNP OLS of y on [1, col_0j, col_1j, ...]; returns (beta, se_hc1),
-    each (J, 1+len(columns)). Columns are (n, J) matrices."""
-    n, J = columns[0].shape
-    k = len(columns) + 1
-    ones = np.ones((n, 1))
-    cols = [np.broadcast_to(ones, (n, J))] + columns
-    xtx = np.empty((J, k, k))
-    xty = np.empty((J, k))
-    for a in range(k):
-        xty[:, a] = cols[a].T @ y if a else np.full(J, y.sum())
-        for b in range(a, k):
-            prod = np.einsum("nj,nj->j", cols[a], cols[b]) if (a or b) else np.full(J, float(n))
-            xtx[:, a, b] = prod
-            xtx[:, b, a] = prod
-    beta = np.linalg.solve(xtx, xty[:, :, None])[:, :, 0]
-    fitted = sum(cols[a] * beta[:, a] for a in range(k))
-    resid2 = (y[:, None] - fitted) ** 2
-    xtx_inv = np.linalg.inv(xtx)
-    meat = np.empty((J, k, k))
-    for a in range(k):
-        for b in range(a, k):
-            m = np.einsum("nj,nj->j", cols[a] * cols[b], resid2)
-            meat[:, a, b] = m
-            meat[:, b, a] = m
-    cov = np.einsum("jkl,jlm,jmo->jko", xtx_inv, meat, xtx_inv) * (n / (n - k))
-    se = np.sqrt(np.einsum("jkk->jk", cov))
-    return beta, se
 
 
 def run_trio_gwas(
@@ -173,10 +142,10 @@ def run_trio_gwas(
     mi = parents.index_of([pedigree.mother_ids[i] for i in keep])
     fi = parents.index_of([pedigree.father_ids[i] for i in keep])
     ci = children.index_of([pedigree.child_ids[i] for i in keep])
-    xc = children.dosages[ci].astype(float)
-    xm = parents.dosages[mi].astype(float)
-    xf = parents.dosages[fi].astype(float)
-    beta, se = _batched_family_design([xc, xm, xf], y[keep])
+    y = y[keep]
+    cols = [np.ones(len(keep))] + [np.ascontiguousarray(g.dosages[i].T, dtype=float)
+                                   for g, i in ((children, ci), (parents, mi), (parents, fi))]
+    beta, se = batched_ols_hc1(np.broadcast_to(y, cols[1].shape), cols)
     res = result_from_stats(children.panel, beta[:, 1], se[:, 1], len(keep), "trio", n_dropped)
     res.parent_beta = beta[:, 2:].copy()
     return res
@@ -211,16 +180,10 @@ def run_sibling_gwas(
     fam_mean_y = np.bincount(inv, weights=y) / fam_n
 
     if variant == "family_fixed_effects":
-        xd = x - fam_mean_x[inv]
-        yd = y - fam_mean_y[inv]
-        sxx = np.einsum("nj,nj->j", xd, xd)
-        beta = (xd.T @ yd) / sxx
-        resid = yd[:, None] - xd * beta
-        k = n_fam + 1
-        meat = np.einsum("nj,nj->j", xd * xd, resid * resid)
-        se = np.sqrt(meat / sxx**2 * (n / (n - k)))
+        beta, se = _slope_hc1(x - fam_mean_x[inv], y - fam_mean_y[inv], n_fam + 1)
     else:
-        beta_full, se_full = _batched_family_design([x, fam_mean_x[inv]], y)
+        cols = [np.ones(n), np.ascontiguousarray(x.T), np.ascontiguousarray(fam_mean_x[inv].T)]
+        beta_full, se_full = batched_ols_hc1(np.broadcast_to(y, cols[1].shape), cols)
         beta, se = beta_full[:, 1], se_full[:, 1]
     return result_from_stats(siblings.panel, beta, se, n, f"sibling_{variant}", n_dropped)
 

@@ -83,11 +83,36 @@ class GxeFit:
         }, indent=2, sort_keys=True)
 
 
-def _term_column(term: str, G: np.ndarray, E: np.ndarray) -> np.ndarray:
-    return {
-        "G": G, "E": E, "GxE": G * E, "G2": G * G, "E2": E * E,
-        "G3": G**3, "E3": E**3, "G2E": G * G * E, "GE2": G * E * E,
-    }[term]
+# built on demand: on (R, n) permutation or power stacks every product is costly
+_TERM_COLUMNS = {
+    "G": lambda G, E: G, "E": lambda G, E: E, "GxE": lambda G, E: G * E,
+    "G2": lambda G, E: G * G, "E2": lambda G, E: E * E, "G3": lambda G, E: G**3, "E3": lambda G, E: E**3,
+    "G2E": lambda G, E: G * G * E, "GE2": lambda G, E: G * E * E,
+}
+
+
+def gxe_design(G: np.ndarray, E: np.ndarray, spec: GxeModelSpec,
+               data: dict[str, np.ndarray] | None = None) -> tuple[list[str], list[np.ndarray]]:
+    """Names and columns of the interacted design: intercept, the requested
+    terms in menu order, the controls, then control-by-G and control-by-E.
+
+    G and E are (n,) for one fit or (R, n) for R fits at once; the intercept
+    and controls are (n,) columns shared by every fit.
+    """
+    names = ["intercept"] + [t for t in TERM_MENU if t in spec.terms]
+    cols = [np.ones(G.shape[-1])] + [_TERM_COLUMNS[t](G, E) for t in names[1:]]
+    ctrl = []
+    for c in spec.controls:
+        if data is None or c not in data:
+            raise ConfigError(f"control column {c!r} missing from data")
+        v = np.asarray(data[c], dtype=float)
+        ctrl.append(v - v.mean() if spec.demean_controls else v)
+    names += [f"ctrl:{c}" for c in spec.controls]
+    cols += ctrl
+    if spec.control_interactions:
+        names += [f"ctrlxG:{c}" for c in spec.controls] + [f"ctrlxE:{c}" for c in spec.controls]
+        cols += [v * G for v in ctrl] + [v * E for v in ctrl]
+    return names, cols
 
 
 def fit_gxe(data: dict[str, np.ndarray], spec: GxeModelSpec) -> GxeFit:
@@ -101,38 +126,14 @@ def fit_gxe(data: dict[str, np.ndarray], spec: GxeModelSpec) -> GxeFit:
     G = np.asarray(data["G"], dtype=float)
     E = np.asarray(data["E"], dtype=float)
     n = Y.shape[0]
-
-    names = ["intercept"]
-    cols = [np.ones(n)]
-    for term in TERM_MENU:
-        if term in spec.terms:
-            names.append(term)
-            cols.append(_term_column(term, G, E))
-    ctrl_cols = {}
-    for c in spec.controls:
-        if c not in data:
-            raise ConfigError(f"control column {c!r} missing from data")
-        v = np.asarray(data[c], dtype=float)
-        if spec.demean_controls:
-            v = v - v.mean()
-        ctrl_cols[c] = v
-        names.append(f"ctrl:{c}")
-        cols.append(v)
-    if spec.control_interactions:
-        for c in spec.controls:
-            names.append(f"ctrlxG:{c}")
-            cols.append(ctrl_cols[c] * G)
-        for c in spec.controls:
-            names.append(f"ctrlxE:{c}")
-            cols.append(ctrl_cols[c] * E)
-
+    names, cols = gxe_design(G, E, spec, data)
     X = np.column_stack(cols)
     clusters = None
     if spec.se == "cluster":
         if spec.cluster_on not in data:
             raise ConfigError(f"cluster column {spec.cluster_on!r} missing from data")
         clusters = np.asarray(data[spec.cluster_on])
-    fit = ols(Y, X, names=names, se=spec.se if spec.se != "cluster" else "cluster", clusters=clusters)
+    fit = ols(Y, X, names=names, se=spec.se, clusters=clusters)
     return GxeFit(
         coefficients=dict(zip(names, map(float, fit.beta))),
         cov=0.5 * (fit.cov + fit.cov.T),

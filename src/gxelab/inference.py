@@ -9,6 +9,10 @@ effect size up to O(1/reps), which is what the minimum-detectable-effect
 bisection needs. It is not exactly monotone: a larger beta_x can pull a
 replicate out of the lower rejection tail of the two-sided test, so near
 beta_x = 0 the estimate can dip by a few replicates' worth.
+
+Both the power simulator and the permutation test build their designs with
+gxe.gxe_design, with G and E stacked as (R, n) arrays, and fit a chunk of
+replicates in one regress.batched_ols_hc1 call.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gxe import GxeModelSpec, fit_gxe
+from .gxe import GxeModelSpec, fit_gxe, gxe_design
 from .regress import batched_ols_hc1, pvalue_from_z
 from .util import CalibrationError, ConfigError, child_rng, indexed_map
 
@@ -69,9 +73,10 @@ def _interaction_pvalues(spec: PowerSpec, seed: int, threads: int = 1) -> np.nda
         E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
         eps = rng.standard_normal((size, spec.n))
         Y = spec.beta_g * G + spec.beta_e * E + spec.beta_x * G * E + eps
-        X = np.stack([np.ones_like(G), G, E, G * E], axis=2)
-        beta, se = batched_ols_hc1(Y, X)
-        out[idx * POWER_CHUNK: idx * POWER_CHUNK + size] = pvalue_from_z(beta[:, 3] / se[:, 3])
+        names, cols = gxe_design(G, E, GxeModelSpec())
+        beta, se = batched_ols_hc1(Y, cols)
+        j = names.index("GxE")
+        out[idx * POWER_CHUNK: idx * POWER_CHUNK + size] = pvalue_from_z(beta[:, j] / se[:, j])
 
     indexed_map(work, len(chunks), threads)
     return out
@@ -177,9 +182,8 @@ def permutation_test(
     obs_coef = observed.coef("GxE")
     obs_t = obs_coef / observed.se("GxE")
 
-    n = len(np.asarray(data["Y"]))
-    stat_index, names, fixed_cols = _permutation_design(data, fit_spec)
     Y = np.asarray(data["Y"], dtype=float)
+    n = Y.shape[0]
     G = np.asarray(data["G"], dtype=float)
     E = np.asarray(data["E"], dtype=float)
 
@@ -197,11 +201,12 @@ def permutation_test(
             perm = rng.permutation(n)
             Gp[r] = G[perm]
             Ep[r] = E[perm] if joint else E[rng.permutation(n)]
-        X = _assemble_designs(Gp, Ep, fixed_cols, fit_spec)
-        beta, se = batched_ols_hc1(np.broadcast_to(Y, (size, n)), X)
+        names, cols = gxe_design(Gp, Ep, fit_spec, data)
+        beta, se = batched_ols_hc1(np.broadcast_to(Y, (size, n)), cols)
+        j = names.index("GxE")
         lo = idx * PERM_CHUNK
-        null_coefs[lo: lo + size] = beta[:, stat_index]
-        null_ts[lo: lo + size] = beta[:, stat_index] / se[:, stat_index]
+        null_coefs[lo: lo + size] = beta[:, j]
+        null_ts[lo: lo + size] = beta[:, j] / se[:, j]
 
     indexed_map(work, len(chunks), threads)
 
@@ -221,36 +226,3 @@ def permutation_test(
         t_envelopes=t_envelopes,
     )
 
-
-def _permutation_design(data, fit_spec: GxeModelSpec):
-    """Term layout of the permuted refits, mirroring fit_gxe's column order."""
-    from .gxe import TERM_MENU
-
-    names = ["intercept"] + [t for t in TERM_MENU if t in fit_spec.terms]
-    fixed = {}
-    for c in fit_spec.controls:
-        v = np.asarray(data[c], dtype=float)
-        fixed[c] = v - v.mean() if fit_spec.demean_controls else v
-        names.append(f"ctrl:{c}")
-    if fit_spec.control_interactions:
-        names += [f"ctrlxG:{c}" for c in fit_spec.controls]
-        names += [f"ctrlxE:{c}" for c in fit_spec.controls]
-    return names.index("GxE"), names, fixed
-
-
-def _assemble_designs(Gp, Ep, fixed_cols, fit_spec: GxeModelSpec):
-    from .gxe import TERM_MENU, _term_column
-
-    size, n = Gp.shape
-    cols = [np.ones((size, n))]
-    for t in TERM_MENU:
-        if t in fit_spec.terms:
-            cols.append(_term_column(t, Gp, Ep))
-    for c in fit_spec.controls:
-        cols.append(np.broadcast_to(fixed_cols[c], (size, n)))
-    if fit_spec.control_interactions:
-        for c in fit_spec.controls:
-            cols.append(fixed_cols[c] * Gp)
-        for c in fit_spec.controls:
-            cols.append(fixed_cols[c] * Ep)
-    return np.stack(cols, axis=2)

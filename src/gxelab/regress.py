@@ -1,9 +1,15 @@
 """OLS and IV engines used by every estimation module.
 
-All fits go through QR with explicit rank detection; covariances are
-heteroskedasticity-consistent (HC1) by default, with CR1 cluster-robust and
-classical alternatives. p-values use the two-sided normal approximation and
-are floored at 1e-320 before taking logs downstream.
+ols factorizes each design once, by reduced QR (checked_qr): the same R gives
+the rank check, the coefficients by a triangular solve and the bread
+(X'X)^-1 = R^-1 R^-T. One sandwich turns a bread and the scores into HC1 or
+CR1 covariances for both OLS (scores from X) and just-identified IV (scores
+from the instruments Z, bread (Z'X)^-1); classical covariances are also
+available. batched_ols_hc1 is the one solver for many small fits at once:
+it takes the design as a list of columns, each broadcastable to the (R, n)
+outcome array, so columns shared by every fit are stored once. p-values use
+the two-sided normal approximation and are floored at 1e-320 before taking
+logs downstream.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from .util import EstimationError
 
@@ -50,32 +57,40 @@ class OlsFit:
         return np.asarray(pvalue_from_z(self.z))
 
 
-def _check_rank(X: np.ndarray, names: list[str] | None) -> None:
-    r = np.linalg.qr(X, mode="r")
+def checked_qr(X: np.ndarray, names: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR of a full-rank design.
+
+    Raises EstimationError naming the columns when X has no more rows than
+    columns, or naming the dependent ones when |diag R| <= RANK_RTOL * max.
+    """
+    n, k = X.shape
+    labels = list(names) if names else [f"x{i}" for i in range(k)]
+    if n <= k:
+        raise EstimationError(f"design has {n} rows for {k} columns {labels}")
+    q, r = np.linalg.qr(X)
     diag = np.abs(np.diag(r))
-    tol = RANK_RTOL * diag.max() if diag.size else 0.0
-    bad = np.nonzero(diag <= tol)[0]
+    bad = np.nonzero(diag <= RANK_RTOL * diag.max())[0]
     if bad.size:
-        labels = [names[i] if names else f"col{i}" for i in bad]
-        raise EstimationError(f"design matrix is rank deficient; dependent columns: {labels}")
+        raise EstimationError(f"design matrix is rank deficient; dependent columns: {[labels[i] for i in bad]}")
+    return q, r
 
 
-def hc1_cov(X: np.ndarray, resid: np.ndarray, xtx_inv: np.ndarray) -> np.ndarray:
-    n, k = X.shape
-    meat = (X * resid[:, None] ** 2).T @ X
-    return xtx_inv @ meat @ xtx_inv * (n / (n - k))
-
-
-def cluster_cov(X: np.ndarray, resid: np.ndarray, xtx_inv: np.ndarray, clusters: np.ndarray) -> tuple[np.ndarray, int]:
-    """CR1 cluster-robust covariance: G/(G-1) * (n-1)/(n-k) small-sample factor."""
-    n, k = X.shape
-    _, inv = np.unique(clusters, return_inverse=True)
-    n_g = inv.max() + 1
-    scores = np.zeros((n_g, k))
-    np.add.at(scores, inv, X * resid[:, None])
-    meat = scores.T @ scores
-    factor = (n_g / (n_g - 1)) * ((n - 1) / (n - k))
-    return xtx_inv @ meat @ xtx_inv * factor, int(n_g)
+def sandwich(S: np.ndarray, resid: np.ndarray, bread: np.ndarray, clusters: np.ndarray | None = None) -> np.ndarray:
+    """bread @ meat @ bread.T with score rows S * resid: HC1 when clusters is
+    None, else CR1 with the G/(G-1) * (n-1)/(n-k) small-sample factor.
+    For OLS S = X and bread = (X'X)^-1; for IV S = Z and bread = (Z'X)^-1."""
+    n, k = S.shape
+    scores = S * resid[:, None]
+    if clusters is None:
+        factor = n / (n - k)
+    else:
+        _, inv = np.unique(clusters, return_inverse=True)
+        n_g = inv.max() + 1
+        summed = np.zeros((n_g, k))
+        np.add.at(summed, inv, scores)
+        scores = summed
+        factor = (n_g / (n_g - 1)) * ((n - 1) / (n - k))
+    return bread @ (scores.T @ scores) @ bread.T * factor
 
 
 def ols(
@@ -85,23 +100,25 @@ def ols(
     se: str = "hc1",
     clusters: np.ndarray | None = None,
 ) -> OlsFit:
-    """OLS via QR. se is one of 'hc1', 'classical', 'cluster' (needs clusters)."""
+    """OLS via one QR. se is one of 'hc1', 'classical', 'cluster' (needs clusters)."""
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     n, k = X.shape
-    _check_rank(X, names)
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    q, r = checked_qr(X, names)
+    beta = solve_triangular(r, q.T @ y)
     resid = y - X @ beta
-    xtx_inv = np.linalg.inv(X.T @ X)
+    r_inv = solve_triangular(r, np.eye(k))
+    bread = r_inv @ r_inv.T
     n_clusters = None
     if se == "cluster":
         if clusters is None:
             raise EstimationError("cluster SEs requested without a cluster variable")
-        cov, n_clusters = cluster_cov(X, resid, xtx_inv, np.asarray(clusters))
+        cov = sandwich(X, resid, bread, clusters)
+        n_clusters = int(np.unique(clusters).size)
     elif se == "classical":
-        cov = xtx_inv * (resid @ resid) / (n - k)
+        cov = bread * (resid @ resid) / (n - k)
     elif se == "hc1":
-        cov = hc1_cov(X, resid, xtx_inv)
+        cov = sandwich(X, resid, bread)
     else:
         raise EstimationError(f"unknown se mode {se!r}")
     tss = np.sum((y - y.mean()) ** 2)
@@ -111,26 +128,47 @@ def ols(
                   se_mode=se, n_clusters=n_clusters)
 
 
-def batched_ols_hc1(Y: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...n,...n->...", a, b)
+
+
+def batched_ols_hc1(Y: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
     """Many small OLS fits at once.
 
-    Y: (R, n) outcomes, X: (R, n, k) or (n, k) designs shared across runs.
-    Returns (beta (R, k), se_hc1 (R, k)). Normal equations are fine here:
-    the designs are tiny (k <= ~6) and well-conditioned by construction.
+    Y: (R, n) outcomes. X: the k design columns, each broadcastable to (R, n),
+    so a column shared by every fit is passed once as (n,). The normal
+    equations are built pair by pair, one einsum per column pair; they are
+    fine here because the designs are small (k <= ~13). Returns (beta (R, k),
+    se_hc1 (R, k)); a fit whose X'X is singular gets NaN in both.
     """
     Y = np.asarray(Y, dtype=float)
-    if X.ndim == 2:
-        X = np.broadcast_to(X, (Y.shape[0],) + X.shape)
-    R, n, k = X.shape
-    xtx = np.einsum("rnk,rnl->rkl", X, X)
-    xty = np.einsum("rnk,rn->rk", X, Y)
+    R, n = Y.shape
+    k = len(X)
+    xtx = np.empty((R, k, k))
+    xty = np.empty((R, k))
+    for a in range(k):
+        xty[:, a] = _dot(X[a], Y)
+        for b in range(a, k):
+            xtx[:, a, b] = xtx[:, b, a] = _dot(X[a], X[b])
+    scale = np.sqrt(np.einsum("rkk->rk", xtx))
+    singular = (scale == 0).any(axis=1)
+    scale[singular] = 1.0
+    corr = xtx / (scale[:, :, None] * scale[:, None, :])
+    corr[singular] = np.eye(k)
+    eig = np.linalg.eigvalsh(corr)
+    singular |= eig[:, 0] <= RANK_RTOL * eig[:, -1]
+    xtx[singular] = np.eye(k)
     beta = np.linalg.solve(xtx, xty[:, :, None])[:, :, 0]
-    resid = Y - np.einsum("rnk,rk->rn", X, beta)
-    xtx_inv = np.linalg.inv(xtx)
-    meat = np.einsum("rnk,rn,rnl->rkl", X, resid**2, X)
-    cov = np.einsum("rkl,rlm,rmo->rko", xtx_inv, meat, xtx_inv) * (n / (n - k))
-    se = np.sqrt(np.einsum("rkk->rk", cov))
-    return beta, se
+    resid2 = (Y - sum(X[a] * beta[:, a, None] for a in range(k))) ** 2
+    bread = np.linalg.inv(xtx)
+    meat = np.empty((R, k, k))
+    for a in range(k):
+        for b in range(a, k):
+            meat[:, a, b] = meat[:, b, a] = _dot(X[a] * X[b], resid2)
+    var = np.einsum("rkl,rlm,rmk->rk", bread, meat, bread) * (n / (n - k))
+    beta[singular] = np.nan
+    var[singular] = np.nan
+    return beta, np.sqrt(var)
 
 
 def breusch_pagan(resid: np.ndarray, Z: np.ndarray) -> tuple[float, float]:
@@ -177,26 +215,11 @@ def tsls(
     W = ones if exog is None else np.column_stack([ones, exog])
     X = np.column_stack([endog, W])
     Z = np.column_stack([instrument, W])
-    _check_rank(Z, None)
-    zx = Z.T @ X
-    zy = Z.T @ y
-    beta = np.linalg.solve(zx, zy)
-    resid = y - X @ beta
-    zx_inv = np.linalg.inv(zx)
-    k = X.shape[1]
-    if clusters is not None:
-        _, inv = np.unique(np.asarray(clusters), return_inverse=True)
-        n_g = inv.max() + 1
-        scores = np.zeros((n_g, k))
-        np.add.at(scores, inv, Z * resid[:, None])
-        meat = scores.T @ scores
-        factor = (n_g / (n_g - 1)) * ((n - 1) / (n - k))
-    else:
-        meat = (Z * resid[:, None] ** 2).T @ Z
-        factor = n / (n - k)
-    cov = zx_inv @ meat @ zx_inv.T * factor
-
-    fs = ols(np.asarray(endog, dtype=float), Z, se="hc1")
-    f_stat = float((fs.beta[0] / fs.se[0]) ** 2)
     names = ["endog"] + [f"w{i}" for i in range(W.shape[1])]
+    # the first stage is also the rank check of Z
+    fs = ols(np.asarray(endog, dtype=float), Z, names=["instrument"] + names[1:], se="hc1")
+    zx = Z.T @ X
+    beta = np.linalg.solve(zx, Z.T @ y)
+    cov = sandwich(Z, y - X @ beta, np.linalg.inv(zx), clusters)
+    f_stat = float((fs.beta[0] / fs.se[0]) ** 2)
     return TslsFit(beta=beta, cov=cov, names=names, first_stage_f=f_stat, n=n)

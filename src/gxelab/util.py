@@ -83,10 +83,19 @@ def write_tsv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 
 def read_tsv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a tab-separated file; blank lines are skipped.
+    Raises ConfigError on an empty file or a row whose width differs from
+    the header's."""
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+    if not lines:
+        raise ConfigError(f"{path} is empty")
     header = lines[0].split("\t")
-    return header, [ln.split("\t") for ln in lines[1:]]
+    rows = [ln.split("\t") for ln in lines[1:]]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: data row {i + 1} has {len(row)} fields, the header has {len(header)}")
+    return header, rows
 
 
 def write_json(path: str, obj) -> None:

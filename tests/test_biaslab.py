@@ -3,7 +3,7 @@ import pytest
 
 from gxelab import biaslab as bl
 from gxelab.phenosim import CohortSizes, ScenarioSpec
-from gxelab.util import SimulationError
+from gxelab.util import EstimationError, SimulationError
 
 SIZES = CohortSizes(n_discovery=64, n_analysis=2000, n_snps=120)
 
@@ -40,6 +40,14 @@ class TestRunCell:
         bad = base_spec(e_regime="predetermined", a_parent=0.9, corr_e_estar=0.9)
         with pytest.raises(SimulationError, match="replicates failed"):
             bl.run_cell(bad, reps=100, seed=606, sizes=SIZES)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(ds, weights):
+            raise TypeError("not a replicate failure")
+
+        monkeypatch.setattr(bl, "_fit_cell", broken)
+        with pytest.raises(TypeError, match="not a replicate failure"):
+            bl.run_cell(base_spec(), reps=3, seed=609, sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20))
 
     def test_deterministic_and_thread_invariant(self):
         small = CohortSizes(n_discovery=64, n_analysis=800, n_snps=60)
@@ -121,6 +129,15 @@ class TestGwasSelection:
         assert diag.r2_treated > diag.r2_control
         assert diag.rge_significant_share < 0.15  # exogenous assignment: the check stays null
         assert abs(diag.rge_corr) < 0.02
+
+    def test_failure_cap(self, monkeypatch):
+        def failing(ds, weights):
+            raise EstimationError("singular design")
+
+        monkeypatch.setattr(bl, "_fit_cell", failing)
+        with pytest.raises(SimulationError, match="3/3 replicates failed"):
+            bl.gwas_selection_experiment(self.selection_spec(0.3), reps=3, seed=634,
+                                         sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20))
 
     def test_zero_arm_component_null(self):
         bias, diag = bl.gwas_selection_experiment(self.selection_spec(0.0), reps=80, seed=632, sizes=SIZES)

@@ -186,6 +186,12 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, "bad.json", {"n": "many"})
         assert run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key", ["seed", "threads"])
+    def test_non_integer_meta_key_rejected(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, "sim.json", {"n": 50, "seed": 1, key: "two"})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "'two'" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path):
         cfg = write_config(tmp_path, "gxe.json", {"data": str(tmp_path / "nope.tsv")})
         assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -200,3 +206,29 @@ class TestErrorPaths:
                   ((f"i{i}", float(G[i]), float(G[i]), float(E[i]), float(G[i])) for i in range(n)))
         cfg = write_config(tmp_path, "gxe.json", {"data": str(data), "controls": ["Gcopy"]})
         assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("", 2, "is empty"),
+        ("iid\tY\tG\tE\ni0\t1.0\tlow\t0\n", 2, "column 'G'"),
+        ("iid\tY\tG\tE\ni0\t1.0\t0.5\n", 2, "data row 1 has 3 fields"),
+        ("iid\tY\tG\tE\n", 3, "0 rows for 4 columns"),
+    ], ids=["empty", "non_numeric", "ragged", "header_only"])
+    def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, text, code, message):
+        data = tmp_path / "data.tsv"
+        data.write_text(text)
+        cfg = write_config(tmp_path, "gxe.json", {"data": str(data)})
+        assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_flags_override_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "data.tsv"
+        make_gxe_data(data, n=200, seed=47)
+        cfg = write_config(tmp_path, "gxe.json", {"data": str(data), "threads": 2, "out": "cfgout"})
+        assert run(["gxe", "--config", cfg, "--threads", 1, "--out", "X"]) == 0
+        assert manifest("X")["threads"] == 1
+        assert os.path.exists(os.path.join("X", "gxe_fit.json"))
+        assert not os.path.exists("cfgout")
+

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from gxelab import genome, gwas, phenosim as ps
+from gxelab.regress import ols
 from gxelab.util import ConfigError, EstimationError
 
 from conftest import make_sibling_population, make_trio_population
@@ -10,6 +11,24 @@ from conftest import make_sibling_population, make_trio_population
 
 def slope_through_origin(y, x):
     return (x @ y) / (x @ x)
+
+
+def zero_snp(g, j):
+    """Copy of g with SNP j monomorphic (every allele the major one)."""
+    hap = g.haplotypes.copy()
+    hap[:, j] = 0
+    return genome.GenotypeMatrix(g.ids, g.panel, hap)
+
+
+def assert_dead_and_rest_match(res, dead, design_of):
+    """SNP `dead` reads beta 0, se 1e300, p 1; every other SNP matches
+    regress.ols on the design design_of(j) returns (outcome, columns)."""
+    assert (res.beta[dead], res.se[dead], res.p[dead]) == (0.0, 1e300, 1.0)
+    for j in set(range(res.n_snps)) - {dead}:
+        y, cols = design_of(j)
+        ref = ols(y, np.column_stack([np.ones(len(y))] + cols))
+        assert res.beta[j] == pytest.approx(ref.beta[1], rel=1e-10)
+        assert res.se[j] == pytest.approx(ref.se[1], rel=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +149,18 @@ class TestTrioGwas:
         assert res.n_dropped == 1
         assert res.n[0] == len(ped.child_ids) - 1
 
+    def test_monomorphic_snp_marked_dead(self, small_panel):
+        panel = small_panel[:4]
+        ld = genome.LdBlockModel([4], 0.4)
+        parents, children, ped = make_trio_population(50, panel, ld, seed=241)
+        parents, children = zero_snp(parents, 2), zero_snp(children, 2)
+        y = np.random.default_rng(242).standard_normal(50)
+        res = gwas.run_trio_gwas(children, parents, ped, y)
+        mothers, fathers = parents.index_of(ped.mother_ids), parents.index_of(ped.father_ids)
+        d = parents.dosages.astype(float)
+        assert_dead_and_rest_match(res, 2, lambda j: (
+            y, [children.dosages[:, j].astype(float), d[mothers, j], d[fathers, j]]))
+
 
 @pytest.fixture(scope="module")
 def sibling_world():
@@ -177,6 +208,15 @@ class TestSiblingGwas:
         y = np.random.default_rng(0).standard_normal(len(fams))
         res = gwas.run_sibling_gwas(children, ped2, y)
         assert res.n_dropped == 2  # the orphaned row and its now-singleton sibling
+
+    def test_monomorphic_snp_marked_dead(self, small_panel, small_ld):
+        parents, children, ped = make_sibling_population(40, small_panel, small_ld, seed=243)
+        children = zero_snp(children, 2)
+        y = np.random.default_rng(244).standard_normal(80)
+        res = gwas.run_sibling_gwas(children, ped, y, "mean_sibling_control")
+        x = children.dosages.astype(float)
+        fam_mean = 0.5 * (x[0::2] + x[1::2]).repeat(2, axis=0)
+        assert_dead_and_rest_match(res, 2, lambda j: (y, [x[:, j], fam_mean[:, j]]))
 
 
 class TestMetaAnalysis:
