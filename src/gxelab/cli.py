@@ -24,7 +24,7 @@ import scipy
 from . import __version__, biaslab, genome, gwas as gwas_mod, gxe as gxe_mod, inference, pgi as pgi_mod, phenosim
 from .structural import ModelDomainError, ModelError, SolverError
 from .util import (CalibrationError, ConfigError, EstimationError, PedigreeError,
-                   SimulationError, atomic_write_text, fmt_float, read_tsv, write_json, write_tsv)
+                   SimulationError, atomic_write_text, fmt_float, parse_column, read_tsv, write_json, write_tsv)
 
 EXIT_CONFIG, EXIT_ESTIMATION, EXIT_SIMULATION = 2, 3, 4
 
@@ -109,13 +109,7 @@ def _read_columns(path: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):
         col = [r[j] for r in rows]
-        if name == "iid" or name == "family":
-            out[name] = np.array(col)
-        else:
-            try:
-                out[name] = np.array([float(v) for v in col])
-            except ValueError:
-                raise ConfigError(f"column {name!r} of {path} holds a non-numeric value") from None
+        out[name] = np.array(col) if name in ("iid", "family") else parse_column(path, name, col)
     return out
 
 

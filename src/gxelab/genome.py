@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .util import CalibrationError, ConfigError, PedigreeError, child_rng, fmt_float, indexed_map, read_tsv, write_tsv
+from .regress import RANK_RTOL
+from .util import (CalibrationError, ConfigError, PedigreeError, child_rng, fmt_float, indexed_map, parse_column,
+                   read_tsv, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -207,10 +209,9 @@ def simulate_founders(
         length = stop - start
         rng = child_rng(seed, b)
         z = rng.standard_normal((2 * n, length))
-        if rho > 0.0:
-            scale = np.sqrt(1.0 - rho * rho)
-            for j in range(1, length):
-                z[:, j] = rho * z[:, j - 1] + scale * z[:, j]
+        scale = np.sqrt(1.0 - rho * rho)
+        for j in range(1, length):
+            z[:, j] = rho * z[:, j - 1] + scale * z[:, j]
         alleles = (z < thresholds[start:stop]).astype(np.uint8)
         return alleles.reshape(n, 2, length).transpose(0, 2, 1)
 
@@ -309,55 +310,36 @@ def allele_frequencies(g: GenotypeMatrix) -> np.ndarray:
     return g.dosages.mean(axis=0) / 2.0
 
 
-def standardized_dosages(g: GenotypeMatrix, warn_zero_variance: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Column-standardized dosages and the boolean mask of SNPs kept.
-
-    Zero-variance SNPs are excluded (with a warning), never an error.
-    """
-    d = g.dosages.astype(float)
-    mu = d.mean(axis=0)
-    sd = d.std(axis=0)
-    keep = sd > 0.0
-    if warn_zero_variance and not keep.all():
-        dropped = [g.panel[j].id for j in np.nonzero(~keep)[0]]
-        warnings.warn(f"excluding {len(dropped)} zero-variance SNPs: {dropped[:10]}")
-    x = (d[:, keep] - mu[keep]) / sd[keep]
-    return x, keep
-
-
-@dataclass
-class PcaResult:
-    components: np.ndarray       # (n, k), unit-norm columns
-    explained_share: np.ndarray  # (k,)
-
-
-def pca(g: GenotypeMatrix, k: int) -> PcaResult:
-    x, _ = standardized_dosages(g)
-    n, j = x.shape
-    if k > min(n, j):
-        raise ConfigError(f"k={k} exceeds min(n_individuals, n_snps)={min(n, j)}")
-    if min(n, j) <= 20000:
-        u, s, _ = np.linalg.svd(x, full_matrices=False)
-    else:
-        from scipy.sparse.linalg import svds
-
-        u, s, _ = svds(x, k=k, tol=1e-8)
-        order = np.argsort(s)[::-1]
-        u, s = u[:, order], s[order]
-    u = u[:, :k].copy()
-    for c in range(k):
-        if u[np.argmax(np.abs(u[:, c])), c] < 0:
-            u[:, c] = -u[:, c]
-    total_var = float(np.sum(x * x))
-    share = (s[:k] ** 2) / total_var if total_var > 0 else np.zeros(k)
-    return PcaResult(components=u, explained_share=share)
-
-
 def principal_components(g: GenotypeMatrix, k: int) -> np.ndarray:
     """Top-k eigenvectors of the Gram matrix of column-standardized dosages,
     ordered by descending eigenvalue, sign fixed so the largest-magnitude
-    entry of each component is positive."""
-    return pca(g, k).components
+    entry of each component is positive. Zero-variance SNPs are excluded
+    (with a warning). eigh runs on x x' when n <= J, else on x'x with the
+    components mapped back as x v: a tall panel's n x n Gram matrix need not
+    fit in memory. A k beyond the rank (k-th eigenvalue <= RANK_RTOL * the
+    largest) raises ConfigError."""
+    d = g.dosages
+    mu = d.mean(axis=0)
+    sd = d.std(axis=0)
+    keep = sd > 0.0
+    if not keep.all():
+        dropped = [g.panel[j].id for j in np.nonzero(~keep)[0]]
+        warnings.warn(f"excluding {len(dropped)} zero-variance SNPs: {dropped[:10]}")
+    x = d[:, keep] - mu[keep]
+    x /= sd[keep]
+    n, j = x.shape
+    if not 0 < k <= min(n, j):
+        raise ConfigError(f"k={k} outside 1..min(n_individuals, n_snps)={min(n, j)}")
+    wide = n <= j
+    evals, evecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)
+    if evals[-k] <= RANK_RTOL * evals[-1]:
+        raise ConfigError(f"k={k} exceeds the rank of the standardized genotypes")
+    u = np.ascontiguousarray(evecs[:, : -k - 1 : -1])
+    if not wide:
+        u = x @ u
+        u /= np.linalg.norm(u, axis=0)
+    u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(k)])
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +382,13 @@ def read_genotypes_tsv(path: str, panel: list[SnpSpec]) -> GenotypeMatrix:
     if header[0] != "iid" or header[1:] != [s.id for s in panel]:
         raise ConfigError("genotype file header does not match the panel")
     ids = [r[0] for r in rows]
-    d = np.array([[int(v) for v in r[1:]] for r in rows], dtype=np.int8)
-    if d.size and (d.min() < 0 or d.max() > 2):
-        raise ConfigError("dosages must be 0/1/2")
+    try:
+        d = np.array([[int(v) for v in r[1:]] for r in rows], dtype=np.int8)
+    except (ValueError, OverflowError):  # parse by column to name a non-numeric one
+        d = np.column_stack([parse_column(path, name, [r[j] for r in rows], int) for j, name in enumerate(header[1:], 1)])
+    bad = np.flatnonzero(((d < 0) | (d > 2)).any(axis=0))
+    if bad.size:
+        raise ConfigError(f"column {header[1 + bad[0]]!r} of {path} holds a dosage outside 0/1/2")
     # Phase is not stored; rebuild haplotypes deterministically from dosages.
     hap = np.zeros(d.shape + (2,), dtype=np.uint8)
     hap[:, :, 0] = (d >= 1).astype(np.uint8)
@@ -419,7 +405,8 @@ def read_panel_tsv(path: str) -> list[SnpSpec]:
     header, rows = read_tsv(path)
     if header != ["id", "chrom", "pos", "maf", "block"]:
         raise ConfigError("panel file header must be: id chrom pos maf block")
-    panel = [SnpSpec(id=r[0], chromosome=int(r[1]), position=int(r[2]), maf=float(r[3]), block_id=int(r[4])) for r in rows]
+    cols = [parse_column(path, header[j], [r[j] for r in rows], typ).tolist() for j, typ in enumerate((int, int, float, int), 1)]
+    panel = [SnpSpec(r[0], *fields) for r, fields in zip(rows, zip(*cols))]
     validate_panel(panel)
     return panel
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .genome import GenotypeMatrix, Pedigree, SnpSpec
 from .regress import P_FLOOR, batched_ols_hc1, checked_qr, pvalue_from_z
-from .util import ConfigError, EstimationError, fmt_float, indexed_map, read_tsv, write_tsv
+from .util import ConfigError, EstimationError, fmt_float, indexed_map, parse_column, read_tsv, write_tsv
 
 GENOME_WIDE_SIG = 5e-8
 CHUNK = 4096
@@ -77,6 +77,7 @@ def _slope_hc1(X: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     already residualized on the k - 1 other regressors (Frisch-Waugh)."""
     n = X.shape[0]
     sxx = np.einsum("nj,nj->j", X, X)
+    sxx[sxx == 0] = np.nan  # a column with no variation left: NaN marks it dead without 0/0
     b = (X.T @ y) / sxx
     resid = y[:, None] - X * b
     meat = np.einsum("nj,nj->j", X * X, resid * resid)
@@ -276,14 +277,7 @@ def read_sumstats_tsv(path: str) -> GwasResult:
     header, rows = read_tsv(path)
     if header != SUMSTATS_HEADER:
         raise ConfigError(f"summary statistics header must be {SUMSTATS_HEADER}")
-    return GwasResult(
-        snp_ids=[r[0] for r in rows],
-        chrom=np.array([int(r[1]) for r in rows]),
-        pos=np.array([int(r[2]) for r in rows]),
-        effect_allele=[r[3] for r in rows],
-        beta=np.array([float(r[4]) for r in rows]),
-        se=np.array([float(r[5]) for r in rows]),
-        p=np.array([float(r[6]) for r in rows]),
-        n=np.array([int(r[7]) for r in rows]),
-        design="file",
-    )
+    chrom, pos, beta, se, p, n = (parse_column(path, SUMSTATS_HEADER[j], [r[j] for r in rows], typ)
+                                  for j, typ in ((1, int), (2, int), (4, float), (5, float), (6, float), (7, int)))
+    return GwasResult(snp_ids=[r[0] for r in rows], chrom=chrom, pos=pos, effect_allele=[r[3] for r in rows],
+                      beta=beta, se=se, p=p, n=n, design="file")

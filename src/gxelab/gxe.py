@@ -117,15 +117,16 @@ def gxe_design(G: np.ndarray, E: np.ndarray, spec: GxeModelSpec,
 
 def fit_gxe(data: dict[str, np.ndarray], spec: GxeModelSpec) -> GxeFit:
     """OLS of Y on the requested interaction basis plus controls."""
+    # a term name holds each factor it multiplies (GxE, G2E, ...); control
+    # interactions multiply by both G and E
+    interacted = spec.control_interactions and bool(spec.controls)
     for col in ("Y", "G", "E"):
-        if col in ("G", "E") and col not in spec.terms and col not in data:
-            continue
-        if col not in data:
+        if col not in data and (col == "Y" or interacted or any(col in t for t in spec.terms)):
             raise ConfigError(f"data is missing column {col!r}")
     Y = np.asarray(data["Y"], dtype=float)
-    G = np.asarray(data["G"], dtype=float)
-    E = np.asarray(data["E"], dtype=float)
     n = Y.shape[0]
+    # an unused G or E enters no column; zeros stand in for a missing one
+    G, E = (np.asarray(data[c], dtype=float) if c in data else np.zeros(n) for c in ("G", "E"))
     names, cols = gxe_design(G, E, spec, data)
     X = np.column_stack(cols)
     clusters = None

@@ -3,21 +3,25 @@ effects.
 
 The power simulator draws replicated datasets from
 Y = beta_g*G + beta_e*E + beta_x*G*E + eps (G, eps standard normal, E
-Bernoulli) and counts HC1 rejections of the interaction. Common random
-numbers across beta_x evaluations keep estimated power monotone in the
-effect size up to O(1/reps), which is what the minimum-detectable-effect
-bisection needs. It is not exactly monotone: a larger beta_x can pull a
-replicate out of the lower rejection tail of the two-sided test, so near
-beta_x = 0 the estimate can dip by a few replicates' worth.
+Bernoulli) and counts HC1 rejections of the interaction. The fitted design
+[1, G, E, G*E] holds every term of that model, so a replicate's interaction
+estimate is beta_x + u, with u and the standard error those of the fit of
+eps alone: one draw of (u, se) per spec and seed gives the power at every
+beta_x, for power_curve's whole grid and every step of mde's bisection.
+These common random numbers keep estimated power monotone in the effect
+size up to O(1/reps), which is what the bisection needs. It is not exactly
+monotone: a larger beta_x can pull a replicate out of the lower rejection
+tail of the two-sided test, so near beta_x = 0 the estimate can dip by a
+few replicates' worth.
 
-Both the power simulator and the permutation test build their designs with
+Both the power draw and the permutation test build their designs with
 gxe.gxe_design, with G and E stacked as (R, n) arrays, and fit a chunk of
 replicates in one regress.batched_ols_hc1 call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,11 +64,13 @@ class PowerCurve:
     reps: int
 
 
-def _interaction_pvalues(spec: PowerSpec, seed: int, threads: int = 1) -> np.ndarray:
-    """HC1 p-values of the interaction term, one per replicate."""
+def _interaction_draw(spec: PowerSpec, seed: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per replicate, u and se such that the interaction estimate at any
+    beta_x is beta_x + u with HC1 standard error se: the fit of eps alone."""
     chunks = [(c, min(POWER_CHUNK, spec.reps - c * POWER_CHUNK))
               for c in range((spec.reps + POWER_CHUNK - 1) // POWER_CHUNK)]
-    out = np.empty(spec.reps)
+    u = np.empty(spec.reps)
+    se = np.empty(spec.reps)
 
     def work(ci: int):
         idx, size = chunks[ci]
@@ -72,25 +78,31 @@ def _interaction_pvalues(spec: PowerSpec, seed: int, threads: int = 1) -> np.nda
         G = rng.standard_normal((size, spec.n))
         E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
         eps = rng.standard_normal((size, spec.n))
-        Y = spec.beta_g * G + spec.beta_e * E + spec.beta_x * G * E + eps
         names, cols = gxe_design(G, E, GxeModelSpec())
-        beta, se = batched_ols_hc1(Y, cols)
+        beta, s = batched_ols_hc1(eps, cols)
         j = names.index("GxE")
-        out[idx * POWER_CHUNK: idx * POWER_CHUNK + size] = pvalue_from_z(beta[:, j] / se[:, j])
+        lo = idx * POWER_CHUNK
+        u[lo: lo + size] = beta[:, j]
+        se[lo: lo + size] = s[:, j]
 
     indexed_map(work, len(chunks), threads)
-    return out
+    return u, se
+
+
+def _power(draw: tuple[np.ndarray, np.ndarray], beta_x: float, alpha: float) -> float:
+    u, se = draw
+    return float((pvalue_from_z((beta_x + u) / se) < alpha).mean())
 
 
 def power_simulate(spec: PowerSpec, seed: int, threads: int = 1) -> float:
     """Share of replicates whose interaction p-value falls below alpha."""
-    p = _interaction_pvalues(spec, seed, threads)
-    return float((p < spec.alpha).mean())
+    return _power(_interaction_draw(spec, seed, threads), spec.beta_x, spec.alpha)
 
 
 def power_curve(spec: PowerSpec, beta_x_grid: np.ndarray, seed: int, threads: int = 1) -> PowerCurve:
     grid = np.asarray(beta_x_grid, dtype=float)
-    power = np.array([power_simulate(replace(spec, beta_x=b), seed, threads) for b in grid])
+    draw = _interaction_draw(spec, seed, threads)
+    power = np.array([_power(draw, b, spec.alpha) for b in grid])
     half = 1.96 * np.sqrt(power * (1 - power) / spec.reps)
     return PowerCurve(beta_x=grid, power=power,
                       ci_lo=np.clip(power - half, 0, 1), ci_hi=np.clip(power + half, 0, 1),
@@ -106,20 +118,18 @@ def mde(
     width_tol: float = 0.005,
 ) -> float:
     """Smallest interaction coefficient reaching the target power, by
-    bisection over [0, 1] with common random numbers across evaluations.
+    bisection over [0, 1], every evaluation read from one draw of replicates.
 
     Stops when the estimated power is within power_tol of the target or the
     bracket is narrower than width_tol; returns the bracket midpoint.
     """
-    def power_at(b: float) -> float:
-        return power_simulate(replace(spec, beta_x=b), seed, threads)
-
+    draw = _interaction_draw(spec, seed, threads)
     lo, hi = 0.0, 1.0
-    if power_at(hi) < target_power:
+    if _power(draw, hi, spec.alpha) < target_power:
         raise CalibrationError(f"target power {target_power} unreachable with beta_x <= 1")
     while hi - lo > width_tol:
         mid = 0.5 * (lo + hi)
-        p = power_at(mid)
+        p = _power(draw, mid, spec.alpha)
         if abs(p - target_power) < power_tol:
             return mid
         if p < target_power:

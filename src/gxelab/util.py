@@ -98,5 +98,17 @@ def read_tsv(path: str) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def parse_column(path: str, name: str, cells: Sequence[str], dtype: type = float) -> np.ndarray:
+    """One TSV column as a finite array of dtype (float or int); ConfigError
+    naming the file and column on a cell that does not parse or is not finite."""
+    try:
+        col = np.array([dtype(v) for v in cells], dtype=dtype)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"column {name!r} of {path} holds a non-numeric value") from None
+    if not np.isfinite(col).all():
+        raise ConfigError(f"column {name!r} of {path} holds a non-finite value")
+    return col
+
+
 def write_json(path: str, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -207,20 +207,59 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, "gxe.json", {"data": str(data), "controls": ["Gcopy"]})
         assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("text, code, message", [
-        ("", 2, "is empty"),
-        ("iid\tY\tG\tE\ni0\t1.0\tlow\t0\n", 2, "column 'G'"),
-        ("iid\tY\tG\tE\ni0\t1.0\t0.5\n", 2, "data row 1 has 3 fields"),
-        ("iid\tY\tG\tE\n", 3, "0 rows for 4 columns"),
-    ], ids=["empty", "non_numeric", "ragged", "header_only"])
-    def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, text, code, message):
-        data = tmp_path / "data.tsv"
-        data.write_text(text)
-        cfg = write_config(tmp_path, "gxe.json", {"data": str(data)})
-        assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    @pytest.mark.parametrize("command, key, text, code, message", [
+        ("gxe", "data", "", 2, "is empty"),
+        ("gxe", "data", "iid\tY\tG\tE\ni0\t1.0\tlow\t0\n", 2, "column 'G'"),
+        ("gxe", "data", "iid\tY\tG\tE\ni0\t1.0\t0.5\n", 2, "data row 1 has 3 fields"),
+        ("gxe", "data", "iid\tY\tG\tE\n", 3, "0 rows for 4 columns"),
+        ("gxe", "data", "iid\tY\tG\tE\ni0\t1.0\tinf\t0\n", 2, "column 'G'"),
+        ("gxe", "data", "iid\tY\tG\tE\ni0\tnan\t0.5\t0\n", 2, "column 'Y'"),
+        ("gwas", "genotypes", "iid\trs0\trs1\ni0\t0\t1\ni1\tx\t2\n", 2, "column 'rs0'"),
+        ("gwas", "genotypes", "iid\trs0\trs1\ni0\t0\t300\ni1\t1\t2\n", 2, "column 'rs1'"),
+        ("gwas", "panel", "id\tchrom\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\nrs1\t1\tfar\t0.3\t1\n",
+         2, "column 'pos'"),
+        ("pgi", "sumstats", "SNP\tCHR\tPOS\tEA\tBETA\tSE\tP\tN\n"
+         "rs0\t1\t1000\tminor\t0.1\t0.1\t0.3173105079\t2\nrs1\t1\t2000\tminor\tbig\t0.1\t1\t2\n",
+         2, "column 'BETA'"),
+    ], ids=["empty", "non_numeric", "ragged", "header_only", "inf", "nan",
+            "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta"])
+    def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
+        files = {
+            "panel": "id\tchrom\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\nrs1\t1\t2000\t0.3\t1\n",
+            "genotypes": "iid\trs0\trs1\ni0\t0\t1\ni1\t2\t1\ni2\t1\t0\n",
+            "phenotype": "iid\tY\ni0\t0.5\ni1\t-1.0\ni2\t0.2\n",
+            key: text,
+        }
+        inputs = {"gxe": ["data"], "gwas": ["genotypes", "panel", "phenotype"],
+                  "pgi": ["sumstats", "genotypes", "panel"]}[command]
+        payload = {}
+        for name in inputs:
+            path = tmp_path / f"{name}.tsv"
+            path.write_text(files[name])
+            payload[name] = str(path)
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert message in err
+        assert code == 3 or f"{key}.tsv" in err  # a config error names its file
         assert "Traceback" not in err
+
+    def test_gxe_reads_only_the_columns_its_design_uses(self, tmp_path, capsys):
+        rng = np.random.default_rng(49)
+        E = (rng.random(200) < 0.5).astype(float)
+        C = rng.standard_normal(200)
+        Y = 0.4 * E + rng.standard_normal(200)
+        data = tmp_path / "no_g.tsv"
+        write_tsv(str(data), ["iid", "Y", "E", "C"], ((f"i{i}", float(Y[i]), float(E[i]), float(C[i])) for i in range(200)))
+        cfg = write_config(tmp_path, "e_only.json", {"data": str(data), "terms": ["E"], "controls": ["C"]})
+        assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "e_only")]) == 0
+        with open(tmp_path / "e_only" / "gxe_fit.json") as f:
+            assert set(json.load(f)["coefficients"]) == {"intercept", "E", "ctrl:C"}
+        cfg = write_config(tmp_path, "ctrlx.json", {"data": str(data), "terms": ["E"], "controls": ["C"],
+                                                    "control_interactions": True})
+        assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "ctrlx")]) == 2
+        err = capsys.readouterr().err
+        assert "column 'G'" in err and "Traceback" not in err
 
     def test_flags_override_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -218,15 +218,39 @@ class TestPrincipalComponents:
         for c in range(3):
             assert abs(np.corrcoef(pcs[:, c], label)[0, 1]) < 0.05
 
+    @pytest.mark.parametrize("n, j", [(60, 200), (400, 30)], ids=["wide", "tall"])
+    def test_matches_svd_reference(self, n, j):
+        panel = genome.random_panel(j, 10, seed=48)
+        g = genome.simulate_founders(panel, genome.LdBlockModel([10] * (j // 10), 0.5), n, seed=49)
+        d = g.dosages.astype(float)
+        x = (d - d.mean(axis=0)) / d.std(axis=0)
+        u = np.linalg.svd(x, full_matrices=False)[0][:, :5]
+        u *= np.sign(u[np.argmax(np.abs(u), axis=0), range(5)])
+        assert np.abs(genome.principal_components(g, 5) - u).max() < 1e-10
+
     def test_rank_one_pattern(self):
         panel = genome.build_panel([4], np.full(4, 0.5))
         n = 40
         hap = np.zeros((n, 4, 2), dtype=np.uint8)
         hap[::2, :, :] = 1  # alternating all-0 / all-2 rows: rank-1 standardized
         g = genome.GenotypeMatrix([f"i{i}" for i in range(n)], panel, hap)
-        res = genome.pca(g, 1)
-        assert res.explained_share[0] >= 0.99
-        assert np.linalg.norm(res.components[:, 0]) == pytest.approx(1.0, abs=1e-9)
+        pcs = genome.principal_components(g, 1)
+        pattern = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / np.sqrt(n)
+        assert np.allclose(np.sign(pcs[0, 0]) * pcs[:, 0], pattern, rtol=0, atol=1e-12)
+
+    def test_k_above_rank_rejected(self):
+        panel = genome.build_panel([4], np.full(4, 0.5))
+        hap = np.zeros((40, 4, 2), dtype=np.uint8)
+        hap[::2, :, :] = 1
+        rank_one = genome.GenotypeMatrix([f"i{i}" for i in range(40)], panel, hap)
+        with pytest.raises(ConfigError, match="rank"):
+            genome.principal_components(rank_one, 2)
+        with pytest.raises(ConfigError):
+            genome.principal_components(rank_one, 5)
+        hap = np.random.default_rng(50).integers(0, 2, (10, 50, 2)).astype(np.uint8)
+        wide = genome.GenotypeMatrix([f"i{i}" for i in range(10)], genome.build_panel([50], np.full(50, 0.5)), hap)
+        with pytest.raises(ConfigError, match="rank"):  # centring leaves rank n - 1
+            genome.principal_components(wide, 10)
 
     def test_zero_variance_snp_warned_not_fatal(self):
         panel = genome.build_panel([3], np.full(3, 0.4))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -54,6 +56,16 @@ class TestRunGwas:
         res = gwas.run_gwas(g, y)
         assert res.beta[0] == pytest.approx(1.0, abs=1e-10)
         assert res.p[0] <= 1e-300
+
+    def test_monomorphic_snp_marked_dead(self, small_panel):
+        panel = small_panel[:4]
+        g = zero_snp(genome.simulate_founders(panel, genome.LdBlockModel([4], 0.4), 60, seed=245), 2)
+        y = np.random.default_rng(246).standard_normal(60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = gwas.run_gwas(g, y)
+        x = g.dosages.astype(float)
+        assert_dead_and_rest_match(res, 2, lambda j: (y, [x[:, j]]))
 
     def test_null_trait_no_hits(self):
         panel = genome.random_panel(20000, 1, seed=206)

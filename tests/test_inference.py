@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from gxelab import inference as inf
-from gxelab.gxe import GxeModelSpec, fit_gxe
-from gxelab.util import CalibrationError, ConfigError
+from gxelab.gxe import GxeModelSpec, fit_gxe, gxe_design
+from gxelab.regress import batched_ols_hc1, pvalue_from_z
+from gxelab.util import CalibrationError, ConfigError, child_rng
 
 
 def make_dataset(n, beta_x, seed, beta_g=0.259, beta_e=0.9):
@@ -13,6 +16,44 @@ def make_dataset(n, beta_x, seed, beta_g=0.259, beta_e=0.9):
     E = (rng.random(n) < 0.5).astype(float)
     Y = beta_g * G + beta_e * E + beta_x * G * E + rng.standard_normal(n)
     return {"Y": Y, "G": G, "E": E}
+
+
+def refit_power(spec, seed):
+    """Power at spec.beta_x from simulating and fitting every replicate at
+    that beta_x, on the replicate streams the power simulator uses."""
+    p = []
+    for c, lo in enumerate(range(0, spec.reps, inf.POWER_CHUNK)):
+        rng = child_rng(seed, 51, c)
+        size = min(inf.POWER_CHUNK, spec.reps - lo)
+        G = rng.standard_normal((size, spec.n))
+        E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
+        Y = spec.beta_g * G + spec.beta_e * E + spec.beta_x * G * E + rng.standard_normal((size, spec.n))
+        names, cols = gxe_design(G, E, GxeModelSpec())
+        beta, se = batched_ols_hc1(Y, cols)
+        j = names.index("GxE")
+        p.extend(pvalue_from_z(beta[:, j] / se[:, j]))
+    return float((np.array(p) < spec.alpha).mean())
+
+
+def refit_mde(spec, seed, target_power=0.8, power_tol=0.01, width_tol=0.005):
+    """mde's bisection with every step refitting its replicates."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > width_tol:
+        mid = 0.5 * (lo + hi)
+        p = refit_power(replace(spec, beta_x=mid), seed)
+        if abs(p - target_power) < power_tol:
+            return mid
+        lo, hi = (mid, hi) if p < target_power else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("seed", range(520, 530))
+def test_one_draw_matches_refitting_every_effect(seed):
+    spec = inf.PowerSpec(beta_g=0.259, beta_e=0.9, beta_x=0.0, n=200, reps=300)
+    grid = [0.0, 0.1, 0.2, 0.35, 0.5]
+    curve = inf.power_curve(spec, np.array(grid), seed=seed)
+    assert curve.power.tolist() == [refit_power(replace(spec, beta_x=b), seed) for b in grid]
+    assert inf.mde(spec, seed=seed) == refit_mde(spec, seed)
 
 
 class TestPowerSimulate:
