@@ -78,32 +78,37 @@ def _dosage_sd(panel) -> np.ndarray:
     return np.sqrt(2 * p * (1 - p))
 
 
+def _population_plim(ds: ScenarioDataset, arm_scale: float) -> np.ndarray:
+    """Infinite-discovery slopes of a population GWAS: the direct effect plus
+    half the summed nurture loadings, plus the arm-specific component (present
+    only in the gwas-selection regime) at arm_scale times its full size."""
+    spec = ds.spec
+    sd = _dosage_sd(ds.panel)
+    w = (spec.beta_g * ds.direct_weights + 0.5 * (spec.eta_m + spec.eta_f) * ds.nurture_weights) / sd
+    if ds.arm_weights is not None:
+        w = w + spec.beta_g * spec.arm_share * arm_scale * ds.arm_weights / sd
+    return w
+
+
 def plim_weights(ds: ScenarioDataset) -> GwasResult:
     """Infinite-discovery per-SNP slopes for the dataset's index regime.
 
     trio designs estimate the direct per-dosage effect; a population GWAS
     additionally picks up half the summed nurture loadings, and an
-    arm-restricted discovery picks up the arm-specific component.
+    arm-restricted discovery picks up the arm-specific component in full.
     """
     spec = ds.spec
-    sd = _dosage_sd(ds.panel)
     if spec.g_regime == "trio_pgi_family_controls":
-        w = spec.beta_g * ds.direct_weights / sd
+        w = spec.beta_g * ds.direct_weights / _dosage_sd(ds.panel)
     else:
-        w = (spec.beta_g * ds.direct_weights + 0.5 * (spec.eta_m + spec.eta_f) * ds.nurture_weights) / sd
-        if spec.e_regime == "endogenous_gwas_selection" and ds.arm_weights is not None:
-            w = w + spec.beta_g * spec.arm_share * ds.arm_weights / sd
+        w = _population_plim(ds, 1.0)
     return result_from_stats(ds.panel, w, np.ones_like(w), 0, f"plim_{spec.g_regime}")
 
 
 def balanced_plim_weights(ds: ScenarioDataset) -> GwasResult:
     """Remedy weights: discovery drawn from both arms, so the arm-specific
     component enters at the treated share instead of fully."""
-    spec = ds.spec
-    sd = _dosage_sd(ds.panel)
-    w = (spec.beta_g * ds.direct_weights + 0.5 * (spec.eta_m + spec.eta_f) * ds.nurture_weights) / sd
-    if ds.arm_weights is not None:
-        w = w + spec.beta_g * spec.arm_share * spec.treated_share * ds.arm_weights / sd
+    w = _population_plim(ds, ds.spec.treated_share)
     return result_from_stats(ds.panel, w, np.ones_like(w), 0, "plim_balanced")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genome import GenotypeMatrix, Pedigree, SnpSpec
-from .regress import P_FLOOR, batched_ols_hc1, checked_qr, pvalue_from_z
+from .regress import P_FLOOR, RANK_RTOL, batched_ols_hc1, checked_qr, pvalue_from_z
 from .util import ConfigError, EstimationError, fmt_float, indexed_map, parse_column, read_tsv, write_tsv
 
 GENOME_WIDE_SIG = 5e-8
@@ -117,7 +117,10 @@ def run_gwas(
     def work(ci: int):
         lo, hi = chunks[ci]
         X = g.dosages[:, lo:hi].astype(float)
+        raw_ss = np.einsum("nj,nj->j", X, X)
         X -= q @ (q.T @ X)
+        # checked_qr's rank rule: a constant SNP leaves rounding residue, not zeros
+        X[:, np.einsum("nj,nj->j", X, X) <= RANK_RTOL**2 * raw_ss] = 0.0
         beta[lo:hi], se[lo:hi] = _slope_hc1(X, y_r, k)
 
     indexed_map(work, len(chunks), threads)

@@ -33,10 +33,6 @@ class Pgi:
     provenance: str
     n_flipped: int = 0
 
-    def restandardize(self, values: np.ndarray | None = None) -> np.ndarray:
-        v = self.raw_values if values is None else values
-        return (v - self.mean) / self.sd
-
 
 def build_pgi(
     weights: GwasResult,

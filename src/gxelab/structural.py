@@ -10,8 +10,9 @@ and cost C = x^2 / (2*kappa) with inverse marginal cost
 kappa = k_0 + k_e*E + k_g*G + e_k, which yields the closed form
 x* = kappa * (f_x + f_xe*E + f_xg*G) and a cubic reduced-form polynomial in
 (G, E). The generic interface takes user callables F(x, G, E, e) and
-C(x, G, E, e) and works by safeguarded Newton on the first-order condition
-plus central finite differences.
+C(x, G, E, e), finds the optimum by Brent's method (Brent 1973, ch. 4) on the
+bracketed first-order condition and differentiates by central finite
+differences.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
+from .gxe import TERM_MENU, GxeModelSpec, gxe_design
 from .util import SimulationError, child_rng
 
-FOC_TOL = 1e-13
 SOLVER_BOUNDS = (-1e3, 1e3)
 MAX_ITER = 200
 
@@ -33,7 +35,7 @@ class ModelDomainError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The first-order condition has no root in the configured bounds."""
+    """No root of the first-order condition found in SOLVER_BOUNDS within MAX_ITER iterations."""
 
 
 class ModelError(RuntimeError):
@@ -97,11 +99,8 @@ def optimal_effort(p: StructuralParams, s: AgentState) -> float:
 def produce(p: StructuralParams, s: AgentState) -> tuple[float, float, float]:
     """(x*, produced outcome Y, realized value V) at the optimum."""
     x = optimal_effort(p, s)
-    Y = (p.f_x * x + p.f_e * s.E + p.f_g * s.G
-         + p.f_xe * x * s.E + p.f_xg * x * s.G + p.f_ge * s.G * s.E + s.e_f)
-    c = 1.0 / p.inverse_cost(s.G, s.E, s.e_k)
-    V = Y - 0.5 * c * x * x
-    return x, float(Y), float(V)
+    Y = quadratic_production(p)(x, s.G, s.E, s.shocks)
+    return x, float(Y), float(Y - quadratic_cost(p)(x, s.G, s.E, s.shocks))
 
 
 def quadratic_production(p: StructuralParams):
@@ -116,8 +115,7 @@ def quadratic_production(p: StructuralParams):
 def quadratic_cost(p: StructuralParams):
     """The specialization's cost callable C(x, G, E, e)."""
     def C(x, G, E, e):
-        e_k = e[1]
-        inv_c = p.inverse_cost(G, E, e_k)
+        inv_c = p.inverse_cost(G, E, e[1])
         return 0.5 * x * x / inv_c
     return C
 
@@ -130,45 +128,33 @@ def _step(h: float, value: float) -> float:
     return h * max(1.0, abs(value))
 
 
-def solve_effort(production, cost, G: float, E: float, e, h: float = 1e-4,
-                 bounds: tuple[float, float] = SOLVER_BOUNDS) -> float:
-    """Root of F_x - C_x by safeguarded Newton with bisection fallback."""
+def _first_diff(f, a: float, ha: float) -> float:
+    return (f(a + ha) - f(a - ha)) / (2 * ha)
+
+
+def _second_diff(f, a: float, ha: float) -> float:
+    return (f(a + ha) - 2 * f(a) + f(a - ha)) / (ha * ha)
+
+
+def _cross_partial(f, a: float, b: float, ha: float, hb: float) -> float:
+    return (f(a + ha, b + hb) - f(a + ha, b - hb) - f(a - ha, b + hb) + f(a - ha, b - hb)) / (4 * ha * hb)
+
+
+def solve_effort(production, cost, G: float, E: float, e, h: float = 1e-4) -> float:
+    """Root of F_x - C_x in SOLVER_BOUNDS by Brent's method, checked to be a maximum."""
     def foc(x):
         hx = _step(h, x)
-        f_x = (production(x + hx, G, E, e) - production(x - hx, G, E, e)) / (2 * hx)
-        c_x = (cost(x + hx, G, E, e) - cost(x - hx, G, E, e)) / (2 * hx)
-        return f_x - c_x
+        return (_first_diff(lambda t: production(t, G, E, e), x, hx)
+                - _first_diff(lambda t: cost(t, G, E, e), x, hx))
 
-    lo, hi = bounds
+    lo, hi = SOLVER_BOUNDS
     flo, fhi = foc(lo), foc(hi)
     if flo * fhi > 0:
-        raise SolverError(f"FOC not bracketed in {bounds}: foc({lo})={flo:.3g}, foc({hi})={fhi:.3g}")
-    x = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
-    # rounding floor of the FD first-order condition near the optimum
-    scale = max(1.0, abs(production(x, G, E, e)), abs(cost(x, G, E, e)))
-    floor = 64.0 * np.finfo(float).eps * scale / (2.0 * _step(h, x))
-    best_x, best_f = x, np.inf
-    for _ in range(MAX_ITER):
-        fx = foc(x)
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
-        if abs(fx) <= max(floor, FOC_TOL):
-            break
-        if fx * flo < 0:
-            hi = x
-        else:
-            lo, flo = x, fx
-        hx = _step(h, x)
-        dfx = (foc(x + hx) - foc(x - hx)) / (2 * hx)
-        x_new = x - fx / dfx if dfx != 0 and np.isfinite(dfx) else 0.5 * (lo + hi)
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
-            break
-        x = x_new
-    x = best_x
-    hx = _step(h, x)
-    soc = (foc(x + hx) - foc(x - hx)) / (2 * hx)
+        raise SolverError(f"FOC not bracketed in {SOLVER_BOUNDS}: foc({lo})={flo:.3g}, foc({hi})={fhi:.3g}")
+    x, info = brentq(foc, lo, hi, maxiter=MAX_ITER, full_output=True, disp=False)
+    if not info.converged:
+        raise SolverError(f"Brent's method did not converge in {MAX_ITER} iterations ({info.flag})")
+    soc = _first_diff(foc, x, _step(h, x))
     if soc >= 0:
         raise ModelError(f"second-order condition violated at x*={x:.6g} (F_xx - C_xx = {soc:.3g})")
     return float(x)
@@ -189,14 +175,9 @@ class DecompositionReport:
                 + self.choice_gxe + self.tech_nonlinearities)
 
 
-def _effort_surface(production, cost, s: AgentState, h: float):
-    """x* at the center and the 8 (G, E) offsets used by the finite differences."""
-    hg, he = _step(h, s.G), _step(h, s.E)
-    grid = {}
-    for dg in (-1, 0, 1):
-        for de in (-1, 0, 1):
-            grid[(dg, de)] = solve_effort(production, cost, s.G + dg * hg, s.E + de * he, s.shocks, h)
-    return grid, hg, he
+def _effort(production, cost, s: AgentState, h: float):
+    """x*(G, E) at the agent's shocks, as a function to difference."""
+    return lambda g_, e_: solve_effort(production, cost, g_, e_, s.shocks, h)
 
 
 def gxe_decomposition(production, cost, s: AgentState, h: float = 1e-4) -> DecompositionReport:
@@ -206,26 +187,20 @@ def gxe_decomposition(production, cost, s: AgentState, h: float = 1e-4) -> Decom
     gene-choice and environment-choice complementarities; the interaction of
     the optimal choice itself; and curvature (F_xx) times both effort slopes.
     """
-    grid, hg, he = _effort_surface(production, cost, s, h)
-    x0 = grid[(0, 0)]
     G, E, e = s.G, s.E, s.shocks
+    hg, he = _step(h, G), _step(h, E)
+    x_star = _effort(production, cost, s, h)
+    x0 = x_star(G, E)
     hx = _step(h, x0)
+    f_x = _first_diff(lambda x: production(x, G, E, e), x0, hx)
+    f_xx = _second_diff(lambda x: production(x, G, E, e), x0, hx)
+    f_ge = _cross_partial(lambda g_, e_: production(x0, g_, e_, e), G, E, hg, he)
+    f_gx = _cross_partial(lambda x, g_: production(x, g_, E, e), x0, G, hx, hg)
+    f_ex = _cross_partial(lambda x, e_: production(x, G, e_, e), x0, E, hx, he)
 
-    def F(x, g_, e_):
-        return production(x, g_, e_, e)
-
-    f_x = (F(x0 + hx, G, E) - F(x0 - hx, G, E)) / (2 * hx)
-    f_xx = (F(x0 + hx, G, E) - 2 * F(x0, G, E) + F(x0 - hx, G, E)) / (hx * hx)
-    f_ge = (F(x0, G + hg, E + he) - F(x0, G + hg, E - he)
-            - F(x0, G - hg, E + he) + F(x0, G - hg, E - he)) / (4 * hg * he)
-    f_gx = (F(x0 + hx, G + hg, E) - F(x0 + hx, G - hg, E)
-            - F(x0 - hx, G + hg, E) + F(x0 - hx, G - hg, E)) / (4 * hg * hx)
-    f_ex = (F(x0 + hx, G, E + he) - F(x0 + hx, G, E - he)
-            - F(x0 - hx, G, E + he) + F(x0 - hx, G, E - he)) / (4 * he * hx)
-
-    x_e = (grid[(0, 1)] - grid[(0, -1)]) / (2 * he)
-    x_g = (grid[(1, 0)] - grid[(-1, 0)]) / (2 * hg)
-    x_ge = (grid[(1, 1)] - grid[(1, -1)] - grid[(-1, 1)] + grid[(-1, -1)]) / (4 * hg * he)
+    x_e = _first_diff(lambda e_: x_star(G, e_), E, he)
+    x_g = _first_diff(lambda g_: x_star(g_, E), G, hg)
+    x_ge = _cross_partial(x_star, G, E, hg, he)
 
     return DecompositionReport(
         tech_gxe=float(f_ge),
@@ -241,14 +216,12 @@ def outcome_cross_partial(production, cost, s: AgentState, h: float = 1e-4) -> f
 
     Independent of the decomposition path; used as its oracle.
     """
-    hg, he = _step(h, s.G), _step(h, s.E)
+    x_star = _effort(production, cost, s, h)
 
     def y_star(g_, e_):
-        x = solve_effort(production, cost, g_, e_, s.shocks, h)
-        return production(x, g_, e_, s.shocks)
+        return production(x_star(g_, e_), g_, e_, s.shocks)
 
-    return (y_star(s.G + hg, s.E + he) - y_star(s.G + hg, s.E - he)
-            - y_star(s.G - hg, s.E + he) + y_star(s.G - hg, s.E - he)) / (4 * hg * he)
+    return _cross_partial(y_star, s.G, s.E, _step(h, s.G), _step(h, s.E))
 
 
 def effort_slopes(production, cost, s: AgentState, h: float = 1e-4) -> tuple[float, float, float]:
@@ -258,9 +231,9 @@ def effort_slopes(production, cost, s: AgentState, h: float = 1e-4) -> tuple[flo
     cross slope goes through the implicit-FOC derivative, which is the only
     numerically clean way to second-differentiate the optimum.
     """
-    grid, hg, he = _effort_surface(production, cost, s, h)
-    x_e = (grid[(0, 1)] - grid[(0, -1)]) / (2 * he)
-    x_g = (grid[(1, 0)] - grid[(-1, 0)]) / (2 * hg)
+    x_star = _effort(production, cost, s, h)
+    x_e = _first_diff(lambda e_: x_star(s.G, e_), s.E, _step(h, s.E))
+    x_g = _first_diff(lambda g_: x_star(g_, s.E), s.G, _step(h, s.G))
     x_ge = _implicit_cross_slope(production, cost, s.G, s.E, s.shocks, h)
     return float(x_e), float(x_g), float(x_ge)
 
@@ -277,15 +250,15 @@ class MarginalEffects:
 
 def marginal_effects(production, cost, s: AgentState, h: float = 1e-4) -> MarginalEffects:
     """dY*/dE and dY*/dG split into technology and behavioral-response parts."""
-    grid, hg, he = _effort_surface(production, cost, s, h)
-    x0 = grid[(0, 0)]
     G, E, e = s.G, s.E, s.shocks
-    hx = _step(h, x0)
-    f_x = (production(x0 + hx, G, E, e) - production(x0 - hx, G, E, e)) / (2 * hx)
-    f_e = (production(x0, G, E + he, e) - production(x0, G, E - he, e)) / (2 * he)
-    f_g = (production(x0, G + hg, E, e) - production(x0, G - hg, E, e)) / (2 * hg)
-    x_e = (grid[(0, 1)] - grid[(0, -1)]) / (2 * he)
-    x_g = (grid[(1, 0)] - grid[(-1, 0)]) / (2 * hg)
+    hg, he = _step(h, G), _step(h, E)
+    x_star = _effort(production, cost, s, h)
+    x0 = x_star(G, E)
+    f_x = _first_diff(lambda x: production(x, G, E, e), x0, _step(h, x0))
+    f_e = _first_diff(lambda e_: production(x0, G, e_, e), E, he)
+    f_g = _first_diff(lambda g_: production(x0, g_, E, e), G, hg)
+    x_e = _first_diff(lambda e_: x_star(G, e_), E, he)
+    x_g = _first_diff(lambda g_: x_star(g_, E), G, hg)
     return MarginalEffects(
         dY_dE=float(f_e + f_x * x_e),
         dY_dG=float(f_g + f_x * x_g),
@@ -304,42 +277,34 @@ def value_function(production, cost, s: AgentState, h: float = 1e-4) -> tuple[fl
     return float(x), float(y), float(v)
 
 
-def _cross_partial(f, a: float, b: float, ha: float, hb: float) -> float:
-    return (f(a + ha, b + hb) - f(a + ha, b - hb) - f(a - ha, b + hb) + f(a - ha, b - hb)) / (4 * ha * hb)
-
-
-def _implicit_slope(production, cost, x: float, G: float, E: float, e, wrt: str) -> float:
-    """dx*/dE or dx*/dG from the first-order condition's implicit derivative,
-    (C_xv - F_xv) / (F_xx - C_xx), evaluated at the solved optimum.
+def _implicit_slope(production, cost, e, x: float, v: float, at) -> float:
+    """dx*/dv from the first-order condition's implicit derivative,
+    (C_xv - F_xv) / (F_xx - C_xx), evaluated at the solved optimum x, where
+    at(v) gives the (G, E) point as v moves (v is G or E).
 
     Uses a 1e-3-scaled step: second differences at 1e-4 sit at the eps/h^2
     rounding floor, whose jitter would dominate any outer derivative of the
     slope; the larger step trades that for a smooth O(h^2) bias.
     """
-    hx = _step(1e-3, x)
-    if wrt == "E":
-        hv = _step(1e-3, E)
-        f_xv = _cross_partial(lambda xx, v: production(xx, G, v, e), x, E, hx, hv)
-        c_xv = _cross_partial(lambda xx, v: cost(xx, G, v, e), x, E, hx, hv)
-    else:
-        hv = _step(1e-3, G)
-        f_xv = _cross_partial(lambda xx, v: production(xx, v, E, e), x, G, hx, hv)
-        c_xv = _cross_partial(lambda xx, v: cost(xx, v, E, e), x, G, hx, hv)
-    f_xx = (production(x + hx, G, E, e) - 2 * production(x, G, E, e) + production(x - hx, G, E, e)) / (hx * hx)
-    c_xx = (cost(x + hx, G, E, e) - 2 * cost(x, G, E, e) + cost(x - hx, G, E, e)) / (hx * hx)
-    return (c_xv - f_xv) / (f_xx - c_xx)
+    hx, hv = _step(1e-3, x), _step(1e-3, v)
+
+    def along(f):
+        return lambda xx, vv: f(xx, *at(vv), e)
+
+    F, C = along(production), along(cost)
+    f_xx = _second_diff(lambda xx: F(xx, v), x, hx)
+    c_xx = _second_diff(lambda xx: C(xx, v), x, hx)
+    return (_cross_partial(C, x, v, hx, hv) - _cross_partial(F, x, v, hx, hv)) / (f_xx - c_xx)
 
 
 def _implicit_cross_slope(production, cost, G: float, E: float, e, h: float) -> float:
     """d2x*/dGdE: outer central difference (1e-3-scaled step) of the implicit
     environment slope, re-solving the optimum at each G offset."""
-    hg = _step(1e-3, G)
-
     def x_e_at(g_: float) -> float:
-        xg_ = solve_effort(production, cost, g_, E, e, h)
-        return _implicit_slope(production, cost, xg_, g_, E, e, "E")
+        x = solve_effort(production, cost, g_, E, e, h)
+        return _implicit_slope(production, cost, e, x, E, lambda v: (g_, v))
 
-    return (x_e_at(G + hg) - x_e_at(G - hg)) / (2 * hg)
+    return _first_diff(x_e_at, G, _step(1e-3, G))
 
 
 def welfare_gap(production, cost, s: AgentState, h: float = 1e-4) -> float:
@@ -355,18 +320,14 @@ def welfare_gap(production, cost, s: AgentState, h: float = 1e-4) -> float:
     hg, he = _step(h, G), _step(h, E)
     hx = _step(h, x0)
 
-    x_e = _implicit_slope(production, cost, x0, G, E, e, "E")
-    x_g = _implicit_slope(production, cost, x0, G, E, e, "G")
+    x_e = _implicit_slope(production, cost, e, x0, E, lambda v: (G, v))
+    x_g = _implicit_slope(production, cost, e, x0, G, lambda v: (v, E))
     x_ge = _implicit_cross_slope(production, cost, G, E, e, h)
-
-    def C(xx, g_, e_):
-        return cost(xx, g_, e_, e)
-
-    c_x = (C(x0 + hx, G, E) - C(x0 - hx, G, E)) / (2 * hx)
-    c_xx = (C(x0 + hx, G, E) - 2 * C(x0, G, E) + C(x0 - hx, G, E)) / (hx * hx)
-    c_xg = _cross_partial(lambda xx, g_: C(xx, g_, E), x0, G, hx, hg)
-    c_xe = _cross_partial(lambda xx, e_: C(xx, G, e_), x0, E, hx, he)
-    c_ge = _cross_partial(lambda g_, e_: C(x0, g_, e_), G, E, hg, he)
+    c_x = _first_diff(lambda x: cost(x, G, E, e), x0, hx)
+    c_xx = _second_diff(lambda x: cost(x, G, E, e), x0, hx)
+    c_xg = _cross_partial(lambda x, g_: cost(x, g_, E, e), x0, G, hx, hg)
+    c_xe = _cross_partial(lambda x, e_: cost(x, G, e_, e), x0, E, hx, he)
+    c_ge = _cross_partial(lambda g_, e_: cost(x0, g_, e_, e), G, E, hg, he)
 
     return float(-(c_xx * x_g * x_e + c_xg * x_e + c_xe * x_g + c_x * x_ge + c_ge))
 
@@ -375,7 +336,7 @@ def welfare_gap(production, cost, s: AgentState, h: float = 1e-4) -> float:
 # Exact reduced form of the quadratic-cost specialization
 # ---------------------------------------------------------------------------
 
-REDUCED_FORM_TERMS = ["intercept", "G", "E", "GxE", "G2", "E2", "G3", "E3", "G2E", "GE2"]
+REDUCED_FORM_TERMS = ["intercept", *TERM_MENU]
 
 
 @dataclass(frozen=True)
@@ -423,11 +384,8 @@ def reduced_form(p: StructuralParams) -> ReducedForm:
 
 def monomial_basis(G: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Design matrix over the 10 reduced-form terms, column order as REDUCED_FORM_TERMS."""
-    G = np.asarray(G, dtype=float)
-    E = np.asarray(E, dtype=float)
-    return np.column_stack([
-        np.ones_like(G), G, E, G * E, G * G, E * E, G**3, E**3, G * G * E, G * E * E,
-    ])
+    _, cols = gxe_design(np.asarray(G, dtype=float), np.asarray(E, dtype=float), GxeModelSpec(terms=TERM_MENU))
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------

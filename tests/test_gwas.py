@@ -15,10 +15,11 @@ def slope_through_origin(y, x):
     return (x @ y) / (x @ x)
 
 
-def zero_snp(g, j):
-    """Copy of g with SNP j monomorphic (every allele the major one)."""
+def monomorphic_snp(g, j, dosage=0):
+    """Copy of g with SNP j monomorphic at the given dosage (0: every allele
+    the major one, 2: every allele the minor one)."""
     hap = g.haplotypes.copy()
-    hap[:, j] = 0
+    hap[:, j] = dosage // 2
     return genome.GenotypeMatrix(g.ids, g.panel, hap)
 
 
@@ -57,9 +58,11 @@ class TestRunGwas:
         assert res.beta[0] == pytest.approx(1.0, abs=1e-10)
         assert res.p[0] <= 1e-300
 
-    def test_monomorphic_snp_marked_dead(self, small_panel):
+    @pytest.mark.parametrize("dosage", [0, 2])
+    def test_monomorphic_snp_marked_dead(self, small_panel, dosage):
         panel = small_panel[:4]
-        g = zero_snp(genome.simulate_founders(panel, genome.LdBlockModel([4], 0.4), 60, seed=245), 2)
+        g = genome.simulate_founders(panel, genome.LdBlockModel([4], 0.4), 60, seed=245)
+        g = monomorphic_snp(g, 2, dosage)
         y = np.random.default_rng(246).standard_normal(60)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -165,7 +168,7 @@ class TestTrioGwas:
         panel = small_panel[:4]
         ld = genome.LdBlockModel([4], 0.4)
         parents, children, ped = make_trio_population(50, panel, ld, seed=241)
-        parents, children = zero_snp(parents, 2), zero_snp(children, 2)
+        parents, children = monomorphic_snp(parents, 2), monomorphic_snp(children, 2)
         y = np.random.default_rng(242).standard_normal(50)
         res = gwas.run_trio_gwas(children, parents, ped, y)
         mothers, fathers = parents.index_of(ped.mother_ids), parents.index_of(ped.father_ids)
@@ -223,7 +226,7 @@ class TestSiblingGwas:
 
     def test_monomorphic_snp_marked_dead(self, small_panel, small_ld):
         parents, children, ped = make_sibling_population(40, small_panel, small_ld, seed=243)
-        children = zero_snp(children, 2)
+        children = monomorphic_snp(children, 2)
         y = np.random.default_rng(244).standard_normal(80)
         res = gwas.run_sibling_gwas(children, ped, y, "mean_sibling_control")
         x = children.dosages.astype(float)

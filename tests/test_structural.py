@@ -66,6 +66,31 @@ class TestOptimalEffort:
             sm.optimal_effort(p, sm.AgentState(G=0, E=0, e_k=-0.5))
 
 
+class TestSolveEffort:
+    def test_matches_closed_form(self):
+        rng = np.random.default_rng(69)
+        for _ in range(25):
+            p, s = random_quadratic_instance(rng)
+            x = sm.solve_effort(sm.quadratic_production(p), sm.quadratic_cost(p), s.G, s.E, s.shocks)
+            assert abs(x - sm.optimal_effort(p, s)) <= 1e-10
+
+    def test_minimum_raises(self):
+        def production(x, G, E, e):
+            return 0.5 * x * x  # convex: the root x = 1 of F_x - C_x minimizes F - C
+
+        def cost(x, G, E, e):
+            return x
+
+        with pytest.raises(sm.ModelError):
+            sm.solve_effort(production, cost, 0.0, 0.0, (0.0, 0.0))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        p, s = random_quadratic_instance(np.random.default_rng(70))
+        monkeypatch.setattr(sm, "MAX_ITER", 1)
+        with pytest.raises(sm.SolverError, match="converge"):
+            sm.solve_effort(sm.quadratic_production(p), sm.quadratic_cost(p), s.G, s.E, s.shocks)
+
+
 class TestProduce:
     def test_pure_endowment_outcome(self):
         p = sm.StructuralParams(f_x=0, f_e=0, f_g=1, f_xe=0, f_xg=0, f_ge=0, k_0=1, k_e=0, k_g=0)
