@@ -25,7 +25,7 @@ from .genome import GenotypeMatrix
 from .gwas import GwasResult, result_from_stats, run_gwas, run_trio_gwas
 from .gxe import GxeModelSpec, fit_gxe, rge_check
 from .pgi import build_pgi, incremental_r2
-from .phenosim import (CohortSizes, ScenarioDataset, ScenarioSpec,
+from .phenosim import (CohortSizes, ScenarioDataset, ScenarioSpec, dosage_sd,
                        simulate_scenario, treated_indicator)
 from .util import (CalibrationError, ConfigError, EstimationError, PedigreeError, SimulationError,
                    child_rng, indexed_map)
@@ -73,17 +73,12 @@ class BiasReport:
                 "g_regime": self.spec.g_regime, "e_regime": self.spec.e_regime}
 
 
-def _dosage_sd(panel) -> np.ndarray:
-    p = np.array([s.maf for s in panel])
-    return np.sqrt(2 * p * (1 - p))
-
-
 def _population_plim(ds: ScenarioDataset, arm_scale: float) -> np.ndarray:
     """Infinite-discovery slopes of a population GWAS: the direct effect plus
     half the summed nurture loadings, plus the arm-specific component (present
     only in the gwas-selection regime) at arm_scale times its full size."""
     spec = ds.spec
-    sd = _dosage_sd(ds.panel)
+    sd = dosage_sd(ds.panel)
     w = (spec.beta_g * ds.direct_weights + 0.5 * (spec.eta_m + spec.eta_f) * ds.nurture_weights) / sd
     if ds.arm_weights is not None:
         w = w + spec.beta_g * spec.arm_share * arm_scale * ds.arm_weights / sd
@@ -99,7 +94,7 @@ def plim_weights(ds: ScenarioDataset) -> GwasResult:
     """
     spec = ds.spec
     if spec.g_regime == "trio_pgi_family_controls":
-        w = spec.beta_g * ds.direct_weights / _dosage_sd(ds.panel)
+        w = spec.beta_g * ds.direct_weights / dosage_sd(ds.panel)
     else:
         w = _population_plim(ds, 1.0)
     return result_from_stats(ds.panel, w, np.ones_like(w), 0, f"plim_{spec.g_regime}")
@@ -116,7 +111,7 @@ def finite_weights(ds: ScenarioDataset) -> GwasResult:
     disc = ds.discovery
     if ds.spec.g_regime == "trio_pgi_family_controls":
         parents = GenotypeMatrix(disc.mothers.ids + disc.fathers.ids, ds.panel,
-                                 np.concatenate([disc.mothers.haplotypes, disc.fathers.haplotypes]))
+                                 np.concatenate([disc.mothers.planes, disc.fathers.planes], axis=1))
         return run_trio_gwas(disc.children, parents, disc.pedigree, disc.y)
     return run_gwas(disc.children, disc.y)
 

@@ -233,7 +233,7 @@ def _cmd_gwas(cfg: dict, seed, threads: int, out: str) -> list[str]:
         gm = genome.read_genotypes_tsv(cfg["mothers"], panel)
         gf = genome.read_genotypes_tsv(cfg["fathers"], panel)
         parents = genome.GenotypeMatrix(gm.ids + gf.ids, panel,
-                                        np.concatenate([gm.haplotypes, gf.haplotypes]))
+                                        np.concatenate([gm.planes, gf.planes], axis=1))
         ped = genome.read_pedigree_tsv(cfg["pedigree"])
         res = gwas_mod.run_trio_gwas(g, parents, ped, y)
     elif design == "sibling":

@@ -1,6 +1,10 @@
 """Genome simulation: founder haplotypes with block LD, Mendelian transmission,
 mating, allele frequencies and principal components.
 
+Layout: a GenotypeMatrix holds two strand planes, one contiguous (2, n, J) uint8
+array of 0/1 alleles (msprime/tskit's haplotype-matrix convention); the dosage
+is the sum of the planes.
+
 LD model: within each block the two haplotypes of an individual are independent
 thresholded latent Gaussian AR(1) processes; the latent correlation between
 SNPs at distance d within a block is rho**d, and blocks are independent
@@ -10,6 +14,7 @@ SNPs at distance d within a block is rho**d, and blocks are independent
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,53 +92,56 @@ class LdBlockModel:
 
 
 class GenotypeMatrix:
-    """Individuals x SNPs dosages with per-haplotype backing.
+    """Individuals x SNPs genotypes held as two strand planes.
 
-    haplotypes: (n, n_snps, 2) uint8 array of allele counts per strand.
+    planes: contiguous (2, n, n_snps) uint8 array of 0/1 alleles, one plane
+    per strand (maternal, paternal for transmitted genotypes); the dosage is
+    planes[0] + planes[1]. The id index is built on the first index_of.
     """
 
-    def __init__(self, ids: list[str], panel: list[SnpSpec], haplotypes: np.ndarray):
-        haplotypes = np.asarray(haplotypes, dtype=np.uint8)
-        if haplotypes.ndim != 3 or haplotypes.shape[2] != 2:
-            raise ConfigError("haplotypes must have shape (n, n_snps, 2)")
-        if haplotypes.shape[0] != len(ids) or haplotypes.shape[1] != len(panel):
-            raise ConfigError("haplotype shape inconsistent with ids/panel")
-        if haplotypes.max(initial=0) > 1:
-            raise ConfigError("haplotype entries must be 0/1")
+    def __init__(self, ids: list[str], panel: list[SnpSpec], planes: np.ndarray):
+        planes = np.ascontiguousarray(planes, dtype=np.uint8)
+        if planes.ndim != 3 or planes.shape[0] != 2:
+            raise ConfigError("planes must have shape (2, n, n_snps)")
+        if planes.shape[1] != len(ids) or planes.shape[2] != len(panel):
+            raise ConfigError("plane shape inconsistent with ids/panel")
+        if planes.max(initial=0) > 1:
+            raise ConfigError("strand entries must be 0/1")
         self.ids = list(ids)
         self.panel = list(panel)
-        self.haplotypes = haplotypes
+        self.planes = planes
         self._dosages: np.ndarray | None = None
-        self._index = {iid: i for i, iid in enumerate(self.ids)}
+        self._index: dict[str, int] | None = None
 
     @property
     def n_individuals(self) -> int:
-        return self.haplotypes.shape[0]
+        return self.planes.shape[1]
 
     @property
     def n_snps(self) -> int:
-        return self.haplotypes.shape[1]
+        return self.planes.shape[2]
 
     @property
     def dosages(self) -> np.ndarray:
         if self._dosages is None:
-            self._dosages = self.haplotypes.sum(axis=2, dtype=np.int8)
+            self._dosages = np.add(self.planes[0], self.planes[1], dtype=np.int8)
         return self._dosages
 
     def index_of(self, ids: list[str]) -> np.ndarray:
+        if self._index is None:
+            self._index = {iid: i for i, iid in enumerate(self.ids)}
         try:
             return np.array([self._index[i] for i in ids], dtype=np.intp)
         except KeyError as e:
             raise PedigreeError(f"unknown individual id {e.args[0]!r}") from None
 
     def subset(self, ids: list[str]) -> "GenotypeMatrix":
-        idx = self.index_of(ids)
-        return GenotypeMatrix(ids, self.panel, self.haplotypes[idx])
+        return GenotypeMatrix(ids, self.panel, self.planes[:, self.index_of(ids)])
 
     def with_ids(self, ids: list[str]) -> "GenotypeMatrix":
         if len(ids) != self.n_individuals:
             raise ConfigError("id count does not match individuals")
-        return GenotypeMatrix(ids, self.panel, self.haplotypes)
+        return GenotypeMatrix(ids, self.panel, self.planes)
 
 
 @dataclass
@@ -165,6 +173,9 @@ class Pedigree:
 
     def _check_acyclic(self) -> None:
         parents = {c: (m, f) for c, m, f in zip(self.child_ids, self.mother_ids, self.father_ids)}
+        if len(parents) < len(self.child_ids):
+            repeated = next(c for c, k in Counter(self.child_ids).items() if k > 1)
+            raise PedigreeError(f"child id {repeated!r} is repeated")
         for start in self.child_ids:
             seen = {start}
             frontier = list(parents[start])
@@ -200,9 +211,8 @@ def simulate_founders(
     if rho == 0.0:
         # SNPs are independent: one vectorized draw instead of a per-block loop
         rng = child_rng(seed, 0, 1)
-        alleles = (rng.standard_normal((2 * n, len(panel))) < thresholds).astype(np.uint8)
-        haplotypes = alleles.reshape(n, 2, len(panel)).transpose(0, 2, 1)
-        return GenotypeMatrix([f"f{i}" for i in range(n)], panel, haplotypes)
+        alleles = rng.standard_normal((2 * n, len(panel))) < thresholds
+        return GenotypeMatrix([f"f{i}" for i in range(n)], panel, alleles.reshape(n, 2, len(panel)).transpose(1, 0, 2))
 
     def sim_block(b: int) -> np.ndarray:
         start, stop = blocks[b]
@@ -212,33 +222,27 @@ def simulate_founders(
         scale = np.sqrt(1.0 - rho * rho)
         for j in range(1, length):
             z[:, j] = rho * z[:, j - 1] + scale * z[:, j]
-        alleles = (z < thresholds[start:stop]).astype(np.uint8)
-        return alleles.reshape(n, 2, length).transpose(0, 2, 1)
+        return (z < thresholds[start:stop]).reshape(n, 2, length).transpose(1, 0, 2)
 
-    parts = indexed_map(sim_block, len(blocks), threads)
-    haplotypes = np.concatenate(parts, axis=1)
-    ids = [f"f{i}" for i in range(n)]
-    return GenotypeMatrix(ids, panel, haplotypes)
+    planes = np.concatenate(indexed_map(sim_block, len(blocks), threads), axis=2)
+    return GenotypeMatrix([f"f{i}" for i in range(n)], panel, planes)
 
 
 def transmit(parents: GenotypeMatrix, pedigree: Pedigree, seed: int) -> GenotypeMatrix:
     """Mendelian transmission: one gamete per parent, whole haplotypes per LD
-    block (free recombination between blocks, none within)."""
+    block (free recombination between blocks, none within). The child's
+    strand plane 0 comes from the mother, plane 1 from the father."""
     mi = parents.index_of(pedigree.mother_ids)
     fi = parents.index_of(pedigree.father_ids)
     n_children = len(pedigree.child_ids)
     blocks = panel_blocks(parents.panel)
-    block_of_snp = np.empty(parents.n_snps, dtype=np.intp)
-    for b, (start, stop) in enumerate(blocks):
-        block_of_snp[start:stop] = b
+    block_of_snp = np.repeat(np.arange(len(blocks)), [stop - start for start, stop in blocks])
     rng = child_rng(seed, 0)
     choice = rng.integers(0, 2, size=(n_children, len(blocks), 2), dtype=np.uint8)
-    out = np.empty((n_children, parents.n_snps, 2), dtype=np.uint8)
-    for parent_slot, idx in ((0, mi), (1, fi)):
-        per_snp = choice[:, block_of_snp, parent_slot]
-        hap = parents.haplotypes[idx]
-        out[:, :, parent_slot] = np.take_along_axis(hap, per_snp[:, :, None], axis=2)[:, :, 0]
-    return GenotypeMatrix(pedigree.child_ids, parents.panel, out)
+    strand0, strand1 = parents.planes
+    planes = np.stack([np.where(choice[:, block_of_snp, slot], strand1[idx], strand0[idx])
+                       for slot, idx in ((0, mi), (1, fi))])
+    return GenotypeMatrix(pedigree.child_ids, parents.panel, planes)
 
 
 def assortative_pairs(
@@ -382,6 +386,9 @@ def read_genotypes_tsv(path: str, panel: list[SnpSpec]) -> GenotypeMatrix:
     if header[0] != "iid" or header[1:] != [s.id for s in panel]:
         raise ConfigError("genotype file header does not match the panel")
     ids = [r[0] for r in rows]
+    repeated = [i for i, k in Counter(ids).items() if k > 1]
+    if repeated:
+        raise ConfigError(f"individual id {repeated[0]!r} is repeated in {path}")
     try:
         d = np.array([[int(v) for v in r[1:]] for r in rows], dtype=np.int8)
     except (ValueError, OverflowError):  # parse by column to name a non-numeric one
@@ -389,11 +396,8 @@ def read_genotypes_tsv(path: str, panel: list[SnpSpec]) -> GenotypeMatrix:
     bad = np.flatnonzero(((d < 0) | (d > 2)).any(axis=0))
     if bad.size:
         raise ConfigError(f"column {header[1 + bad[0]]!r} of {path} holds a dosage outside 0/1/2")
-    # Phase is not stored; rebuild haplotypes deterministically from dosages.
-    hap = np.zeros(d.shape + (2,), dtype=np.uint8)
-    hap[:, :, 0] = (d >= 1).astype(np.uint8)
-    hap[:, :, 1] = (d == 2).astype(np.uint8)
-    return GenotypeMatrix(ids, panel, hap)
+    # Phase is not stored; rebuild the strand planes deterministically from dosages.
+    return GenotypeMatrix(ids, panel, np.stack([d >= 1, d == 2]))
 
 
 def write_panel_tsv(path: str, panel: list[SnpSpec]) -> None:
@@ -420,10 +424,7 @@ def read_pedigree_tsv(path: str, design: str = "trios") -> Pedigree:
     header, rows = read_tsv(path)
     if header != ["child", "mother", "father", "family"]:
         raise ConfigError("pedigree file header must be: child mother father family")
-    return Pedigree(
-        child_ids=[r[0] for r in rows],
-        mother_ids=[r[1] for r in rows],
-        father_ids=[r[2] for r in rows],
-        family_ids=[r[3] for r in rows],
-        design=design,
-    )
+    try:
+        return Pedigree(*([r[j] for r in rows] for j in range(4)), design=design)
+    except PedigreeError as e:
+        raise PedigreeError(f"{path}: {e}") from None

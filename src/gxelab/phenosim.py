@@ -2,7 +2,9 @@
 
 Genetic values live in theoretically standardized dosage space
 ((dosage - 2*maf) / sqrt(2*maf*(1-maf))), which keeps parent and child
-values on one scale across generations. The genetic-nurture channel can load
+values on one scale across generations. A genetic value is computed as one
+affine map of the int8 dosages, d @ (w/sd) - (2p) . (w/sd), so no
+standardized n x J matrix is formed. The genetic-nurture channel can load
 on a weight vector partially distinct from the direct effects (alignment
 knob): with identical weightings a population-GWAS index is proportional to
 the direct index and several estimation biases cannot materialize at all.
@@ -23,10 +25,18 @@ E_REGIMES = ("exogenous", "predetermined", "endogenous_active_rge",
              "endogenous_correlated", "endogenous_gwas_selection")
 
 
-def theoretical_standardize(g: GenotypeMatrix) -> np.ndarray:
-    """Dosages standardized by the panel's MAF-implied moments (not sample ones)."""
-    p = np.array([s.maf for s in g.panel])
-    return (g.dosages.astype(float) - 2 * p) / np.sqrt(2 * p * (1 - p))
+def dosage_sd(panel: list[SnpSpec]) -> np.ndarray:
+    """MAF-implied dosage SD per SNP, sqrt(2p(1-p)) (not the sample SD)."""
+    p = np.array([s.maf for s in panel])
+    return np.sqrt(2 * p * (1 - p))
+
+
+def theoretical_standardize(g: GenotypeMatrix, weights: np.ndarray) -> np.ndarray:
+    """Genetic values sum_j w_j (d_ij - 2p_j) / sd_j, with the panel's MAF-implied
+    moments (not sample ones), as d @ (w/sd) - (2p) . (w/sd). einsum casts the
+    int8 dosages in buffered chunks, so no n x J float matrix is allocated."""
+    scaled = weights / dosage_sd(g.panel)
+    return np.einsum("ij,j->i", g.dosages, scaled) - 2 * np.array([s.maf for s in g.panel]) @ scaled
 
 
 def empirical_standardize(v: np.ndarray) -> np.ndarray:
@@ -70,7 +80,7 @@ class TraitArchitecture:
 
 def genetic_values(g: GenotypeMatrix, arch: TraitArchitecture) -> np.ndarray:
     """Raw genetic value: standardized dosages weighted by the true effects."""
-    return theoretical_standardize(g) @ arch.effect_vector(g.panel)
+    return theoretical_standardize(g, arch.effect_vector(g.panel))
 
 
 def simulate_trait(g: GenotypeMatrix, arch: TraitArchitecture, seed: int) -> np.ndarray:
@@ -247,13 +257,6 @@ def _make_cohort(panel, n, prefix, seed_base, seed_off) -> tuple[GenotypeMatrix,
     return children, founders.subset(mother_ids), founders.subset(father_ids), ped
 
 
-def _family_values(children, mothers, fathers, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    vc = theoretical_standardize(children) @ weights
-    vm = theoretical_standardize(mothers) @ weights
-    vf = theoretical_standardize(fathers) @ weights
-    return vc, vm, vf
-
-
 def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: int) -> ScenarioDataset:
     """One Table-1 cell's data: a discovery cohort (for GWAS weights) and a
     disjoint analysis cohort with outcome, environment and confounds."""
@@ -283,9 +286,8 @@ def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: int) -> Scen
 
 def _build_cohort_outcome(spec, panel, n, prefix, seed, seed_off, d, m, s_arm, rng, discovery):
     children, mothers, fathers, ped = _make_cohort(panel, n, prefix, seed, seed_off)
-    dv_c, dv_m, dv_f = _family_values(children, mothers, fathers, d)
-    nv_m = theoretical_standardize(mothers) @ m
-    nv_f = theoretical_standardize(fathers) @ m
+    dv_c, dv_m, dv_f = (theoretical_standardize(g, d) for g in (children, mothers, fathers))
+    nv_m, nv_f = theoretical_standardize(mothers, m), theoretical_standardize(fathers, m)
 
     fam_u = rng.standard_normal(n)
     noise = rng.standard_normal(n) * spec.noise_sd
@@ -315,8 +317,7 @@ def _build_cohort_outcome(spec, panel, n, prefix, seed, seed_off, d, m, s_arm, r
     if spec.e_regime in ("predetermined", "endogenous_correlated"):
         y = y + spec.beta_estar * estar
     if spec.e_regime == "endogenous_gwas_selection" and s_arm is not None:
-        sv_c = theoretical_standardize(children) @ s_arm
-        y = y + spec.beta_g * spec.arm_share * sv_c * e
+        y = y + spec.beta_g * spec.arm_share * theoretical_standardize(children, s_arm) * e
 
     cohort = Cohort(children=children, mothers=mothers, fathers=fathers,
                     pedigree=ped, y=y, e=e, estar=estar)

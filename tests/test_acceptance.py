@@ -399,7 +399,7 @@ def test_c12_thread_determinism(tmp_path):
     ld = genome.LdBlockModel([5] * 12, 0.6)
     g1 = genome.simulate_founders(panel, ld, 500, seed=1024, threads=1)
     g4 = genome.simulate_founders(panel, ld, 500, seed=1024, threads=4)
-    founders_same = np.array_equal(g1.haplotypes, g4.haplotypes)
+    founders_same = np.array_equal(g1.planes, g4.planes)
 
     spec = inf.PowerSpec(beta_g=0.259, beta_e=0.9, beta_x=0.2, n=500, reps=600)
     power_same = inf.power_simulate(spec, seed=1025, threads=1) == inf.power_simulate(spec, seed=1025, threads=4)

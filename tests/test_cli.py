@@ -32,6 +32,34 @@ def make_gxe_data(path, n=2000, beta_x=0.2, seed=0):
               ((f"i{i}", float(Y[i]), float(G[i]), float(E[i])) for i in range(n)))
 
 
+# Manifest checksums of three small seeded simulate runs. A change that moves
+# a random stream or the genotype layout's output shows up here; update these
+# constants only in a change that sets out to alter a stream and says so.
+PINNED_SIMULATE = {
+    "founders": ({"n": 120, "n_snps": 24, "block_size": 6, "rho": 0.5, "h2": 0.4, "n_causal": 10}, 5, {
+        "genotypes.tsv": "866cb91ed768794ac21c0082a1c388383b276eb95fc0910c8f2b9fb69fd713b5",
+        "panel.tsv": "8ab262a61732322513c038cd1f126557db40fb9447f5cebc1fc6bf8497ff7a97",
+        "phenotype.tsv": "a77849502c45f5336b00cdf8dc69f193379556e57cd811cec47528dbde245ef0",
+    }),
+    "trios": ({"n": 60, "n_snps": 20, "design": "trios", "block_size": 5, "rho": 0.3, "h2": 0.3,
+               "delta": 0.3, "eta_m": 0.2, "eta_f": 0.1}, 6, {
+        "children.tsv": "adfe1db1a1666a46a0f078eefaed9fed4d68b6ffb24e6e4e4f0b92959a5ae35f",
+        "panel.tsv": "876bd48c096156b1b894c9e0c26ba0739c5104d5bde094f57fe35c296e139139",
+        "parents.tsv": "9c92a516d0b087eebc6fcda8bbb8fdc637bc924af2be550e3b2fa2b31e563b59",
+        "pedigree.tsv": "fe05d590369a4d31ff38cd69416feef00c0c466110836dba31146eacbf6b248b",
+        "phenotype.tsv": "788030582667804b0500d36ff2fb6b6ef5263ff1930af80a78e6e509e961f512",
+    }),
+    "sibling-pairs": ({"n": 40, "n_snps": 20, "design": "sibling-pairs", "block_size": 4, "rho": 0.4, "h2": 0.3,
+                       "delta": 0.3, "gamma": 0.25}, 7, {
+        "children.tsv": "5ab2f822b6f9a900dbefb4796bf4076175b1a42755e5b538b8d50d1152db6847",
+        "panel.tsv": "2659e4f60dc5dfa30e8f9d9fbd80f15cc4d71bcca3f37ec40248232f54f8f554",
+        "parents.tsv": "e8d18df57ee39432f5931b5f1dc4281ea6194b46953b8ce1a25b9fa883f93861",
+        "pedigree.tsv": "2bc59d8366ce654ef6a567d58b38f16ed253fb490be587915a1b1c0532752cf0",
+        "phenotype.tsv": "0372b9212504e0bb0836b500a20c6b5726ce1eed0d260d3f89e69d7e01130325",
+    }),
+}
+
+
 class TestSimulatePipeline:
     def test_simulate_founders_with_trait(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json", {"n": 300, "n_snps": 40, "h2": 0.4, "n_causal": 30})
@@ -84,6 +112,14 @@ class TestSimulatePipeline:
         assert run(["simulate", "--config", cfg, "--seed", 17, "--out", out]) == 0
         for name in ("children.tsv", "parents.tsv", "pedigree.tsv", "phenotype.tsv"):
             assert os.path.exists(os.path.join(out, name))
+
+    @pytest.mark.parametrize("design", list(PINNED_SIMULATE))
+    def test_seeded_outputs_pinned(self, tmp_path, design):
+        config, seed, expected = PINNED_SIMULATE[design]
+        cfg = write_config(tmp_path, "sim.json", config)
+        out = str(tmp_path / "out")
+        assert run(["simulate", "--config", cfg, "--seed", seed, "--out", out]) == 0
+        assert manifest(out)["outputs"] == expected
 
 
 class TestEstimationCommands:
@@ -221,24 +257,31 @@ class TestErrorPaths:
         ("pgi", "sumstats", "SNP\tCHR\tPOS\tEA\tBETA\tSE\tP\tN\n"
          "rs0\t1\t1000\tminor\t0.1\t0.1\t0.3173105079\t2\nrs1\t1\t2000\tminor\tbig\t0.1\t1\t2\n",
          2, "column 'BETA'"),
+        ("gwas-trio", "fathers", "iid\trs0\trs1\nf0\t1\t0\nf1\t0\t2\nf2\t1\t1\nf0\t2\t2\n", 2, "'f0' is repeated"),
+        ("gwas-trio", "pedigree", "child\tmother\tfather\tfamily\ni0\tm0\tf0\tfam0\ni0\tm1\tf1\tfam1\n"
+         "i2\tm2\tf2\tfam2\n", 2, "child id 'i0' is repeated"),
     ], ids=["empty", "non_numeric", "ragged", "header_only", "inf", "nan",
-            "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta"])
+            "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta", "repeated_iid", "repeated_child"])
     def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
         files = {
             "panel": "id\tchrom\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\nrs1\t1\t2000\t0.3\t1\n",
             "genotypes": "iid\trs0\trs1\ni0\t0\t1\ni1\t2\t1\ni2\t1\t0\n",
             "phenotype": "iid\tY\ni0\t0.5\ni1\t-1.0\ni2\t0.2\n",
+            "mothers": "iid\trs0\trs1\nm0\t0\t1\nm1\t1\t1\nm2\t2\t0\n",
+            "fathers": "iid\trs0\trs1\nf0\t1\t0\nf1\t0\t2\nf2\t1\t1\n",
+            "pedigree": "child\tmother\tfather\tfamily\ni0\tm0\tf0\tfam0\ni1\tm1\tf1\tfam1\ni2\tm2\tf2\tfam2\n",
             key: text,
         }
         inputs = {"gxe": ["data"], "gwas": ["genotypes", "panel", "phenotype"],
+                  "gwas-trio": ["genotypes", "panel", "phenotype", "mothers", "fathers", "pedigree"],
                   "pgi": ["sumstats", "genotypes", "panel"]}[command]
-        payload = {}
+        payload = {"design": "trio"} if command == "gwas-trio" else {}
         for name in inputs:
             path = tmp_path / f"{name}.tsv"
             path.write_text(files[name])
             payload[name] = str(path)
         cfg = write_config(tmp_path, f"{command}.json", payload)
-        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert run([command.removesuffix("-trio"), "--config", cfg, "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert message in err
         assert code == 3 or f"{key}.tsv" in err  # a config error names its file

@@ -88,9 +88,9 @@ class TestSimulateFounders:
     def test_deterministic_and_thread_invariant(self, small_panel, small_ld):
         a = genome.simulate_founders(small_panel, small_ld, 200, seed=7, threads=1)
         b = genome.simulate_founders(small_panel, small_ld, 200, seed=7, threads=4)
-        assert np.array_equal(a.haplotypes, b.haplotypes)
+        assert np.array_equal(a.planes, b.planes)
         c = genome.simulate_founders(small_panel, small_ld, 200, seed=8)
-        assert not np.array_equal(a.haplotypes, c.haplotypes)
+        assert not np.array_equal(a.planes, c.planes)
 
     def test_inconsistent_ld_partition_rejected(self, small_panel):
         with pytest.raises(ConfigError):
@@ -100,9 +100,9 @@ class TestSimulateFounders:
 class TestTransmit:
     def test_forced_heterozygote(self):
         panel = genome.build_panel([1], np.array([0.5]))
-        hap = np.zeros((2, 1, 2), dtype=np.uint8)
-        hap[0, 0, :] = 1  # mother dosage 2, father dosage 0
-        parents = genome.GenotypeMatrix(["m", "f"], panel, hap)
+        planes = np.zeros((2, 2, 1), dtype=np.uint8)
+        planes[:, 0, 0] = 1  # mother dosage 2, father dosage 0
+        parents = genome.GenotypeMatrix(["m", "f"], panel, planes)
         ped = genome.Pedigree(["c"], ["m"], ["f"], ["fam"])
         for seed in range(5):
             child = genome.transmit(parents, ped, seed)
@@ -139,8 +139,7 @@ class TestTransmit:
         fi = parents.index_of(ped.father_ids)
         dm = parents.dosages[mi]
         df = parents.dosages[fi]
-        from_mother = children.haplotypes[:, :, 0]
-        from_father = children.haplotypes[:, :, 1]
+        from_mother, from_father = children.planes
         assert not np.any((dm == 0) & (from_mother == 1))
         assert not np.any((dm == 2) & (from_mother == 0))
         assert not np.any((df == 0) & (from_father == 1))
@@ -202,8 +201,8 @@ class TestPrincipalComponents:
         ga = genome.simulate_founders(panel, ld, n // 2, seed=42)
         panel_b = genome.build_panel([j], mafs_b)
         gb = genome.simulate_founders(panel_b, ld, n // 2, seed=43)
-        hap = np.concatenate([ga.haplotypes, gb.haplotypes], axis=0)
-        g = genome.GenotypeMatrix([f"i{i}" for i in range(n)], panel, hap)
+        planes = np.concatenate([ga.planes, gb.planes], axis=1)
+        g = genome.GenotypeMatrix([f"i{i}" for i in range(n)], panel, planes)
         pcs = genome.principal_components(g, 2)
         label = np.r_[np.zeros(n // 2), np.ones(n // 2)]
         assert abs(np.corrcoef(pcs[:, 0], label)[0, 1]) > 0.9
@@ -231,32 +230,32 @@ class TestPrincipalComponents:
     def test_rank_one_pattern(self):
         panel = genome.build_panel([4], np.full(4, 0.5))
         n = 40
-        hap = np.zeros((n, 4, 2), dtype=np.uint8)
-        hap[::2, :, :] = 1  # alternating all-0 / all-2 rows: rank-1 standardized
-        g = genome.GenotypeMatrix([f"i{i}" for i in range(n)], panel, hap)
+        planes = np.zeros((2, n, 4), dtype=np.uint8)
+        planes[:, ::2, :] = 1  # alternating all-0 / all-2 rows: rank-1 standardized
+        g = genome.GenotypeMatrix([f"i{i}" for i in range(n)], panel, planes)
         pcs = genome.principal_components(g, 1)
         pattern = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / np.sqrt(n)
         assert np.allclose(np.sign(pcs[0, 0]) * pcs[:, 0], pattern, rtol=0, atol=1e-12)
 
     def test_k_above_rank_rejected(self):
         panel = genome.build_panel([4], np.full(4, 0.5))
-        hap = np.zeros((40, 4, 2), dtype=np.uint8)
-        hap[::2, :, :] = 1
-        rank_one = genome.GenotypeMatrix([f"i{i}" for i in range(40)], panel, hap)
+        planes = np.zeros((2, 40, 4), dtype=np.uint8)
+        planes[:, ::2, :] = 1
+        rank_one = genome.GenotypeMatrix([f"i{i}" for i in range(40)], panel, planes)
         with pytest.raises(ConfigError, match="rank"):
             genome.principal_components(rank_one, 2)
         with pytest.raises(ConfigError):
             genome.principal_components(rank_one, 5)
-        hap = np.random.default_rng(50).integers(0, 2, (10, 50, 2)).astype(np.uint8)
-        wide = genome.GenotypeMatrix([f"i{i}" for i in range(10)], genome.build_panel([50], np.full(50, 0.5)), hap)
+        planes = np.random.default_rng(50).integers(0, 2, (10, 50, 2)).astype(np.uint8).transpose(2, 0, 1)
+        wide = genome.GenotypeMatrix([f"i{i}" for i in range(10)], genome.build_panel([50], np.full(50, 0.5)), planes)
         with pytest.raises(ConfigError, match="rank"):  # centring leaves rank n - 1
             genome.principal_components(wide, 10)
 
     def test_zero_variance_snp_warned_not_fatal(self):
         panel = genome.build_panel([3], np.full(3, 0.4))
-        hap = np.random.default_rng(47).integers(0, 2, (50, 3, 2)).astype(np.uint8)
-        hap[:, 1, :] = 0
-        g = genome.GenotypeMatrix([f"i{i}" for i in range(50)], panel, hap)
+        planes = np.random.default_rng(47).integers(0, 2, (50, 3, 2)).astype(np.uint8).transpose(2, 0, 1)
+        planes[:, :, 1] = 0
+        g = genome.GenotypeMatrix([f"i{i}" for i in range(50)], panel, planes)
         with pytest.warns(UserWarning, match="zero-variance"):
             pcs = genome.principal_components(g, 1)
         assert pcs.shape == (50, 1)
@@ -265,9 +264,9 @@ class TestPrincipalComponents:
 class TestAlleleFrequencies:
     def test_constant_columns(self):
         panel = genome.build_panel([2], np.full(2, 0.5))
-        hap = np.zeros((10, 2, 2), dtype=np.uint8)
-        hap[:, 1, :] = 1
-        g = genome.GenotypeMatrix([f"i{i}" for i in range(10)], panel, hap)
+        planes = np.zeros((2, 10, 2), dtype=np.uint8)
+        planes[:, :, 1] = 1
+        g = genome.GenotypeMatrix([f"i{i}" for i in range(10)], panel, planes)
         freqs = genome.allele_frequencies(g)
         assert freqs[0] == 0.0 and freqs[1] == 1.0
 
@@ -295,9 +294,15 @@ class TestPanelAndIo:
                 genome.SnpSpec("c", 1, 300, 0.3, 0),
             ])
 
-    def test_pedigree_invariants(self):
+    def test_pedigree_invariants(self, tmp_path):
         with pytest.raises(PedigreeError):
             genome.Pedigree(["c"], ["p"], ["p"], ["f"])
+        with pytest.raises(PedigreeError, match="child id 'a' is repeated"):
+            genome.Pedigree(["a", "b", "a"], ["m1", "m2", "m3"], ["f1", "f2", "f3"], ["x1", "x2", "x3"])
+        parents = tmp_path / "parents.tsv"
+        parents.write_text("iid\trs0\nf0\t0\nf1\t1\nf0\t2\n")
+        with pytest.raises(ConfigError, match="'f0' is repeated in .*parents.tsv"):
+            genome.read_genotypes_tsv(str(parents), genome.build_panel([1], np.array([0.3])))
         with pytest.raises(PedigreeError, match="ancestor"):
             genome.Pedigree(["a", "b"], ["b", "a"], ["x", "y"], ["f1", "f2"])
         with pytest.raises(PedigreeError, match="two children"):

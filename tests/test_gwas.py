@@ -18,9 +18,9 @@ def slope_through_origin(y, x):
 def monomorphic_snp(g, j, dosage=0):
     """Copy of g with SNP j monomorphic at the given dosage (0: every allele
     the major one, 2: every allele the minor one)."""
-    hap = g.haplotypes.copy()
-    hap[:, j] = dosage // 2
-    return genome.GenotypeMatrix(g.ids, g.panel, hap)
+    planes = g.planes.copy()
+    planes[:, :, j] = dosage // 2
+    return genome.GenotypeMatrix(g.ids, g.panel, planes)
 
 
 def assert_dead_and_rest_match(res, dead, design_of):
@@ -259,8 +259,8 @@ class TestMetaAnalysis:
         rng = np.random.default_rng(243)
         y = 0.05 * g.dosages[:, 3].astype(float) + rng.standard_normal(8000)
         full = gwas.run_gwas(g, y)
-        ga = genome.GenotypeMatrix(g.ids[:4000], panel, g.haplotypes[:4000])
-        gb = genome.GenotypeMatrix(g.ids[4000:], panel, g.haplotypes[4000:])
+        ga = genome.GenotypeMatrix(g.ids[:4000], panel, g.planes[:, :4000])
+        gb = genome.GenotypeMatrix(g.ids[4000:], panel, g.planes[:, 4000:])
         meta = gwas.meta_analyze([gwas.run_gwas(ga, y[:4000]), gwas.run_gwas(gb, y[4000:])])
         assert np.all(np.abs(meta.beta - full.beta) < 2 * full.se)
 

@@ -17,6 +17,24 @@ def slope(y, x):
     return np.cov(y, x)[0, 1] / np.var(x)
 
 
+class TestGeneticValues:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_explicit_standardization(self, seed):
+        rng = np.random.default_rng(seed)
+        n, j = 300, 60
+        panel = genome.build_panel([1] * j, rng.uniform(0.02, 0.5, j))
+        g = genome.GenotypeMatrix([f"i{i}" for i in range(n)], panel, rng.integers(0, 2, (2, n, j)))
+        w = rng.standard_normal(j)
+        p = np.array([s.maf for s in panel])
+        reference = ((g.dosages - 2 * p) / np.sqrt(2 * p * (1 - p))) @ w
+        values = ps.theoretical_standardize(g, w)
+        assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_dosage_sd_is_maf_implied(self):
+        panel = genome.build_panel([3], np.array([0.1, 0.25, 0.5]))
+        np.testing.assert_allclose(ps.dosage_sd(panel), np.sqrt([0.18, 0.375, 0.5]), rtol=1e-15)
+
+
 class TestSimulateTrait:
     def test_zero_heritability(self, panel200):
         ld = genome.LdBlockModel([1] * 200, 0.0)
@@ -118,8 +136,8 @@ class TestScenarios:
     def test_exogenous_environment_independent_of_genes(self):
         spec = ps.ScenarioSpec("regular_pgi_no_family", "exogenous", eta_m=0.2, eta_f=0.2)
         ds = ps.simulate_scenario(spec, ps.CohortSizes(500, 10000, n_snps=150), seed=101)
-        dv_c = ps.theoretical_standardize(ds.analysis.children) @ ds.direct_weights
-        dv_m = ps.theoretical_standardize(ds.analysis.mothers) @ ds.direct_weights
+        dv_c = ps.theoretical_standardize(ds.analysis.children, ds.direct_weights)
+        dv_m = ps.theoretical_standardize(ds.analysis.mothers, ds.direct_weights)
         e = ds.analysis.e
         assert abs(np.corrcoef(e, dv_c)[0, 1]) < 0.03
         assert abs(np.corrcoef(e, dv_m)[0, 1]) < 0.03
@@ -127,9 +145,9 @@ class TestScenarios:
     def test_predetermined_environment(self):
         spec = ps.ScenarioSpec("regular_pgi_no_family", "predetermined", a_parent=0.3)
         ds = ps.simulate_scenario(spec, ps.CohortSizes(500, 10000, n_snps=150), seed=102)
-        dv_c = ps.theoretical_standardize(ds.analysis.children) @ ds.direct_weights
-        dv_m = ps.theoretical_standardize(ds.analysis.mothers) @ ds.direct_weights
-        dv_f = ps.theoretical_standardize(ds.analysis.fathers) @ ds.direct_weights
+        dv_c = ps.theoretical_standardize(ds.analysis.children, ds.direct_weights)
+        dv_m = ps.theoretical_standardize(ds.analysis.mothers, ds.direct_weights)
+        dv_f = ps.theoretical_standardize(ds.analysis.fathers, ds.direct_weights)
         midparent = (dv_m + dv_f) / np.sqrt(2)
         e = ds.analysis.e
         assert np.corrcoef(e, midparent)[0, 1] > 0.2
@@ -141,7 +159,7 @@ class TestScenarios:
     def test_active_rge(self):
         spec = ps.ScenarioSpec("regular_pgi_no_family", "endogenous_active_rge", rho_active=0.4)
         ds = ps.simulate_scenario(spec, ps.CohortSizes(500, 10000, n_snps=150), seed=103)
-        dv_c = ps.theoretical_standardize(ds.analysis.children) @ ds.direct_weights
+        dv_c = ps.theoretical_standardize(ds.analysis.children, ds.direct_weights)
         assert np.corrcoef(ds.analysis.e, dv_c)[0, 1] == pytest.approx(0.4, abs=0.03)
 
     def test_correlated_environment(self):

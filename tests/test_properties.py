@@ -38,13 +38,13 @@ def test_transmitted_alleles_always_come_from_parents(seed, n_fam, maf):
         [f"fam{i}" for i in range(n_fam)],
     )
     children = genome.transmit(parents, ped, seed + 1)
-    assert np.array_equal(children.dosages, children.haplotypes.sum(axis=2))
+    assert np.array_equal(children.dosages, children.planes.sum(axis=0))
     dm = parents.dosages[parents.index_of(ped.mother_ids)]
     df = parents.dosages[parents.index_of(ped.father_ids)]
-    assert not np.any((dm == 0) & (children.haplotypes[:, :, 0] == 1))
-    assert not np.any((dm == 2) & (children.haplotypes[:, :, 0] == 0))
-    assert not np.any((df == 0) & (children.haplotypes[:, :, 1] == 1))
-    assert not np.any((df == 2) & (children.haplotypes[:, :, 1] == 0))
+    assert not np.any((dm == 0) & (children.planes[0] == 1))
+    assert not np.any((dm == 2) & (children.planes[0] == 0))
+    assert not np.any((df == 0) & (children.planes[1] == 1))
+    assert not np.any((df == 2) & (children.planes[1] == 0))
 
 
 @settings(max_examples=30, deadline=None)
