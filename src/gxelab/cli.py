@@ -144,6 +144,9 @@ def _write_manifest(out_dir: str, command: str, config: dict, seed, threads: int
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
+    for key in ("n_snps", "block_size"):
+        if cfg[key] < 1:
+            raise ConfigError(f"config key simulate.{key} must be >= 1, got {cfg[key]}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97,)))
     mafs = rng.uniform(cfg["maf_lo"], cfg["maf_hi"], cfg["n_snps"])
     sizes = [cfg["block_size"]] * (cfg["n_snps"] // cfg["block_size"])
@@ -171,18 +174,10 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
         n_fam = cfg["n"]
         founders = genome.simulate_founders(panel, ld, 2 * n_fam, seed, threads)
         mothers, fathers = founders.ids[:n_fam], founders.ids[n_fam:]
-        if design == "trios":
-            ped = genome.Pedigree([f"c{i}" for i in range(n_fam)], mothers, fathers,
-                                  [f"fam{i}" for i in range(n_fam)], design="trios")
-        else:
-            ids, ms, fs, fams = [], [], [], []
-            for i in range(n_fam):
-                for s in (0, 1):
-                    ids.append(f"c{i}_{s}")
-                    ms.append(mothers[i])
-                    fs.append(fathers[i])
-                    fams.append(f"fam{i}")
-            ped = genome.Pedigree(ids, ms, fs, fams, design="sibling-pairs")
+        kids = [""] if design == "trios" else ["_0", "_1"]  # child id suffixes within a family
+        fam = [i for i in range(n_fam) for _ in kids]
+        ped = genome.Pedigree([f"c{i}{k}" for i in range(n_fam) for k in kids], [mothers[i] for i in fam],
+                              [fathers[i] for i in fam], [f"fam{i}" for i in fam], design=design)
         children = genome.transmit(founders, ped, seed + 1)
         for name, g in (("children.tsv", children), ("parents.tsv", founders)):
             path = os.path.join(out, name)
@@ -232,6 +227,9 @@ def _cmd_gwas(cfg: dict, seed, threads: int, out: str) -> list[str]:
                 raise ConfigError(f"trio design requires config key gwas.{key}")
         gm = genome.read_genotypes_tsv(cfg["mothers"], panel)
         gf = genome.read_genotypes_tsv(cfg["fathers"], panel)
+        shared = sorted(set(gm.ids) & set(gf.ids))
+        if shared:
+            raise ConfigError(f"individual id {shared[0]!r} is in both {cfg['mothers']} and {cfg['fathers']}")
         parents = genome.GenotypeMatrix(gm.ids + gf.ids, panel,
                                         np.concatenate([gm.planes, gf.planes], axis=1))
         ped = genome.read_pedigree_tsv(cfg["pedigree"])

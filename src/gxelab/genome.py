@@ -9,6 +9,10 @@ LD model: within each block the two haplotypes of an individual are independent
 thresholded latent Gaussian AR(1) processes; the latent correlation between
 SNPs at distance d within a block is rho**d, and blocks are independent
 (free recombination between blocks, none within).
+
+Genotype TSV: a header `iid` + SNP ids, then one row per individual whose
+dosage cells are each exactly one character, 0, 1 or 2. Phase is not stored:
+reading rebuilds strand planes (d >= 1, d == 2) from the dosages.
 """
 
 from __future__ import annotations
@@ -375,29 +379,27 @@ def random_panel(n_snps: int, block_size: int, seed: int, maf_range: tuple[float
 
 
 def write_genotypes_tsv(path: str, g: GenotypeMatrix) -> None:
-    header = ["iid"] + [s.id for s in g.panel]
-    d = g.dosages
-    rows = ([g.ids[i]] + [str(int(v)) for v in d[i]] for i in range(g.n_individuals))
-    write_tsv(path, header, rows)
+    cells = np.full((g.n_individuals, 2 * g.n_snps), ord("\t"), dtype=np.uint8)  # a tab before each digit
+    cells[:, 1::2] = g.dosages + ord("0")
+    write_tsv(path, ["iid", *(s.id for s in g.panel)], ((i + c.tobytes().decode(),) for i, c in zip(g.ids, cells)))
 
 
 def read_genotypes_tsv(path: str, panel: list[SnpSpec]) -> GenotypeMatrix:
     header, rows = read_tsv(path)
     if header[0] != "iid" or header[1:] != [s.id for s in panel]:
         raise ConfigError("genotype file header does not match the panel")
+    if not rows:
+        raise ConfigError(f"{path} has a header but no individuals")
     ids = [r[0] for r in rows]
     repeated = [i for i, k in Counter(ids).items() if k > 1]
     if repeated:
         raise ConfigError(f"individual id {repeated[0]!r} is repeated in {path}")
-    try:
-        d = np.array([[int(v) for v in r[1:]] for r in rows], dtype=np.int8)
-    except (ValueError, OverflowError):  # parse by column to name a non-numeric one
-        d = np.column_stack([parse_column(path, name, [r[j] for r in rows], int) for j, name in enumerate(header[1:], 1)])
-    bad = np.flatnonzero(((d < 0) | (d > 2)).any(axis=0))
-    if bad.size:
-        raise ConfigError(f"column {header[1 + bad[0]]!r} of {path} holds a dosage outside 0/1/2")
-    # Phase is not stored; rebuild the strand planes deterministically from dosages.
-    return GenotypeMatrix(ids, panel, np.stack([d >= 1, d == 2]))
+    cells = [v for r in rows for v in r[1:]]
+    if not set(cells) <= {"0", "1", "2"}:
+        k = next(k for k, v in enumerate(cells) if v not in ("0", "1", "2"))
+        raise ConfigError(f"column {header[1 + k % len(panel)]!r} of {path} holds {cells[k]!r}, not a dosage 0, 1 or 2")
+    d = np.frombuffer("".join(cells).encode(), dtype=np.uint8).reshape(len(rows), len(panel))
+    return GenotypeMatrix(ids, panel, np.stack([d >= ord("1"), d == ord("2")]))
 
 
 def write_panel_tsv(path: str, panel: list[SnpSpec]) -> None:

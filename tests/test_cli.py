@@ -260,8 +260,13 @@ class TestErrorPaths:
         ("gwas-trio", "fathers", "iid\trs0\trs1\nf0\t1\t0\nf1\t0\t2\nf2\t1\t1\nf0\t2\t2\n", 2, "'f0' is repeated"),
         ("gwas-trio", "pedigree", "child\tmother\tfather\tfamily\ni0\tm0\tf0\tfam0\ni0\tm1\tf1\tfam1\n"
          "i2\tm2\tf2\tfam2\n", 2, "child id 'i0' is repeated"),
+        ("gwas", "genotypes", "iid\trs0\trs1\n", 2, "has a header but no individuals"),
+        ("gwas-trio", "fathers", "iid\trs0\trs1\nf0\t1\t0\nm0\t2\t2\nf2\t1\t1\n", 2, "'m0' is in both"),
+        ("gwas", "genotypes", "iid\trs0\trs1\ni0\t0\t01\ni1\t2\t1\ni2\t1\t0\n", 2, "column 'rs1'"),
+        ("gwas", "genotypes", "iid\trs0\trs1\ni0\t0\t1\ni1\t\t1\ni2\t1\t0\n", 2, "holds '', not a dosage"),
     ], ids=["empty", "non_numeric", "ragged", "header_only", "inf", "nan",
-            "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta", "repeated_iid", "repeated_child"])
+            "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta", "repeated_iid", "repeated_child",
+            "genotype_header_only", "parent_in_both_files", "genotype_two_digit", "genotype_empty_cell"])
     def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
         files = {
             "panel": "id\tchrom\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\nrs1\t1\t2000\t0.3\t1\n",
@@ -286,6 +291,13 @@ class TestErrorPaths:
         assert message in err
         assert code == 3 or f"{key}.tsv" in err  # a config error names its file
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("n_snps", -3), ("n_snps", 0), ("block_size", 0), ("block_size", -2)])
+    def test_simulate_rejects_non_positive_sizes(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "sim.json", {"n": 20, "n_snps": 10, key: value})
+        assert run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"simulate.{key}" in err and "Traceback" not in err
 
     def test_gxe_reads_only_the_columns_its_design_uses(self, tmp_path, capsys):
         rng = np.random.default_rng(49)

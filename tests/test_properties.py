@@ -1,13 +1,19 @@
 """Algebraic invariants checked over generated inputs."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gxelab import genome
 from gxelab import structural as sm
 from gxelab.gwas import result_from_stats, meta_analyze
+from gxelab.util import ConfigError
 
 coef = st.floats(-0.5, 0.5, allow_nan=False)
 pos = st.floats(0.6, 2.0, allow_nan=False)
@@ -56,3 +62,52 @@ def test_meta_of_identical_cohorts_scales_se(beta, se, copies):
     assert meta.beta[0] == pytest.approx(beta, rel=1e-12, abs=1e-12)
     assert meta.se[0] == pytest.approx(se / np.sqrt(copies), rel=1e-12)
     assert meta.n[0] == 50 * copies
+
+
+dosage_matrices = arrays(np.int8, st.tuples(st.integers(1, 6), st.integers(0, 6)), elements=st.integers(0, 2))
+
+
+def reference_genotype_tsv(ids, panel, rows) -> str:
+    """The genotype TSV formatted cell by cell."""
+    lines = ["\t".join(["iid", *(s.id for s in panel)])]
+    lines += ["\t".join([iid, *map(str, row)]) for iid, row in zip(ids, rows)]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=40, deadline=None)
+@example(d=np.zeros((2, 0), dtype=np.int8))
+@given(d=dosage_matrices)
+def test_genotype_tsv_matches_per_cell_reference_and_round_trips(d):
+    n, j = d.shape
+    panel = genome.build_panel([1] * j, np.full(j, 0.3))
+    g = genome.GenotypeMatrix([f"i{i}" for i in range(n)], panel, np.stack([d >= 1, d == 2]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "g.tsv")
+        genome.write_genotypes_tsv(path, g)
+        assert Path(path).read_bytes() == reference_genotype_tsv(g.ids, panel, d).encode()
+        back = genome.read_genotypes_tsv(path, panel)
+    assert back.ids == g.ids
+    assert np.array_equal(back.dosages, d)
+
+
+not_a_dosage = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\t\n\r")).filter(
+    lambda v: v not in ("0", "1", "2"))
+
+
+@settings(max_examples=60, deadline=None)
+@example(d=np.ones((2, 3), dtype=np.int8), cell=(1, 2), bad="01")
+@example(d=np.ones((2, 3), dtype=np.int8), cell=(0, 1), bad=" 1")
+@example(d=np.ones((2, 3), dtype=np.int8), cell=(1, 0), bad="+1")
+@given(d=dosage_matrices.filter(lambda d: d.shape[1] > 0), cell=st.tuples(st.integers(0), st.integers(0)),
+       bad=not_a_dosage)
+def test_genotype_tsv_rejects_any_other_cell_naming_its_column(d, cell, bad):
+    n, j = d.shape
+    r, c = cell[0] % n, cell[1] % j
+    panel = genome.build_panel([1] * j, np.full(j, 0.3))
+    rows = d.astype(str).astype(object)
+    rows[r, c] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        path.write_text(reference_genotype_tsv([f"i{i}" for i in range(n)], panel, rows))
+        with pytest.raises(ConfigError, match=re.escape(f"column {panel[c].id!r} of {path}")):
+            genome.read_genotypes_tsv(str(path), panel)
