@@ -27,8 +27,8 @@ from .gxe import GxeModelSpec, fit_gxe, rge_check
 from .pgi import build_pgi, incremental_r2
 from .phenosim import (CohortSizes, ScenarioDataset, ScenarioSpec, dosage_sd,
                        simulate_scenario, treated_indicator)
-from .util import (CalibrationError, ConfigError, EstimationError, PedigreeError, SimulationError,
-                   child_rng, indexed_map)
+from .util import (CalibrationError, ConfigError, EstimationError, PedigreeError, Seed, SimulationError, Stream,
+                   child_rng, indexed_map, substream)
 
 DEFAULT_SIZES = CohortSizes(n_discovery=64, n_analysis=2000, n_snps=120)
 E_COLUMNS = ("exogenous", "predetermined", "endogenous_correlated")
@@ -134,19 +134,21 @@ _REPLICATE_ERRORS = (ConfigError, PedigreeError, EstimationError, SimulationErro
                     np.linalg.LinAlgError)
 
 
-def _run_replicates(reps: int, seed: int, tag: int, threads: int,
-                    fit: Callable[[np.random.Generator], dict]) -> list[dict]:
-    """fit(child_rng(seed, tag, r)) for every replicate r, in replicate order.
+def _run_replicates(reps: int, threads: int, fit: Callable[[int], dict]) -> list[dict]:
+    """fit(r) for every replicate r, in replicate order; fit keys its draws
+    by r under its own replicate stream.
 
     A replicate that raises a simulation or estimation error counts as
     failed and is left out; more than 1% failures (at least 2) raise
     SimulationError. Any other exception is a bug and propagates.
     """
+    if reps < 2:
+        raise ConfigError(f"reps must be >= 2 for a Monte Carlo SE, got {reps}")
     rows: list[dict | None] = [None] * reps
 
     def work(r: int):
         try:
-            rows[r] = fit(child_rng(seed, tag, r))
+            rows[r] = fit(r)
         except _REPLICATE_ERRORS:
             pass  # left as None: counted against the failure cap
 
@@ -171,7 +173,7 @@ def _bias_report(spec: ScenarioSpec, ok: list[dict], reps: int) -> BiasReport:
 def run_cell(
     spec: ScenarioSpec,
     reps: int,
-    seed: int,
+    seed: Seed,
     sizes: CohortSizes = DEFAULT_SIZES,
     discovery: str = "plim",
     threads: int = 1,
@@ -181,11 +183,11 @@ def run_cell(
         raise ConfigError(f"unknown discovery mode {discovery!r}")
     weights = plim_weights if discovery == "plim" else finite_weights
 
-    def fit(rng: np.random.Generator) -> dict:
-        ds = simulate_scenario(spec, sizes, seed=int(rng.integers(2**31)))
+    def fit(r: int) -> dict:
+        ds = simulate_scenario(spec, sizes, substream(seed, Stream.CELL_REPLICATE, r))
         return _fit_cell(ds, weights(ds))
 
-    return _bias_report(spec, _run_replicates(reps, seed, 61, threads, fit), reps)
+    return _bias_report(spec, _run_replicates(reps, threads, fit), reps)
 
 
 @dataclass
@@ -212,17 +214,18 @@ class TableReport:
 def run_table(
     base: ScenarioSpec,
     reps: int,
-    seed: int,
+    seed: Seed,
     sizes: CohortSizes = DEFAULT_SIZES,
     discovery: str = "plim",
     threads: int = 1,
 ) -> TableReport:
-    """All nine cells with shared effect sizes and confound strengths."""
+    """All nine cells with shared effect sizes and confound strengths; cell
+    (i, j) runs under the substream (BIAS_CELL, i, j)."""
     cells = {}
     for i, row in enumerate(G_ROWS):
         for j, col in enumerate(E_COLUMNS):
             spec = base.with_(g_regime=row, e_regime=col)
-            cells[(row, col)] = run_cell(spec, reps, seed + 101 * i + 17 * j, sizes, discovery, threads)
+            cells[(row, col)] = run_cell(spec, reps, substream(seed, Stream.BIAS_CELL, i, j), sizes, discovery, threads)
     return TableReport(cells=cells)
 
 
@@ -231,7 +234,7 @@ def overcontrol_experiment(
     eta_m: float,
     eta_f: float,
     reps: int,
-    seed: int,
+    seed: Seed,
     sizes: CohortSizes = DEFAULT_SIZES,
     trio_weights: bool = False,
 ) -> BiasReport:
@@ -250,7 +253,7 @@ def noisy_environment_experiment(
     reliability: float,
     n: int,
     reps: int,
-    seed: int,
+    seed: Seed,
     beta_g: float = 0.259,
 ) -> tuple[float, float]:
     """Classical measurement error in a continuous environment: returns the
@@ -260,14 +263,15 @@ def noisy_environment_experiment(
         raise ConfigError("reliability must be in (0, 1]")
     noise_var = (1.0 - reliability) / reliability
 
-    def fit(rng: np.random.Generator) -> dict:
+    def fit(r: int) -> dict:
+        rng = child_rng(seed, Stream.NOISE_REPLICATE, r)
         G = rng.standard_normal(n)
         e_true = rng.standard_normal(n)
         y = beta_g * G + beta_e * e_true + beta_x * G * e_true + rng.standard_normal(n)
         e_obs = e_true + rng.standard_normal(n) * np.sqrt(noise_var)
         return fit_gxe({"Y": y, "G": G, "E": e_obs}, GxeModelSpec()).coefficients
 
-    ok = _run_replicates(reps, seed, 69, 1, fit)
+    ok = _run_replicates(reps, 1, fit)
     return float(np.mean([r["E"] for r in ok])), float(np.mean([r["GxE"] for r in ok]))
 
 
@@ -286,7 +290,7 @@ class SelectionDiagnostics:
 def gwas_selection_experiment(
     spec: ScenarioSpec,
     reps: int,
-    seed: int,
+    seed: Seed,
     sizes: CohortSizes = DEFAULT_SIZES,
     threads: int = 1,
 ) -> tuple[BiasReport, SelectionDiagnostics]:
@@ -297,8 +301,8 @@ def gwas_selection_experiment(
     if spec.e_regime != "endogenous_gwas_selection":
         raise ConfigError("experiment requires the endogenous_gwas_selection regime")
 
-    def fit(rng: np.random.Generator) -> dict:
-        ds = simulate_scenario(spec, sizes, seed=int(rng.integers(2**31)))
+    def fit(r: int) -> dict:
+        ds = simulate_scenario(spec, sizes, substream(seed, Stream.SELECTION_REPLICATE, r))
         ana = ds.analysis
         w = plim_weights(ds)
         child = build_pgi(w, ana.children)
@@ -309,7 +313,7 @@ def gwas_selection_experiment(
         return {**_fit_cell(ds, w), "r2_treated": r2[1], "r2_control": r2[0],
                 "rge_corr": corr, "rge_sig": p < 0.05, "remedy_gxe": remedy["GxE"]}
 
-    ok = _run_replicates(reps, seed, 67, threads, fit)
+    ok = _run_replicates(reps, threads, fit)
     bias = _bias_report(spec, ok, reps)
     fitted = bias.gxe.mean_estimate
     remedy_mean = float(np.mean([r["remedy_gxe"] for r in ok]))

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import types
 
 import numpy as np
 import scipy
@@ -50,23 +51,23 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "selection": (str, "all_snps"), "p_thresh": (float, 5e-8), "r2_thresh": (float, 0.1),
     },
     "gxe": {
-        "data": (str, REQUIRED), "terms": (list, ["G", "E", "GxE"]),
-        "controls": (list, []), "control_interactions": (bool, False),
+        "data": (str, REQUIRED), "terms": (list[str], ["G", "E", "GxE"]),
+        "controls": (list[str], []), "control_interactions": (bool, False),
         "se": (str, "hc1"), "cluster_on": (str, None),
     },
     "rdd": {
         "data": (str, REQUIRED), "bandwidth": (int, 3), "model": (str, "with_interaction"),
-        "covariates": (list, []), "pcs": (list, []), "slope_bins": (int, 10),
+        "covariates": (list[str], []), "pcs": (list[str], []), "slope_bins": (int, 10),
     },
     "power": {
         "beta_g": (float, 0.259), "beta_e": (float, REQUIRED), "n": (int, REQUIRED),
-        "beta_x_grid": (list, REQUIRED), "treated_share": (float, 0.5),
+        "beta_x_grid": (list[float], REQUIRED), "treated_share": (float, 0.5),
         "alpha": (float, 0.05), "reps": (int, 1000),
         "mde": (bool, False), "target_power": (float, 0.8),
     },
     "permute": {
         "data": (str, REQUIRED), "n_perm": (int, 1000), "joint": (bool, True),
-        "terms": (list, ["G", "E", "GxE"]), "controls": (list, []),
+        "terms": (list[str], ["G", "E", "GxE"]), "controls": (list[str], []),
         "control_interactions": (bool, False),
     },
     "bias-table": {
@@ -82,6 +83,26 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
 SEED_REQUIRED = {"simulate", "power", "permute", "bias-table"}
 
 
+def _check_type(name: str, value, typ):
+    """value as a typ, an int being a valid float; floats must be finite and
+    the items of a list[T] must be T."""
+    item = typ.__args__[0] if isinstance(typ, types.GenericAlias) else None
+    if typ is float and isinstance(value, int):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float") from None
+    if typ is int and isinstance(value, int) and not -2**63 <= value < 2**63:
+        raise ConfigError(f"{name} is outside the 64-bit integer range")
+    if not isinstance(value, list if item else typ):
+        raise ConfigError(f"{name} must be {typ.__name__}, got {type(value).__name__}")
+    if typ is float and not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    for v in value if item else ():
+        _check_type(f"{name} item", v, item)
+    return value
+
+
 def validate_config(command: str, payload: dict) -> dict:
     schema = SCHEMAS[command]
     unknown = set(payload) - set(schema)
@@ -91,11 +112,8 @@ def validate_config(command: str, payload: dict) -> dict:
     for key, (typ, default) in schema.items():
         if key in payload:
             value = payload[key]
-            if value is not None:
-                if typ is float and isinstance(value, int):
-                    value = float(value)
-                if not isinstance(value, typ):
-                    raise ConfigError(f"config key {command}.{key} must be {typ.__name__}, got {type(value).__name__}")
+            if value is not None or default is not None:  # null only where the default is null
+                value = _check_type(f"config key {command}.{key}", value, typ)
             effective[key] = value
         elif default is REQUIRED:
             raise ConfigError(f"config key {command}.{key} is required")
@@ -147,14 +165,8 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
     for key in ("n_snps", "block_size"):
         if cfg[key] < 1:
             raise ConfigError(f"config key simulate.{key} must be >= 1, got {cfg[key]}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97,)))
-    mafs = rng.uniform(cfg["maf_lo"], cfg["maf_hi"], cfg["n_snps"])
-    sizes = [cfg["block_size"]] * (cfg["n_snps"] // cfg["block_size"])
-    rem = cfg["n_snps"] - sum(sizes)
-    if rem:
-        sizes.append(rem)
-    panel = genome.build_panel(sizes, mafs)
-    ld = genome.LdBlockModel(sizes, cfg["rho"])
+    panel = genome.random_panel(cfg["n_snps"], cfg["block_size"], seed, (cfg["maf_lo"], cfg["maf_hi"]))
+    ld = genome.LdBlockModel([stop - start for start, stop in genome.panel_blocks(panel)], cfg["rho"])
     files = [os.path.join(out, "panel.tsv")]
     genome.write_panel_tsv(files[0], panel)
 
@@ -166,7 +178,7 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
         files.append(path)
         if cfg["h2"] is not None:
             arch = phenosim.TraitArchitecture.random(panel, cfg["n_causal"] or cfg["n_snps"], cfg["h2"], seed)
-            y = phenosim.simulate_trait(g, arch, seed + 1)
+            y = phenosim.simulate_trait(g, arch, seed)
             p = os.path.join(out, "phenotype.tsv")
             write_tsv(p, ["iid", "Y"], zip(g.ids, map(float, y)))
             files.append(p)
@@ -178,7 +190,7 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
         fam = [i for i in range(n_fam) for _ in kids]
         ped = genome.Pedigree([f"c{i}{k}" for i in range(n_fam) for k in kids], [mothers[i] for i in fam],
                               [fathers[i] for i in fam], [f"fam{i}" for i in fam], design=design)
-        children = genome.transmit(founders, ped, seed + 1)
+        children = genome.transmit(founders, ped, seed)
         for name, g in (("children.tsv", children), ("parents.tsv", founders)):
             path = os.path.join(out, name)
             genome.write_genotypes_tsv(path, g)
@@ -189,7 +201,7 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
         if cfg["h2"] is not None:
             arch = phenosim.TraitArchitecture.random(panel, cfg["n_causal"] or cfg["n_snps"], cfg["h2"], seed)
             nurture = phenosim.NurtureParams(cfg["delta"], cfg["eta_m"], cfg["eta_f"], cfg["w"], cfg["gamma"])
-            y = phenosim.simulate_family_outcome(children, founders, ped, arch, nurture, seed + 2)
+            y = phenosim.simulate_family_outcome(children, founders, ped, arch, nurture, seed)
             p = os.path.join(out, "phenotype.tsv")
             write_tsv(p, ["iid", "Y"], zip(children.ids, map(float, y)))
             files.append(p)
@@ -385,7 +397,10 @@ def main(argv: list[str] | None = None) -> int:
         raw: dict = {}
         if args.config:
             with open(args.config) as f:
-                raw = json.load(f)
+                try:
+                    raw = json.load(f)
+                except ValueError as e:  # not JSON, or an integer literal past Python's digit limit
+                    raise ConfigError(f"{args.config}: {e}") from None
             if not isinstance(raw, dict):
                 raise ConfigError("config must be a JSON object")
         payload = {k: v for k, v in raw.items() if k not in ("seed", "threads", "out")}
@@ -394,8 +409,10 @@ def main(argv: list[str] | None = None) -> int:
         threads = args.threads if args.threads is not None else raw.get("threads", 1)
         try:
             seed, threads = None if seed is None else int(seed), int(threads)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"seed and threads must be integers, got {seed!r} and {threads!r}") from None
+        if seed is not None and seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         out = str(args.out if args.out is not None else raw.get("out", "."))
         cfg = validate_config(args.command, payload)
         if args.command in SEED_REQUIRED and seed is None:
@@ -404,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         files = COMMANDS[args.command](cfg, seed, threads, out)
         _write_manifest(out, args.command, cfg, seed, threads, files)
         return 0
-    except (ConfigError, PedigreeError, json.JSONDecodeError, FileNotFoundError) as e:
+    except (ConfigError, PedigreeError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except EstimationError as e:

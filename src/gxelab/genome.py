@@ -25,8 +25,8 @@ import numpy as np
 from scipy import stats
 
 from .regress import RANK_RTOL
-from .util import (CalibrationError, ConfigError, PedigreeError, child_rng, fmt_float, indexed_map, parse_column,
-                   read_tsv, write_tsv)
+from .util import (CalibrationError, ConfigError, PedigreeError, Seed, Stream, child_rng, fmt_float, indexed_map,
+                   parse_column, read_tsv, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -196,12 +196,12 @@ def simulate_founders(
     panel: list[SnpSpec],
     ld: LdBlockModel,
     n: int,
-    seed: int,
+    seed: Seed,
     threads: int = 1,
 ) -> GenotypeMatrix:
     """Founder haplotypes: Bernoulli(maf) marginals, AR(1)-threshold LD in blocks.
 
-    Each block draws from its own seed-derived stream, so results do not
+    Each block draws from its own stream (FOUNDERS, block), so results do not
     depend on scheduling.
     """
     if n < 1:
@@ -210,18 +210,19 @@ def simulate_founders(
     ld.check_against(panel)
     blocks = panel_blocks(panel)
     rho = ld.within_block_rho
-    thresholds = stats.norm.ppf(np.array([s.maf for s in panel]))
+    mafs = np.array([s.maf for s in panel])
 
     if rho == 0.0:
-        # SNPs are independent: one vectorized draw instead of a per-block loop
-        rng = child_rng(seed, 0, 1)
-        alleles = rng.standard_normal((2 * n, len(panel))) < thresholds
+        # SNPs are independent: one Bernoulli(maf) draw of uniforms for the whole panel
+        alleles = child_rng(seed, Stream.FOUNDERS, 0).random((2 * n, len(panel))) < mafs
         return GenotypeMatrix([f"f{i}" for i in range(n)], panel, alleles.reshape(n, 2, len(panel)).transpose(1, 0, 2))
+
+    thresholds = stats.norm.ppf(mafs)
 
     def sim_block(b: int) -> np.ndarray:
         start, stop = blocks[b]
         length = stop - start
-        rng = child_rng(seed, b)
+        rng = child_rng(seed, Stream.FOUNDERS, b)
         z = rng.standard_normal((2 * n, length))
         scale = np.sqrt(1.0 - rho * rho)
         for j in range(1, length):
@@ -232,7 +233,7 @@ def simulate_founders(
     return GenotypeMatrix([f"f{i}" for i in range(n)], panel, planes)
 
 
-def transmit(parents: GenotypeMatrix, pedigree: Pedigree, seed: int) -> GenotypeMatrix:
+def transmit(parents: GenotypeMatrix, pedigree: Pedigree, seed: Seed) -> GenotypeMatrix:
     """Mendelian transmission: one gamete per parent, whole haplotypes per LD
     block (free recombination between blocks, none within). The child's
     strand plane 0 comes from the mother, plane 1 from the father."""
@@ -241,7 +242,7 @@ def transmit(parents: GenotypeMatrix, pedigree: Pedigree, seed: int) -> Genotype
     n_children = len(pedigree.child_ids)
     blocks = panel_blocks(parents.panel)
     block_of_snp = np.repeat(np.arange(len(blocks)), [stop - start for start, stop in blocks])
-    rng = child_rng(seed, 0)
+    rng = child_rng(seed, Stream.TRANSMISSION)
     choice = rng.integers(0, 2, size=(n_children, len(blocks), 2), dtype=np.uint8)
     strand0, strand1 = parents.planes
     planes = np.stack([np.where(choice[:, block_of_snp, slot], strand1[idx], strand0[idx])
@@ -252,11 +253,12 @@ def transmit(parents: GenotypeMatrix, pedigree: Pedigree, seed: int) -> Genotype
 def assortative_pairs(
     phenotype: np.ndarray,
     target_corr: float,
-    seed: int,
+    seed: Seed,
     max_iter: int = 60,
 ) -> list[tuple[int, int]]:
     """Pair the first half of candidates with the second half by noisy rank
-    matching on phenotype, calibrated to the target cross-partner correlation.
+    matching on phenotype, calibrated to the target cross-partner correlation;
+    a target of 0 is random mating.
 
     Returns (mother_index, father_index) pairs into the input vector.
     """
@@ -270,14 +272,13 @@ def assortative_pairs(
     a_idx = np.arange(half)
     b_idx = np.arange(half, n)
     pa, pb = phenotype[a_idx], phenotype[b_idx]
+    if target_corr == 0.0:
+        return list(zip(a_idx, b_idx[child_rng(seed, Stream.MATING).permutation(half)]))
     if pa.std() == 0.0 or pb.std() == 0.0:
-        if target_corr == 0.0:
-            rng = child_rng(seed, 1)
-            return list(zip(a_idx, b_idx[rng.permutation(half)]))
         raise CalibrationError("degenerate phenotype variance; target correlation unreachable")
     za = (pa - pa.mean()) / pa.std()
     zb = (pb - pb.mean()) / pb.std()
-    rng = child_rng(seed, 1)
+    rng = child_rng(seed, Stream.MATING)
     ea = rng.standard_normal(half)
     eb = rng.standard_normal(half)
 
@@ -289,9 +290,6 @@ def assortative_pairs(
 
     if target_corr >= 1.0:
         s = 0.0
-    elif target_corr <= 0.0:
-        ob = rng.permutation(half)
-        return list(zip(a_idx, b_idx[ob]))
     else:
         lo, hi = 0.0, 1.0
         while realized(hi)[0] > target_corr:
@@ -368,13 +366,15 @@ def build_panel(block_sizes: list[int], mafs: np.ndarray, chromosome: int = 1, s
     return panel
 
 
-def random_panel(n_snps: int, block_size: int, seed: int, maf_range: tuple[float, float] = (0.05, 0.5)) -> list[SnpSpec]:
-    rng = child_rng(seed, 99)
-    mafs = rng.uniform(maf_range[0], maf_range[1], size=n_snps)
+def random_panel(n_snps: int, block_size: int, seed: Seed, maf_range: tuple[float, float] = (0.05, 0.5)) -> list[SnpSpec]:
+    """n_snps SNPs in blocks of block_size (the last block takes the remainder),
+    MAFs uniform on maf_range."""
+    if n_snps < 1 or block_size < 1:
+        raise ConfigError(f"n_snps and block_size must be >= 1, got {n_snps} and {block_size}")
+    mafs = child_rng(seed, Stream.PANEL).uniform(maf_range[0], maf_range[1], size=n_snps)
     sizes = [block_size] * (n_snps // block_size)
-    rem = n_snps - block_size * len(sizes)
-    if rem:
-        sizes.append(rem)
+    if n_snps % block_size:
+        sizes.append(n_snps % block_size)
     return build_panel(sizes, mafs)
 
 
@@ -387,7 +387,7 @@ def write_genotypes_tsv(path: str, g: GenotypeMatrix) -> None:
 def read_genotypes_tsv(path: str, panel: list[SnpSpec]) -> GenotypeMatrix:
     header, rows = read_tsv(path)
     if header[0] != "iid" or header[1:] != [s.id for s in panel]:
-        raise ConfigError("genotype file header does not match the panel")
+        raise ConfigError(f"the header of {path} does not match the panel")
     if not rows:
         raise ConfigError(f"{path} has a header but no individuals")
     ids = [r[0] for r in rows]

@@ -76,6 +76,8 @@ def _slope_hc1(X: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     """Slope of y on each column of X and its HC1 standard error, for y and X
     already residualized on the k - 1 other regressors (Frisch-Waugh)."""
     n = X.shape[0]
+    if n <= k:
+        raise EstimationError(f"{n} observations for {k} regressors: the HC1 correction needs more observations")
     sxx = np.einsum("nj,nj->j", X, X)
     sxx[sxx == 0] = np.nan  # a column with no variation left: NaN marks it dead without 0/0
     b = (X.T @ y) / sxx

@@ -166,6 +166,9 @@ def fit_rdd_gxe(data: dict[str, np.ndarray], spec: RddSpec, model: str = "main_e
     """
     if model not in ("main_effects", "with_interaction"):
         raise ConfigError(f"unknown RDD model {model!r}")
+    missing = [c for c in (spec.running, spec.outcome, spec.g_col, *spec.covariates, *spec.pcs) if c not in data]
+    if missing:
+        raise ConfigError(f"data is missing column {missing[0]!r}")
     mob = np.asarray(data[spec.running], dtype=float)
     if not np.allclose(mob, np.round(mob)):
         raise ConfigError("running variable must be integer month offsets (cutoff month = 0)")

@@ -16,7 +16,9 @@ few replicates' worth.
 
 Both the power draw and the permutation test build their designs with
 gxe.gxe_design, with G and E stacked as (R, n) arrays, and fit a chunk of
-replicates in one regress.batched_ols_hc1 call.
+replicates in one regress.batched_ols_hc1 call; chunk c draws from the
+stream (POWER or PERMUTATION, c), so results do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import numpy as np
 
 from .gxe import GxeModelSpec, fit_gxe, gxe_design
 from .regress import batched_ols_hc1, pvalue_from_z
-from .util import CalibrationError, ConfigError, child_rng, indexed_map
+from .util import CalibrationError, ConfigError, Seed, Stream, child_rng, indexed_map
 
-POWER_CHUNK = 256
-PERM_CHUNK = 256
+POWER_CHUNK = 256  # replicates per batched fit, for power draws and permutations alike
 
 
 @dataclass(frozen=True)
@@ -64,29 +65,27 @@ class PowerCurve:
     reps: int
 
 
-def _interaction_draw(spec: PowerSpec, seed: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _chunked_fits(reps: int, seed: Seed, stream: Stream, threads: int, fit) -> tuple[np.ndarray, np.ndarray]:
+    """fit(rng, size) -> (a, b) over chunks of POWER_CHUNK replicates, chunk c
+    drawing from child_rng(seed, stream, c); the chunks' a and b concatenated."""
+    sizes = [min(POWER_CHUNK, reps - lo) for lo in range(0, reps, POWER_CHUNK)]
+    parts = indexed_map(lambda c: fit(child_rng(seed, stream, c), sizes[c]), len(sizes), threads)
+    return np.concatenate([a for a, _ in parts]), np.concatenate([b for _, b in parts])
+
+
+def _interaction_draw(spec: PowerSpec, seed: Seed, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per replicate, u and se such that the interaction estimate at any
     beta_x is beta_x + u with HC1 standard error se: the fit of eps alone."""
-    chunks = [(c, min(POWER_CHUNK, spec.reps - c * POWER_CHUNK))
-              for c in range((spec.reps + POWER_CHUNK - 1) // POWER_CHUNK)]
-    u = np.empty(spec.reps)
-    se = np.empty(spec.reps)
-
-    def work(ci: int):
-        idx, size = chunks[ci]
-        rng = child_rng(seed, 51, idx)
+    def fit(rng: np.random.Generator, size: int):
         G = rng.standard_normal((size, spec.n))
         E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
         eps = rng.standard_normal((size, spec.n))
         names, cols = gxe_design(G, E, GxeModelSpec())
-        beta, s = batched_ols_hc1(eps, cols)
+        beta, se = batched_ols_hc1(eps, cols)
         j = names.index("GxE")
-        lo = idx * POWER_CHUNK
-        u[lo: lo + size] = beta[:, j]
-        se[lo: lo + size] = s[:, j]
+        return beta[:, j], se[:, j]
 
-    indexed_map(work, len(chunks), threads)
-    return u, se
+    return _chunked_fits(spec.reps, seed, Stream.POWER, threads, fit)
 
 
 def _power(draw: tuple[np.ndarray, np.ndarray], beta_x: float, alpha: float) -> float:
@@ -94,12 +93,12 @@ def _power(draw: tuple[np.ndarray, np.ndarray], beta_x: float, alpha: float) -> 
     return float((pvalue_from_z((beta_x + u) / se) < alpha).mean())
 
 
-def power_simulate(spec: PowerSpec, seed: int, threads: int = 1) -> float:
+def power_simulate(spec: PowerSpec, seed: Seed, threads: int = 1) -> float:
     """Share of replicates whose interaction p-value falls below alpha."""
     return _power(_interaction_draw(spec, seed, threads), spec.beta_x, spec.alpha)
 
 
-def power_curve(spec: PowerSpec, beta_x_grid: np.ndarray, seed: int, threads: int = 1) -> PowerCurve:
+def power_curve(spec: PowerSpec, beta_x_grid: np.ndarray, seed: Seed, threads: int = 1) -> PowerCurve:
     grid = np.asarray(beta_x_grid, dtype=float)
     draw = _interaction_draw(spec, seed, threads)
     power = np.array([_power(draw, b, spec.alpha) for b in grid])
@@ -112,7 +111,7 @@ def power_curve(spec: PowerSpec, beta_x_grid: np.ndarray, seed: int, threads: in
 def mde(
     spec: PowerSpec,
     target_power: float = 0.8,
-    seed: int = 0,
+    seed: Seed = 0,
     threads: int = 1,
     power_tol: float = 0.01,
     width_tol: float = 0.005,
@@ -173,7 +172,7 @@ def permutation_test(
     data: dict[str, np.ndarray],
     fit_spec: GxeModelSpec,
     n_perm: int = 1000,
-    seed: int = 0,
+    seed: Seed = 0,
     joint: bool = True,
     threads: int = 1,
 ) -> PermutationResult:
@@ -186,8 +185,8 @@ def permutation_test(
     """
     if n_perm < 100:
         raise ConfigError("n_perm must be >= 100")
-    if fit_spec.se != "hc1":
-        raise ConfigError("permutation inference supports HC1 fits")
+    if fit_spec.se != "hc1" or "GxE" not in fit_spec.terms:
+        raise ConfigError("permutation inference supports HC1 fits with a GxE term")
     observed = fit_gxe(data, fit_spec)
     obs_coef = observed.coef("GxE")
     obs_t = obs_coef / observed.se("GxE")
@@ -197,14 +196,7 @@ def permutation_test(
     G = np.asarray(data["G"], dtype=float)
     E = np.asarray(data["E"], dtype=float)
 
-    chunks = [(c, min(PERM_CHUNK, n_perm - c * PERM_CHUNK))
-              for c in range((n_perm + PERM_CHUNK - 1) // PERM_CHUNK)]
-    null_coefs = np.empty(n_perm)
-    null_ts = np.empty(n_perm)
-
-    def work(ci: int):
-        idx, size = chunks[ci]
-        rng = child_rng(seed, 53, idx)
+    def fit(rng: np.random.Generator, size: int):
         Gp = np.empty((size, n))
         Ep = np.empty((size, n))
         for r in range(size):
@@ -214,11 +206,9 @@ def permutation_test(
         names, cols = gxe_design(Gp, Ep, fit_spec, data)
         beta, se = batched_ols_hc1(np.broadcast_to(Y, (size, n)), cols)
         j = names.index("GxE")
-        lo = idx * PERM_CHUNK
-        null_coefs[lo: lo + size] = beta[:, j]
-        null_ts[lo: lo + size] = beta[:, j] / se[:, j]
+        return beta[:, j], beta[:, j] / se[:, j]
 
-    indexed_map(work, len(chunks), threads)
+    null_coefs, null_ts = _chunked_fits(n_perm, seed, Stream.PERMUTATION, threads, fit)
 
     envelopes, t_envelopes = {}, {}
     for level in (90, 95):

@@ -19,7 +19,7 @@ import numpy as np
 from .genome import GenotypeMatrix
 from .gwas import GwasResult, LeadSnpSet, run_gwas
 from .regress import ols, tsls
-from .util import ConfigError, child_rng
+from .util import ConfigError, Seed, Stream, child_rng
 
 
 @dataclass
@@ -95,17 +95,15 @@ def split_sample_pgis(
     discovery_g: GenotypeMatrix,
     discovery_y: np.ndarray,
     analysis_g: GenotypeMatrix,
-    seed: int,
+    seed: Seed,
     controls: np.ndarray | None = None,
 ) -> tuple[Pgi, Pgi]:
     """Two indices from disjoint half-sample GWAS runs: their estimation
     errors are independent by construction."""
     n = discovery_g.n_individuals
-    rng = child_rng(seed, 41)
+    rng = child_rng(seed, Stream.SPLIT_SAMPLE)
     perm = rng.permutation(n)
     half_a, half_b = perm[: n // 2], perm[n // 2:]
-    if set(half_a) & set(half_b):
-        raise ConfigError("discovery halves overlap")
     y = np.asarray(discovery_y, dtype=float)
     pgis = []
     for half in (half_a, half_b):

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .genome import GenotypeMatrix, LdBlockModel, Pedigree, SnpSpec, build_panel, simulate_founders, transmit
-from .util import ConfigError, child_rng, write_tsv
+from .util import ConfigError, Seed, Stream, child_rng, substream, write_tsv
 
 G_REGIMES = ("trio_pgi_family_controls", "regular_pgi_family_controls", "regular_pgi_no_family")
 E_REGIMES = ("exogenous", "predetermined", "endogenous_active_rge",
@@ -60,8 +60,10 @@ class TraitArchitecture:
             raise ConfigError("causal ids and effects differ in length")
 
     @classmethod
-    def random(cls, panel: list[SnpSpec], n_causal: int, target_h2: float, seed: int) -> "TraitArchitecture":
-        rng = child_rng(seed, 11)
+    def random(cls, panel: list[SnpSpec], n_causal: int, target_h2: float, seed: Seed) -> "TraitArchitecture":
+        if not 0 < n_causal <= len(panel):
+            raise ConfigError(f"n_causal {n_causal} outside 1..{len(panel)} (the panel's SNP count)")
+        rng = child_rng(seed, Stream.TRAIT_ARCHITECTURE)
         idx = np.sort(rng.choice(len(panel), size=n_causal, replace=False))
         effects = rng.standard_normal(n_causal)
         effects /= np.linalg.norm(effects)
@@ -83,10 +85,10 @@ def genetic_values(g: GenotypeMatrix, arch: TraitArchitecture) -> np.ndarray:
     return theoretical_standardize(g, arch.effect_vector(g.panel))
 
 
-def simulate_trait(g: GenotypeMatrix, arch: TraitArchitecture, seed: int) -> np.ndarray:
+def simulate_trait(g: GenotypeMatrix, arch: TraitArchitecture, seed: Seed) -> np.ndarray:
     """Additive trait with noise calibrated analytically to the target
     heritability; returned standardized (mean 0, variance 1)."""
-    rng = child_rng(seed, 13)
+    rng = child_rng(seed, Stream.TRAIT_NOISE)
     gv = genetic_values(g, arch)
     h2 = arch.target_h2
     if h2 == 0.0:
@@ -116,7 +118,7 @@ def simulate_family_outcome(
     pedigree: Pedigree,
     arch: TraitArchitecture,
     nurture: NurtureParams,
-    seed: int,
+    seed: Seed,
     noise_sd: float = 1.0,
 ) -> np.ndarray:
     """Y_i = delta*GV_i + eta_m*GV_m + eta_f*GV_f + w*U_fam + gamma*GV_sib + noise.
@@ -134,7 +136,7 @@ def simulate_family_outcome(
     gv_m = (gv_parents[mi] - scale_mean) / scale_sd
     gv_f = (gv_parents[fi] - scale_mean) / scale_sd
 
-    rng = child_rng(seed, 17)
+    rng = child_rng(seed, Stream.FAMILY_OUTCOME)
     fam_labels, fam_inv = np.unique(pedigree.family_ids, return_inverse=True)
     u_fam = rng.standard_normal(len(fam_labels))[fam_inv]
 
@@ -204,6 +206,10 @@ class CohortSizes:
     n_snps: int = 300
     maf_range: tuple[float, float] = (0.2, 0.5)
 
+    def __post_init__(self):
+        if min(self.n_discovery, self.n_analysis) < 1 or self.n_snps < 2:
+            raise ConfigError(f"cohort sizes need n >= 1 and n_snps >= 2, got {self}")
+
 
 @dataclass
 class Cohort:
@@ -240,9 +246,9 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _make_cohort(panel, n, prefix, seed_base, seed_off) -> tuple[GenotypeMatrix, GenotypeMatrix, GenotypeMatrix, Pedigree]:
+def _make_cohort(panel, n, prefix, seed: Seed) -> tuple[GenotypeMatrix, GenotypeMatrix, GenotypeMatrix, Pedigree]:
     ld = LdBlockModel([1] * len(panel), 0.0)
-    founders = simulate_founders(panel, ld, 2 * n, seed_base + seed_off)
+    founders = simulate_founders(panel, ld, 2 * n, seed)
     founders = founders.with_ids([f"{prefix}p{i}" for i in range(2 * n)])
     mother_ids = founders.ids[:n]
     father_ids = founders.ids[n:]
@@ -253,15 +259,16 @@ def _make_cohort(panel, n, prefix, seed_base, seed_off) -> tuple[GenotypeMatrix,
         family_ids=[f"{prefix}fam{i}" for i in range(n)],
         design="trios",
     )
-    children = transmit(founders, ped, seed_base + seed_off + 1)
+    children = transmit(founders, ped, seed)
     return children, founders.subset(mother_ids), founders.subset(father_ids), ped
 
 
-def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: int) -> ScenarioDataset:
+def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: Seed) -> ScenarioDataset:
     """One Table-1 cell's data: a discovery cohort (for GWAS weights) and a
-    disjoint analysis cohort with outcome, environment and confounds."""
-    rng = child_rng(seed, 23)
-    panel_rng = child_rng(seed, 29)
+    disjoint analysis cohort with outcome, environment and confounds. Each
+    cohort's genomes come from the substream (SCENARIO_COHORT, cohort)."""
+    rng = child_rng(seed, Stream.SCENARIO)
+    panel_rng = child_rng(seed, Stream.SCENARIO_PANEL)
     mafs = panel_rng.uniform(*sizes.maf_range, size=sizes.n_snps)
     panel = build_panel([1] * sizes.n_snps, mafs)
 
@@ -275,8 +282,10 @@ def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: int) -> Scen
         s_raw = panel_rng.standard_normal(sizes.n_snps)
         s_arm = _unit(s_raw - (s_raw @ d) * d)
 
-    disc = _build_cohort_outcome(spec, panel, sizes.n_discovery, "d", seed, 0, d, m, s_arm, rng, discovery=True)
-    ana = _build_cohort_outcome(spec, panel, sizes.n_analysis, "a", seed, 100, d, m, s_arm, rng, discovery=False)
+    disc = _build_cohort_outcome(spec, panel, sizes.n_discovery, "d", substream(seed, Stream.SCENARIO_COHORT, 0),
+                                 d, m, s_arm, rng, discovery=True)
+    ana = _build_cohort_outcome(spec, panel, sizes.n_analysis, "a", substream(seed, Stream.SCENARIO_COHORT, 1),
+                                d, m, s_arm, rng, discovery=False)
 
     ds = ScenarioDataset(spec=spec, panel=panel, direct_weights=d, nurture_weights=m,
                          arm_weights=s_arm, discovery=disc, analysis=ana)
@@ -284,8 +293,8 @@ def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: int) -> Scen
     return ds
 
 
-def _build_cohort_outcome(spec, panel, n, prefix, seed, seed_off, d, m, s_arm, rng, discovery):
-    children, mothers, fathers, ped = _make_cohort(panel, n, prefix, seed, seed_off)
+def _build_cohort_outcome(spec, panel, n, prefix, cohort_seed, d, m, s_arm, rng, discovery):
+    children, mothers, fathers, ped = _make_cohort(panel, n, prefix, cohort_seed)
     dv_c, dv_m, dv_f = (theoretical_standardize(g, d) for g in (children, mothers, fathers))
     nv_m, nv_f = theoretical_standardize(mothers, m), theoretical_standardize(fathers, m)
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .gxe import TERM_MENU, GxeModelSpec, gxe_design
-from .util import SimulationError, child_rng
+from .util import Seed, SimulationError, Stream, child_rng
 
 SOLVER_BOUNDS = (-1e3, 1e3)
 MAX_ITER = 200
@@ -398,7 +398,7 @@ def simulate_outcomes(
     E: np.ndarray,
     e_f_sd: float = 0.0,
     e_k_sd: float = 0.0,
-    seed: int = 0,
+    seed: Seed = 0,
     max_reject_rate: float = 0.01,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Draw shocks, resolve optima and outcomes for many agents at once.
@@ -408,7 +408,7 @@ def simulate_outcomes(
     """
     G = np.asarray(G, dtype=float)
     E = np.asarray(E, dtype=float)
-    rng = child_rng(seed, 3)
+    rng = child_rng(seed, Stream.STRUCTURAL)
     e_f = rng.standard_normal(G.shape) * e_f_sd if e_f_sd > 0 else np.zeros(G.shape)
     e_k = rng.standard_normal(G.shape) * e_k_sd if e_k_sd > 0 else np.zeros(G.shape)
     base = p.inverse_cost(G, E, 0.0)

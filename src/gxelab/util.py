@@ -1,4 +1,17 @@
-"""Shared plumbing: seed derivation, deterministic parallel maps, file IO."""
+"""Shared plumbing: random streams, deterministic parallel maps, file IO.
+
+Random streams follow one key rule. Every generator is child_rng(seed, stream,
+*index): a numpy SeedSequence whose entropy is the master seed and whose spawn
+key is (stream, *index). The tag comes first and is a member of the Stream
+registry, and each tag takes a fixed number of index values. A function that
+runs more than once under one master seed (a cohort, a bias cell, a
+replicate) is handed substream(seed, stream, *index) as its seed, which
+appends the group to the spawn key. With fixed arities a key splits back into
+its (tag, index...) groups in one way only, so two draw sites share a stream
+only if they share a key. Nothing is added to the seed or to the entropy:
+numpy zero-pads the entropy, so SeedSequence(5) and SeedSequence([5, 0]) are
+one stream, and a seed shifted by one in one call is the seed of another.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +19,8 @@ import json
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from enum import IntEnum, unique
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -31,14 +45,55 @@ class CalibrationError(RuntimeError):
     """A target moment could not be matched (degenerate inputs, unreachable)."""
 
 
-def child_rng(master_seed: int, *unit: int) -> np.random.Generator:
-    """RNG stream derived from (master_seed, unit ids).
+Seed = Union[int, np.random.SeedSequence]
+
+
+@unique
+class Stream(IntEnum):
+    """The registry of draw sites: one tag per site, with its index arity."""
+
+    def __new__(cls, tag: int, arity: int = 0):
+        member = int.__new__(cls, tag)
+        member._value_ = tag
+        member.arity = arity
+        return member
+
+    PANEL = 0
+    FOUNDERS = 1, 1             # (LD block,); a panel of independent SNPs is block 0
+    TRANSMISSION = 2
+    STRUCTURAL = 3              # the key (3,) that structural shocks were drawn from before this registry
+    TRAIT_ARCHITECTURE = 4
+    TRAIT_NOISE = 5
+    FAMILY_OUTCOME = 6
+    SCENARIO = 7                # a scenario's outcome and environment draws
+    SCENARIO_PANEL = 8
+    SCENARIO_COHORT = 9, 1      # (cohort,): 0 discovery, 1 analysis
+    SPLIT_SAMPLE = 10
+    POWER = 11, 1               # (chunk,)
+    PERMUTATION = 12, 1         # (chunk,)
+    BIAS_CELL = 13, 2           # (row, column) of the bias table
+    CELL_REPLICATE = 14, 1      # (replicate,)
+    SELECTION_REPLICATE = 15, 1
+    NOISE_REPLICATE = 16, 1
+    MATING = 17
+
+
+def substream(seed: Seed, stream: Stream, *index: int) -> np.random.SeedSequence:
+    """seed's SeedSequence with (stream, *index) appended to its spawn key."""
+    if not isinstance(stream, Stream) or len(index) != stream.arity:
+        raise TypeError(f"a spawn key group is a Stream member and as many index values as its arity, got {stream!r}, "
+                        f"{index}")
+    entropy, key = (seed.entropy, seed.spawn_key) if isinstance(seed, np.random.SeedSequence) else (int(seed), ())
+    return np.random.SeedSequence(entropy, spawn_key=(*key, int(stream), *map(int, index)))
+
+
+def child_rng(seed: Seed, stream: Stream, *index: int) -> np.random.Generator:
+    """The generator of key (seed, stream, *index); see the module docstring.
 
     Streams depend only on the key, not on draw order elsewhere, so work can be
     scheduled on any number of threads without changing results.
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(u) for u in unit))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(substream(seed, stream, *index))
 
 
 def indexed_map(fn: Callable[[int], object], n_units: int, threads: int = 1) -> list:

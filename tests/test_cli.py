@@ -1,8 +1,15 @@
+import contextlib
+import errno
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gxelab import cli
 from gxelab.util import write_tsv
@@ -32,30 +39,60 @@ def make_gxe_data(path, n=2000, beta_x=0.2, seed=0):
               ((f"i{i}", float(Y[i]), float(G[i]), float(E[i])) for i in range(n)))
 
 
+# Small valid input files, and the files each data-reading command takes
+VALID_FILES = {
+    "panel": "id\tchrom\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\nrs1\t1\t2000\t0.3\t1\n",
+    "genotypes": "iid\trs0\trs1\ni0\t0\t1\ni1\t2\t1\ni2\t1\t0\n",
+    "phenotype": "iid\tY\ni0\t0.5\ni1\t-1.0\ni2\t0.2\n",
+    "mothers": "iid\trs0\trs1\nm0\t0\t1\nm1\t1\t1\nm2\t2\t0\n",
+    "fathers": "iid\trs0\trs1\nf0\t1\t0\nf1\t0\t2\nf2\t1\t1\n",
+    "pedigree": "child\tmother\tfather\tfamily\ni0\tm0\tf0\tfam0\ni1\tm1\tf1\tfam1\ni2\tm2\tf2\tfam2\n",
+    "sumstats": "SNP\tCHR\tPOS\tEA\tBETA\tSE\tP\tN\n"
+                "rs0\t1\t1000\tminor\t0.1\t0.1\t0.3173105079\t3\nrs1\t1\t2000\tminor\t0.2\t0.1\t0.0455\t3\n",
+    "data": "iid\tY\tG\tE\tMoB\n" + "".join(
+        f"i{i}\t{(i * 7) % 5 - 2.1}\t{(i * 3) % 4 - 1.5}\t{int(i % 6 >= 3)}\t{i % 6 - 3}\n" for i in range(12)),
+}
+COMMAND_INPUTS = {"gxe": ["data"], "rdd": ["data"], "permute": ["data"], "gwas": ["genotypes", "panel", "phenotype"],
+                  "gwas-trio": ["genotypes", "panel", "phenotype", "mothers", "fathers", "pedigree"],
+                  "pgi": ["sumstats", "genotypes", "panel"]}
+
+
+def run_on_files(tmp_path, command, files):
+    """Exit code of `command` run on the given file texts; "gwas-trio" is a
+    trio-design gwas."""
+    payload = {"design": "trio"} if command == "gwas-trio" else {}
+    for name in COMMAND_INPUTS[command]:
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(files[name])
+        payload[name] = str(path)
+    cfg = write_config(tmp_path, f"{command}.json", payload)
+    return run([command.removesuffix("-trio"), "--config", cfg, "--out", str(tmp_path / "o")])
+
+
 # Manifest checksums of three small seeded simulate runs. A change that moves
 # a random stream or the genotype layout's output shows up here; update these
 # constants only in a change that sets out to alter a stream and says so.
 PINNED_SIMULATE = {
     "founders": ({"n": 120, "n_snps": 24, "block_size": 6, "rho": 0.5, "h2": 0.4, "n_causal": 10}, 5, {
-        "genotypes.tsv": "866cb91ed768794ac21c0082a1c388383b276eb95fc0910c8f2b9fb69fd713b5",
-        "panel.tsv": "8ab262a61732322513c038cd1f126557db40fb9447f5cebc1fc6bf8497ff7a97",
-        "phenotype.tsv": "a77849502c45f5336b00cdf8dc69f193379556e57cd811cec47528dbde245ef0",
+        "genotypes.tsv": "3f609afbf4ac0d9ec8298dfcbb19bd94eb696e5c663e7cf291b0e3132f7033d3",
+        "panel.tsv": "7a89e490b42ce201302e3b8c58bedee990426a431732680eb238c4b17f863fcd",
+        "phenotype.tsv": "4c62cabdef0b2acca461d19b397269b9031dfe527dc7bc3136ec259f024fff56",
     }),
     "trios": ({"n": 60, "n_snps": 20, "design": "trios", "block_size": 5, "rho": 0.3, "h2": 0.3,
                "delta": 0.3, "eta_m": 0.2, "eta_f": 0.1}, 6, {
-        "children.tsv": "adfe1db1a1666a46a0f078eefaed9fed4d68b6ffb24e6e4e4f0b92959a5ae35f",
-        "panel.tsv": "876bd48c096156b1b894c9e0c26ba0739c5104d5bde094f57fe35c296e139139",
-        "parents.tsv": "9c92a516d0b087eebc6fcda8bbb8fdc637bc924af2be550e3b2fa2b31e563b59",
+        "children.tsv": "abbe7e3919c0c75a0549ec06e5cf54d2e4b258ed3f87c9529816b717e009d2e0",
+        "panel.tsv": "21d1c9651816372fe317ca61a451da1d505de03143176cfbe283d8d980020429",
+        "parents.tsv": "a6b014c92fe1b7b2a4d087eccce4fd218849fdb7ac2aa1ee01a03704b08f82ab",
         "pedigree.tsv": "fe05d590369a4d31ff38cd69416feef00c0c466110836dba31146eacbf6b248b",
-        "phenotype.tsv": "788030582667804b0500d36ff2fb6b6ef5263ff1930af80a78e6e509e961f512",
+        "phenotype.tsv": "ab84568266822a5bd52350ea7f2f61cf46e0b0bc6975ef4b6dd6ee3b2e2fd434",
     }),
     "sibling-pairs": ({"n": 40, "n_snps": 20, "design": "sibling-pairs", "block_size": 4, "rho": 0.4, "h2": 0.3,
                        "delta": 0.3, "gamma": 0.25}, 7, {
-        "children.tsv": "5ab2f822b6f9a900dbefb4796bf4076175b1a42755e5b538b8d50d1152db6847",
-        "panel.tsv": "2659e4f60dc5dfa30e8f9d9fbd80f15cc4d71bcca3f37ec40248232f54f8f554",
-        "parents.tsv": "e8d18df57ee39432f5931b5f1dc4281ea6194b46953b8ce1a25b9fa883f93861",
+        "children.tsv": "ea450523d89228d978627c92b8d4768ba92ea83f24b9c258765e1c1331a0f141",
+        "panel.tsv": "5931321934538b44064dc8ed533aa316988d40a22792673893a0cacfec70929d",
+        "parents.tsv": "a28e61074a1e3669df5980cbe14f88734d3378482e3c1217a8087cf4baff8a9a",
         "pedigree.tsv": "2bc59d8366ce654ef6a567d58b38f16ed253fb490be587915a1b1c0532752cf0",
-        "phenotype.tsv": "0372b9212504e0bb0836b500a20c6b5726ce1eed0d260d3f89e69d7e01130325",
+        "phenotype.tsv": "b823ecb5578b79de9c3850708d9565d09451c821d0e60a66372ac8e77b6228a7",
     }),
 }
 
@@ -232,6 +269,31 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, "gxe.json", {"data": str(tmp_path / "nope.tsv")})
         assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("beta_e, n, message", [
+        ("1" + "0" * 400, "100", "power.beta_e"),
+        ("0.5", "1" + "0" * 400, "power.n"),
+        ("1" * 5000, "100", "digits"),
+    ], ids=["float_beyond_double", "int_beyond_int64", "int_beyond_python_digit_limit"])
+    def test_number_beyond_machine_range_rejected(self, tmp_path, capsys, beta_e, n, message):
+        cfg = tmp_path / "power.json"
+        cfg.write_text(f'{{"beta_e": {beta_e}, "n": {n}, "beta_x_grid": [0.1]}}')
+        assert run(["power", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_input_path_that_is_a_directory_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, "gxe.json", {"data": str(tmp_path)})
+        assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert run(["gxe", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_output_io_failure_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_manifest", disk_full)
+        cfg = write_config(tmp_path, "sim.json", {"n": 20, "n_snps": 4})
+        with pytest.raises(OSError, match="No space left"):
+            run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")])
+
     def test_estimation_error_exit_code(self, tmp_path):
         rng = np.random.default_rng(47)
         n = 100
@@ -264,29 +326,14 @@ class TestErrorPaths:
         ("gwas-trio", "fathers", "iid\trs0\trs1\nf0\t1\t0\nm0\t2\t2\nf2\t1\t1\n", 2, "'m0' is in both"),
         ("gwas", "genotypes", "iid\trs0\trs1\ni0\t0\t01\ni1\t2\t1\ni2\t1\t0\n", 2, "column 'rs1'"),
         ("gwas", "genotypes", "iid\trs0\trs1\ni0\t0\t1\ni1\t\t1\ni2\t1\t0\n", 2, "holds '', not a dosage"),
+        ("gwas", "genotypes", "iid\trs0\trsX\ni0\t0\t1\ni1\t2\t1\ni2\t1\t0\n", 2, "does not match the panel"),
+        ("gwas", "genotypes", "iid\trs0\trs1\ni0\t0\t1\ni1\t2\t1\n", 3, "2 observations for 2 regressors"),
     ], ids=["empty", "non_numeric", "ragged", "header_only", "inf", "nan",
             "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta", "repeated_iid", "repeated_child",
-            "genotype_header_only", "parent_in_both_files", "genotype_two_digit", "genotype_empty_cell"])
+            "genotype_header_only", "parent_in_both_files", "genotype_two_digit", "genotype_empty_cell",
+            "genotype_header_mismatch", "gwas_two_individuals"])
     def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
-        files = {
-            "panel": "id\tchrom\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\nrs1\t1\t2000\t0.3\t1\n",
-            "genotypes": "iid\trs0\trs1\ni0\t0\t1\ni1\t2\t1\ni2\t1\t0\n",
-            "phenotype": "iid\tY\ni0\t0.5\ni1\t-1.0\ni2\t0.2\n",
-            "mothers": "iid\trs0\trs1\nm0\t0\t1\nm1\t1\t1\nm2\t2\t0\n",
-            "fathers": "iid\trs0\trs1\nf0\t1\t0\nf1\t0\t2\nf2\t1\t1\n",
-            "pedigree": "child\tmother\tfather\tfamily\ni0\tm0\tf0\tfam0\ni1\tm1\tf1\tfam1\ni2\tm2\tf2\tfam2\n",
-            key: text,
-        }
-        inputs = {"gxe": ["data"], "gwas": ["genotypes", "panel", "phenotype"],
-                  "gwas-trio": ["genotypes", "panel", "phenotype", "mothers", "fathers", "pedigree"],
-                  "pgi": ["sumstats", "genotypes", "panel"]}[command]
-        payload = {"design": "trio"} if command == "gwas-trio" else {}
-        for name in inputs:
-            path = tmp_path / f"{name}.tsv"
-            path.write_text(files[name])
-            payload[name] = str(path)
-        cfg = write_config(tmp_path, f"{command}.json", payload)
-        assert run([command.removesuffix("-trio"), "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert run_on_files(tmp_path, command, {**VALID_FILES, key: text}) == code
         err = capsys.readouterr().err
         assert message in err
         assert code == 3 or f"{key}.tsv" in err  # a config error names its file
@@ -298,6 +345,17 @@ class TestErrorPaths:
         assert run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"simulate.{key}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"n": 20, "n_snps": 10, "seed": -1}, "seed must be >= 0"),
+        ({"n": 20, "n_snps": 10, "h2": 0.3, "n_causal": 11, "seed": 1}, "n_causal 11 outside 1..10"),
+        ({"n": 20, "n_snps": 10, "h2": 0.3, "n_causal": -2, "seed": 1}, "n_causal -2 outside 1..10"),
+    ], ids=["negative_seed", "n_causal_above_n_snps", "negative_n_causal"])
+    def test_simulate_rejects_invalid_seed_and_n_causal(self, tmp_path, capsys, config, message):
+        cfg = write_config(tmp_path, "sim.json", config)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_gxe_reads_only_the_columns_its_design_uses(self, tmp_path, capsys):
         rng = np.random.default_rng(49)
@@ -326,3 +384,53 @@ class TestErrorPaths:
         assert os.path.exists(os.path.join("X", "gxe_fit.json"))
         assert not os.path.exists("cfgout")
 
+
+# ---------------------------------------------------------------------------
+# Fuzzed inputs: any config or data file ends in exit 0, 2, 3 or 4
+# ---------------------------------------------------------------------------
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([-3, -1, 0, 1, 2, 3, 12]),
+    st.floats(-2.0, 2.0), st.sampled_from([float("nan"), float("inf"), 0.5, 1.0]),
+    st.text(alphabet="ab./-0", max_size=4), st.lists(st.sampled_from([-1, 0, 0.1, "G", "x"]), max_size=3),
+)
+FUZZ_TEXT = st.text(alphabet="\t\n012-.eainrsx", max_size=40)
+
+
+def exit_code_and_stderr(fn, *args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = fn(*args)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_configs_end_in_a_documented_exit_code(data):
+    command = data.draw(st.sampled_from(sorted(cli.SCHEMAS)))
+    keys = st.sampled_from([*cli.SCHEMAS[command], "seed", "threads", "wat"])
+    payload = data.draw(st.dictionaries(keys, FUZZ_VALUES, max_size=6))
+    if command == "bias-table":  # keep the defaults' minutes-long table out of reach
+        payload = {"reps": 2, "n_analysis": 30, "n_snps": 10, **payload}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code, err = exit_code_and_stderr(run, [command, "--config", cfg, "--out", Path(tmp) / "o"]
+                                         + data.draw(st.sampled_from([[], ["--seed", 1]])))
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fuzzed_data_files_end_in_a_documented_exit_code(data):
+    command = data.draw(st.sampled_from(sorted(COMMAND_INPUTS)))
+    name = data.draw(st.sampled_from(COMMAND_INPUTS[command]))
+    valid = VALID_FILES[name]
+    cut, drop = data.draw(st.integers(0, len(valid))), data.draw(st.integers(0, 4))
+    mutated = valid[:cut] + data.draw(FUZZ_TEXT)[:6] + valid[cut + drop:]  # a near-valid file
+    text = data.draw(st.one_of(st.just(mutated), FUZZ_TEXT))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = exit_code_and_stderr(run_on_files, Path(tmp), command, {**VALID_FILES, name: text})
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

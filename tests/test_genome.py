@@ -308,6 +308,14 @@ class TestPanelAndIo:
         with pytest.raises(PedigreeError, match="two children"):
             genome.Pedigree(["a"], ["m"], ["f"], ["fam"], design="sibling-pairs")
 
+    def test_random_panel_blocks_and_sizes(self):
+        panel = genome.random_panel(10, 4, seed=1, maf_range=(0.2, 0.3))
+        assert [stop - start for start, stop in genome.panel_blocks(panel)] == [4, 4, 2]
+        assert all(0.2 <= s.maf <= 0.3 for s in panel)
+        for n_snps, block_size in [(10, -2), (10, 0), (0, 5), (-3, 1)]:
+            with pytest.raises(ConfigError, match="n_snps and block_size must be >= 1"):
+                genome.random_panel(n_snps, block_size, seed=1)
+
     def test_genotype_tsv_roundtrip(self, tmp_path, small_panel, small_ld):
         g = genome.simulate_founders(small_panel, small_ld, 25, seed=5)
         path = str(tmp_path / "geno.tsv")

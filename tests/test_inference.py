@@ -7,7 +7,7 @@ from scipy import stats
 from gxelab import inference as inf
 from gxelab.gxe import GxeModelSpec, fit_gxe, gxe_design
 from gxelab.regress import batched_ols_hc1, pvalue_from_z
-from gxelab.util import CalibrationError, ConfigError, child_rng
+from gxelab.util import CalibrationError, ConfigError, Stream, child_rng
 
 
 def make_dataset(n, beta_x, seed, beta_g=0.259, beta_e=0.9):
@@ -23,7 +23,7 @@ def refit_power(spec, seed):
     that beta_x, on the replicate streams the power simulator uses."""
     p = []
     for c, lo in enumerate(range(0, spec.reps, inf.POWER_CHUNK)):
-        rng = child_rng(seed, 51, c)
+        rng = child_rng(seed, Stream.POWER, c)
         size = min(inf.POWER_CHUNK, spec.reps - lo)
         G = rng.standard_normal((size, spec.n))
         E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
@@ -172,7 +172,7 @@ class TestPermutation:
         res = inf.permutation_test(data, GxeModelSpec(), n_perm=120, seed=544, joint=True)
         # reconstruct one permuted draw and check corr(G_p, E_p) is intact
         from gxelab.util import child_rng
-        r = child_rng(544, 53, 0)
+        r = child_rng(544, Stream.PERMUTATION, 0)
         perm = r.permutation(n)
         assert np.corrcoef(G[perm], E[perm])[0, 1] == pytest.approx(np.corrcoef(G, E)[0, 1], abs=1e-12)
         assert np.isfinite(res.observed_coef)

@@ -152,8 +152,8 @@ class TestSplitSample:
     def test_halves_disjoint(self):
         panel, arch, g_disc, y_disc, g_hold, _ = make_world(600, 500, 30, 0.3, seed=370)
         # ids of the two halves never overlap: seeded permutation split
-        from gxelab.util import child_rng
-        perm = child_rng(361, 41).permutation(600)
+        from gxelab.util import Stream, child_rng
+        perm = child_rng(361, Stream.SPLIT_SAMPLE).permutation(600)
         assert not (set(perm[:300]) & set(perm[300:]))
 
 
