@@ -140,23 +140,25 @@ def _run_replicates(reps: int, threads: int, fit: Callable[[int], dict]) -> list
 
     A replicate that raises a simulation or estimation error counts as
     failed and is left out; more than 1% failures (at least 2) raise
-    SimulationError. Any other exception is a bug and propagates.
+    SimulationError, naming the first failed replicate's error. Any other
+    exception is a bug and propagates.
     """
     if reps < 2:
         raise ConfigError(f"reps must be >= 2 for a Monte Carlo SE, got {reps}")
-    rows: list[dict | None] = [None] * reps
+    rows: list[dict | Exception | None] = [None] * reps
 
     def work(r: int):
         try:
             rows[r] = fit(r)
-        except _REPLICATE_ERRORS:
-            pass  # left as None: counted against the failure cap
+        except _REPLICATE_ERRORS as e:
+            rows[r] = e  # counted against the failure cap
 
     indexed_map(work, reps, threads)
-    ok = [r for r in rows if r is not None]
+    ok = [r for r in rows if not isinstance(r, Exception)]
     n_failed = reps - len(ok)
     if n_failed > max(1, int(0.01 * reps)):
-        raise SimulationError(f"{n_failed}/{reps} replicates failed")
+        e = next(r for r in rows if isinstance(r, Exception))
+        raise SimulationError(f"{n_failed}/{reps} replicates failed; the first with {type(e).__name__}: {e}")
     return ok
 
 
@@ -221,11 +223,13 @@ def run_table(
 ) -> TableReport:
     """All nine cells with shared effect sizes and confound strengths; cell
     (i, j) runs under the substream (BIAS_CELL, i, j)."""
+    # every cell's spec is built, and so checked, before any replicate runs
+    specs = {(row, col): base.with_(g_regime=row, e_regime=col) for row in G_ROWS for col in E_COLUMNS}
     cells = {}
     for i, row in enumerate(G_ROWS):
         for j, col in enumerate(E_COLUMNS):
-            spec = base.with_(g_regime=row, e_regime=col)
-            cells[(row, col)] = run_cell(spec, reps, substream(seed, Stream.BIAS_CELL, i, j), sizes, discovery, threads)
+            cells[(row, col)] = run_cell(specs[(row, col)], reps, substream(seed, Stream.BIAS_CELL, i, j), sizes,
+                                         discovery, threads)
     return TableReport(cells=cells)
 
 

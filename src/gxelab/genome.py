@@ -3,7 +3,8 @@ mating, allele frequencies and principal components.
 
 Layout: a GenotypeMatrix holds two strand planes, one contiguous (2, n, J) uint8
 array of 0/1 alleles (msprime/tskit's haplotype-matrix convention); the dosage
-is the sum of the planes.
+is the sum of the planes. founder_planes and transmit_planes draw and transmit
+planes without ids; simulate_founders and transmit wrap them with ids.
 
 LD model: within each block the two haplotypes of an individual are independent
 thresholded latent Gaussian AR(1) processes; the latent correlation between
@@ -142,11 +143,6 @@ class GenotypeMatrix:
     def subset(self, ids: list[str]) -> "GenotypeMatrix":
         return GenotypeMatrix(ids, self.panel, self.planes[:, self.index_of(ids)])
 
-    def with_ids(self, ids: list[str]) -> "GenotypeMatrix":
-        if len(ids) != self.n_individuals:
-            raise ConfigError("id count does not match individuals")
-        return GenotypeMatrix(ids, self.panel, self.planes)
-
 
 @dataclass
 class Pedigree:
@@ -180,26 +176,32 @@ class Pedigree:
         if len(parents) < len(self.child_ids):
             repeated = next(c for c, k in Counter(self.child_ids).items() if k > 1)
             raise PedigreeError(f"child id {repeated!r} is repeated")
-        for start in self.child_ids:
-            seen = {start}
-            frontier = list(parents[start])
-            while frontier:
-                cur = frontier.pop()
-                if cur in seen:
+        # one depth-first walk per ancestry: only a return to the current path is a cycle (shared
+        # ancestry is not), and only a child who is also a parent can lie on one
+        is_parent = set(self.mother_ids) | set(self.father_ids)
+        done: set[str] = set()
+        for start in (c for c in self.child_ids if c in is_parent and c not in done):
+            path, stack = {start}, [(start, iter(parents[start]))]
+            while stack:
+                cur = next(stack[-1][1], None)
+                if cur is None:
+                    path.discard(stack[-1][0])
+                    done.add(stack.pop()[0])
+                elif cur in path:
                     raise PedigreeError(f"individual {cur} is its own ancestor")
-                if cur in parents:
-                    seen.add(cur)
-                    frontier.extend(parents[cur])
+                elif cur in parents and cur not in done:
+                    path.add(cur)
+                    stack.append((cur, iter(parents[cur])))
 
 
-def simulate_founders(
+def founder_planes(
     panel: list[SnpSpec],
     ld: LdBlockModel,
     n: int,
     seed: Seed,
     threads: int = 1,
-) -> GenotypeMatrix:
-    """Founder haplotypes: Bernoulli(maf) marginals, AR(1)-threshold LD in blocks.
+) -> np.ndarray:
+    """Founder strand planes (2, n, J) uint8: Bernoulli(maf) marginals, AR(1)-threshold LD in blocks.
 
     Each block draws from its own stream (FOUNDERS, block), so results do not
     depend on scheduling.
@@ -213,9 +215,15 @@ def simulate_founders(
     mafs = np.array([s.maf for s in panel])
 
     if rho == 0.0:
-        # SNPs are independent: one Bernoulli(maf) draw of uniforms for the whole panel
-        alleles = child_rng(seed, Stream.FOUNDERS, 0).random((2 * n, len(panel))) < mafs
-        return GenotypeMatrix([f"f{i}" for i in range(n)], panel, alleles.reshape(n, 2, len(panel)).transpose(1, 0, 2))
+        # SNPs are independent: one Bernoulli(maf) stream of uniforms for the whole
+        # panel, drawn in row chunks (random fills in C order, so chunking keeps the alleles)
+        rng = child_rng(seed, Stream.FOUNDERS, 0)
+        planes = np.empty((2, n, len(panel)), dtype=np.uint8)
+        step = max(1, 2**20 // (2 * len(panel)))  # individuals per chunk of about 2**20 uniforms (8 MiB)
+        for i in range(0, n, step):
+            u = rng.random((2 * min(step, n - i), len(panel)))
+            planes[:, i:i + step] = (u < mafs).reshape(-1, 2, len(panel)).transpose(1, 0, 2)
+        return planes
 
     thresholds = stats.norm.ppf(mafs)
 
@@ -229,25 +237,31 @@ def simulate_founders(
             z[:, j] = rho * z[:, j - 1] + scale * z[:, j]
         return (z < thresholds[start:stop]).reshape(n, 2, length).transpose(1, 0, 2)
 
-    planes = np.concatenate(indexed_map(sim_block, len(blocks), threads), axis=2)
-    return GenotypeMatrix([f"f{i}" for i in range(n)], panel, planes)
+    return np.concatenate(indexed_map(sim_block, len(blocks), threads), axis=2, dtype=np.uint8)
+
+
+def simulate_founders(panel: list[SnpSpec], ld: LdBlockModel, n: int, seed: Seed, threads: int = 1) -> GenotypeMatrix:
+    """founder_planes as a GenotypeMatrix with ids f0..f{n-1}."""
+    return GenotypeMatrix([f"f{i}" for i in range(n)], panel, founder_planes(panel, ld, n, seed, threads))
+
+
+def transmit_planes(planes: np.ndarray, idx: np.ndarray, panel: list[SnpSpec], seed: Seed) -> np.ndarray:
+    """Mendelian transmission: child planes (2, n, J) from parent planes, where
+    idx[0] and idx[1] are the (n,) parent rows of each child's mother and father.
+    One gamete per parent, whole haplotypes per LD block: with c = 1 where a
+    block's strand 1 is chosen, each child strand is s0 ^ (c & (s0 ^ s1))."""
+    blocks = panel_blocks(panel)
+    block_of_snp = np.repeat(np.arange(len(blocks)), [stop - start for start, stop in blocks])
+    choice = child_rng(seed, Stream.TRANSMISSION).integers(0, 2, size=(idx.shape[1], len(blocks), 2), dtype=np.uint8)
+    s0, s1 = planes[0][idx], planes[1][idx]
+    return s0 ^ (np.take(choice.transpose(2, 0, 1), block_of_snp, axis=2) & (s0 ^ s1))
 
 
 def transmit(parents: GenotypeMatrix, pedigree: Pedigree, seed: Seed) -> GenotypeMatrix:
-    """Mendelian transmission: one gamete per parent, whole haplotypes per LD
-    block (free recombination between blocks, none within). The child's
-    strand plane 0 comes from the mother, plane 1 from the father."""
-    mi = parents.index_of(pedigree.mother_ids)
-    fi = parents.index_of(pedigree.father_ids)
-    n_children = len(pedigree.child_ids)
-    blocks = panel_blocks(parents.panel)
-    block_of_snp = np.repeat(np.arange(len(blocks)), [stop - start for start, stop in blocks])
-    rng = child_rng(seed, Stream.TRANSMISSION)
-    choice = rng.integers(0, 2, size=(n_children, len(blocks), 2), dtype=np.uint8)
-    strand0, strand1 = parents.planes
-    planes = np.stack([np.where(choice[:, block_of_snp, slot], strand1[idx], strand0[idx])
-                       for slot, idx in ((0, mi), (1, fi))])
-    return GenotypeMatrix(pedigree.child_ids, parents.panel, planes)
+    """transmit_planes by pedigree ids: the child's strand plane 0 comes from the
+    mother, plane 1 from the father."""
+    idx = np.stack([parents.index_of(pedigree.mother_ids), parents.index_of(pedigree.father_ids)])
+    return GenotypeMatrix(pedigree.child_ids, parents.panel, transmit_planes(parents.planes, idx, parents.panel, seed))
 
 
 def assortative_pairs(

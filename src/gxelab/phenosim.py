@@ -8,16 +8,20 @@ standardized n x J matrix is formed. The genetic-nurture channel can load
 on a weight vector partially distinct from the direct effects (alignment
 knob): with identical weightings a population-GWAS index is proportional to
 the direct index and several estimation biases cannot materialize at all.
+
+Scenario cohorts are drawn as strand planes, and every cohort of one size
+shares one cached, read-only trio Pedigree (_trio_pedigree).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .genome import GenotypeMatrix, LdBlockModel, Pedigree, SnpSpec, build_panel, simulate_founders, transmit
+from .genome import GenotypeMatrix, LdBlockModel, Pedigree, SnpSpec, build_panel, founder_planes, transmit_planes
 from .util import ConfigError, Seed, Stream, child_rng, substream, write_tsv
 
 G_REGIMES = ("trio_pgi_family_controls", "regular_pgi_family_controls", "regular_pgi_no_family")
@@ -183,6 +187,9 @@ class ScenarioSpec:
             raise ConfigError(f"unknown e_regime {self.e_regime!r}; expected one of {E_REGIMES}")
         if not (0.0 <= self.nurture_alignment <= 1.0):
             raise ConfigError("nurture_alignment must be in [0, 1]")
+        a, b = self.a_parent, self.corr_e_estar
+        if self.e_regime == "predetermined" and a * a + b * b > 1.0:
+            raise ConfigError("a_parent^2 + corr_e_estar^2 must be <= 1")
 
     def with_(self, **kw) -> "ScenarioSpec":
         return replace(self, **kw)
@@ -246,21 +253,22 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+@functools.cache
+def _trio_pedigree(prefix: str, n: int) -> Pedigree:
+    """Trio pedigree of n families: child {prefix}c{i} of mother {prefix}p{i} and
+    father {prefix}p{n+i}. Validated once per (prefix, n) and shared by every
+    cohort of that size, so it is read-only."""
+    parent_ids = [f"{prefix}p{i}" for i in range(2 * n)]
+    return Pedigree(child_ids=[f"{prefix}c{i}" for i in range(n)], mother_ids=parent_ids[:n],
+                    father_ids=parent_ids[n:], family_ids=[f"{prefix}fam{i}" for i in range(n)], design="trios")
+
+
 def _make_cohort(panel, n, prefix, seed: Seed) -> tuple[GenotypeMatrix, GenotypeMatrix, GenotypeMatrix, Pedigree]:
-    ld = LdBlockModel([1] * len(panel), 0.0)
-    founders = simulate_founders(panel, ld, 2 * n, seed)
-    founders = founders.with_ids([f"{prefix}p{i}" for i in range(2 * n)])
-    mother_ids = founders.ids[:n]
-    father_ids = founders.ids[n:]
-    ped = Pedigree(
-        child_ids=[f"{prefix}c{i}" for i in range(n)],
-        mother_ids=mother_ids,
-        father_ids=father_ids,
-        family_ids=[f"{prefix}fam{i}" for i in range(n)],
-        design="trios",
-    )
-    children = transmit(founders, ped, seed)
-    return children, founders.subset(mother_ids), founders.subset(father_ids), ped
+    founders = founder_planes(panel, LdBlockModel([1] * len(panel), 0.0), 2 * n, seed)
+    children = transmit_planes(founders, np.arange(2 * n).reshape(2, n), panel, seed)
+    ped = _trio_pedigree(prefix, n)
+    return (GenotypeMatrix(ped.child_ids, panel, children), GenotypeMatrix(ped.mother_ids, panel, founders[:, :n]),
+            GenotypeMatrix(ped.father_ids, panel, founders[:, n:]), ped)
 
 
 def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: Seed) -> ScenarioDataset:
@@ -308,8 +316,6 @@ def _build_cohort_outcome(spec, panel, n, prefix, cohort_seed, d, m, s_arm, rng,
         e = (rng.random(n) < spec.treated_share).astype(float)
     elif spec.e_regime == "predetermined":
         a, b = spec.a_parent, spec.corr_e_estar
-        if a * a + b * b > 1.0:
-            raise ConfigError("a_parent^2 + corr_e_estar^2 must be <= 1")
         midparent = (dv_m + dv_f) / np.sqrt(2.0)
         e = a * midparent + b * estar + np.sqrt(1.0 - a * a - b * b) * rng.standard_normal(n)
     elif spec.e_regime == "endogenous_active_rge":
@@ -337,18 +343,14 @@ def _build_cohort_outcome(spec, panel, n, prefix, cohort_seed, d, m, s_arm, rng,
 
 
 def _subset_cohort(c: Cohort, idx: np.ndarray) -> Cohort:
-    ids = [c.children.ids[i] for i in idx]
-    ped = Pedigree(
-        child_ids=ids,
-        mother_ids=[c.pedigree.mother_ids[i] for i in idx],
-        father_ids=[c.pedigree.father_ids[i] for i in idx],
-        family_ids=[c.pedigree.family_ids[i] for i in idx],
-        design=c.pedigree.design,
-    )
+    """Families idx of a cohort, whose genomes share the pedigree's row order."""
+    p = c.pedigree
+    ped = Pedigree(*([col[i] for i in idx] for col in (p.child_ids, p.mother_ids, p.father_ids, p.family_ids)),
+                   design=p.design)
     return Cohort(
-        children=c.children.subset(ids),
-        mothers=c.mothers.subset(ped.mother_ids),
-        fathers=c.fathers.subset(ped.father_ids),
+        children=GenotypeMatrix(ped.child_ids, c.children.panel, c.children.planes[:, idx]),
+        mothers=GenotypeMatrix(ped.mother_ids, c.mothers.panel, c.mothers.planes[:, idx]),
+        fathers=GenotypeMatrix(ped.father_ids, c.fathers.panel, c.fathers.planes[:, idx]),
         pedigree=ped,
         y=c.y[idx],
         e=None if c.e is None else c.e[idx],

@@ -3,7 +3,7 @@ import pytest
 
 from gxelab import biaslab as bl
 from gxelab.phenosim import CohortSizes, ScenarioSpec
-from gxelab.util import EstimationError, SimulationError
+from gxelab.util import ConfigError, EstimationError, SimulationError
 
 SIZES = CohortSizes(n_discovery=64, n_analysis=2000, n_snps=120)
 
@@ -36,10 +36,17 @@ class TestRunCell:
         assert up.e.verdict == "up"
         assert down.e.verdict == "down"
 
-    def test_failure_cap(self):
-        bad = base_spec(e_regime="predetermined", a_parent=0.9, corr_e_estar=0.9)
-        with pytest.raises(SimulationError, match="replicates failed"):
-            bl.run_cell(bad, reps=100, seed=606, sizes=SIZES)
+    def test_failure_cap(self, monkeypatch):
+        # an impossible spec is a config error before any replicate runs, not a replicate failure
+        with pytest.raises(ConfigError, match="a_parent"):
+            base_spec(e_regime="predetermined", a_parent=0.9, corr_e_estar=0.9)
+
+        def failing(ds, weights):
+            raise EstimationError("singular design")
+
+        monkeypatch.setattr(bl, "_fit_cell", failing)
+        with pytest.raises(SimulationError, match="100/100 replicates failed; the first with EstimationError"):
+            bl.run_cell(base_spec(e_regime="predetermined"), reps=100, seed=606, sizes=SIZES)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(ds, weights):

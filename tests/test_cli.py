@@ -240,6 +240,20 @@ class TestEstimationCommands:
 
 
 class TestErrorPaths:
+    def test_impossible_scenario_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.biaslab, "run_cell", lambda *args, **kw: calls.append(args))
+        cfg = write_config(tmp_path, "bias.json", {"corr_e_estar": 2, "reps": 2, "n_analysis": 30, "n_snps": 10})
+        assert run(["bias-table", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
+        assert "a_parent^2 + corr_e_estar^2 must be <= 1" in capsys.readouterr().err
+        assert calls == []  # rejected before any cell runs
+
+    def test_failed_replicates_name_the_first_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bias.json", {"reps": 2, "n_analysis": 3, "n_snps": 2})
+        assert run(["bias-table", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "2/2 replicates failed; the first with EstimationError: design has 3 rows for 6 columns" in err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"n": 100, "wat": 1})
         assert run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from gxelab import genome
-from gxelab.util import CalibrationError, ConfigError, PedigreeError
+from gxelab.util import CalibrationError, ConfigError, PedigreeError, Stream, child_rng
 
 from conftest import make_sibling_population, make_trio_population
 
@@ -92,6 +92,15 @@ class TestSimulateFounders:
         c = genome.simulate_founders(small_panel, small_ld, 200, seed=8)
         assert not np.array_equal(a.planes, c.planes)
 
+    def test_chunked_independent_draw_equals_one_shot_draw(self):
+        n, j = 2000, 800  # 2**20 // (2 * 800) = 655 individuals per chunk: four chunks, the last ragged
+        assert n > 3 * (2**20 // (2 * j))
+        panel = genome.random_panel(j, 1, seed=5)
+        planes = genome.founder_planes(panel, genome.LdBlockModel([1] * j, 0.0), n, seed=17)
+        one_shot = child_rng(17, Stream.FOUNDERS, 0).random((2 * n, j)) < np.array([s.maf for s in panel])
+        assert planes.dtype == np.uint8
+        assert np.array_equal(planes, one_shot.reshape(n, 2, j).transpose(1, 0, 2))
+
     def test_inconsistent_ld_partition_rejected(self, small_panel):
         with pytest.raises(ConfigError):
             genome.simulate_founders(small_panel, genome.LdBlockModel([10], 0.2), 10, seed=1)
@@ -151,6 +160,19 @@ class TestTransmit:
         fc = genome.allele_frequencies(children)
         se = np.sqrt(fp * (1 - fp) / (2 * 5000))
         assert np.all(np.abs(fc - fp) < 3 * se + 1e-12)
+
+    @pytest.mark.parametrize("block_sizes", [[3, 1, 5, 2, 1, 4], [1] * 12], ids=["mixed_blocks", "single_snp_blocks"])
+    def test_xor_kernel_matches_strand_choice_oracle(self, block_sizes):
+        panel = genome.build_panel(block_sizes, np.full(sum(block_sizes), 0.4))
+        planes = genome.founder_planes(panel, genome.LdBlockModel(block_sizes, 0.5), 50, seed=31)
+        idx = np.random.default_rng(32).integers(0, 50, (2, 70))
+        child = genome.transmit_planes(planes, idx, panel, seed=33)
+        # the strand choice as np.where on the per-block choice array, drawn from the same stream
+        choice = child_rng(33, Stream.TRANSMISSION).integers(0, 2, size=(70, len(block_sizes), 2), dtype=np.uint8)
+        block_of_snp = np.repeat(np.arange(len(block_sizes)), block_sizes)
+        s0, s1 = planes
+        oracle = np.stack([np.where(choice[:, block_of_snp, slot], s1[idx[slot]], s0[idx[slot]]) for slot in (0, 1)])
+        assert child.dtype == np.uint8 and np.array_equal(child, oracle)
 
     def test_missing_parent_rejected(self, small_panel, small_ld):
         parents = genome.simulate_founders(small_panel, small_ld, 4, seed=1)
@@ -307,6 +329,14 @@ class TestPanelAndIo:
             genome.Pedigree(["a", "b"], ["b", "a"], ["x", "y"], ["f1", "f2"])
         with pytest.raises(PedigreeError, match="two children"):
             genome.Pedigree(["a"], ["m"], ["f"], ["fam"], design="sibling-pairs")
+
+    def test_shared_ancestry_is_not_a_cycle(self):
+        # c is the child of maternal half-siblings m and f, who share the mother g1
+        ped = genome.Pedigree(["g1", "m", "f", "c"], ["a", "g1", "g1", "m"], ["b", "x1", "x2", "f"],
+                              ["F0", "F1", "F2", "F3"])
+        assert ped.child_ids == ["g1", "m", "f", "c"]
+        with pytest.raises(PedigreeError, match="ancestor"):
+            genome.Pedigree(["g1", "m", "c"], ["a", "g1", "m"], ["c", "x1", "g1"], ["F0", "F1", "F2"])
 
     def test_random_panel_blocks_and_sizes(self):
         panel = genome.random_panel(10, 4, seed=1, maf_range=(0.2, 0.3))

@@ -13,7 +13,7 @@ def make_world(n_disc, n_hold, n_snps, h2, seed, block_size=1, rho=0.0):
     ld = genome.LdBlockModel(sizes, rho)
     g_disc = genome.simulate_founders(panel, ld, n_disc, seed=seed + 1)
     g_hold = genome.simulate_founders(panel, ld, n_hold, seed=seed + 2)
-    g_hold = g_hold.with_ids([f"h{i}" for i in range(n_hold)])
+    g_hold = genome.GenotypeMatrix([f"h{i}" for i in range(n_hold)], panel, g_hold.planes)
     arch = ps.TraitArchitecture.random(panel, max(2, int(0.8 * n_snps)), target_h2=h2, seed=seed)
     y_disc = ps.simulate_trait(g_disc, arch, seed=seed + 3)
     y_hold = ps.simulate_trait(g_hold, arch, seed=seed + 4)

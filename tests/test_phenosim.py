@@ -182,6 +182,38 @@ class TestScenarios:
         ds.check_disjoint()
         assert not (set(ds.discovery.ids) & set(ds.analysis.ids))
 
+    def test_cohort_equals_the_object_path(self):
+        panel = genome.random_panel(30, 1, seed=3)
+        n, seed = 40, np.random.SeedSequence(9, spawn_key=(2,))
+        children, mothers, fathers, ped = ps._make_cohort(panel, n, "x", seed)
+        founders = genome.simulate_founders(panel, genome.LdBlockModel([1] * 30, 0.0), 2 * n, seed)
+        founders = genome.GenotypeMatrix([f"xp{i}" for i in range(2 * n)], panel, founders.planes)
+        ref_ped = genome.Pedigree([f"xc{i}" for i in range(n)], founders.ids[:n], founders.ids[n:],
+                                  [f"xfam{i}" for i in range(n)])
+        ref_children = genome.transmit(founders, ref_ped, seed)
+        assert ped == ref_ped
+        for g, ref in ((children, ref_children), (mothers, founders.subset(ref_ped.mother_ids)),
+                       (fathers, founders.subset(ref_ped.father_ids))):
+            assert g.ids == ref.ids and np.array_equal(g.planes, ref.planes)
+
+    def test_scenario_identical_with_cold_and_warm_pedigree_cache(self):
+        spec = ps.ScenarioSpec("trio_pgi_family_controls", "endogenous_gwas_selection")
+        sizes = ps.CohortSizes(60, 80, n_snps=20)
+        ps._trio_pedigree.cache_clear()
+        cold = ps.simulate_scenario(spec, sizes, seed=11)
+        warm = ps.simulate_scenario(spec, sizes, seed=11)
+        assert ps._trio_pedigree.cache_info().hits == 2
+        for a, b in ((cold.discovery, warm.discovery), (cold.analysis, warm.analysis)):
+            assert a.pedigree == b.pedigree
+            assert np.array_equal(a.y, b.y) and np.array_equal(a.e, b.e) and np.array_equal(a.estar, b.estar)
+            for ga, gb in ((a.children, b.children), (a.mothers, b.mothers), (a.fathers, b.fathers)):
+                assert ga.ids == gb.ids and np.array_equal(ga.planes, gb.planes)
+
+    def test_impossible_predetermined_spec_rejected(self):
+        with pytest.raises(ConfigError, match="a_parent\\^2 \\+ corr_e_estar\\^2"):
+            ps.ScenarioSpec("regular_pgi_no_family", "predetermined", a_parent=0.6, corr_e_estar=0.9)
+        ps.ScenarioSpec("regular_pgi_no_family", "exogenous", a_parent=0.6, corr_e_estar=0.9)
+
     def test_invalid_regimes_rejected(self):
         with pytest.raises(ConfigError):
             ps.ScenarioSpec("no_such_regime", "exogenous")
