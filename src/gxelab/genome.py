@@ -13,7 +13,11 @@ SNPs at distance d within a block is rho**d, and blocks are independent
 
 Genotype TSV: a header `iid` + SNP ids, then one row per individual whose
 dosage cells are each exactly one character, 0, 1 or 2. Phase is not stored:
-reading rebuilds strand planes (d >= 1, d == 2) from the dosages.
+reading rebuilds strand planes (d >= 1, d == 2) from the dosages. The reader
+never splits a valid row into cells: it cuts each row at its first tab and
+decodes the remainders of all rows as one byte block of (tab, digit) pairs,
+checked by one vectorized test. Only when the test fails is a row split into
+cells: the first failing one, to name its first bad cell.
 """
 
 from __future__ import annotations
@@ -26,8 +30,11 @@ import numpy as np
 from scipy import stats
 
 from .regress import RANK_RTOL
-from .util import (CalibrationError, ConfigError, PedigreeError, Seed, Stream, child_rng, fmt_float, indexed_map,
-                   parse_column, read_tsv, write_tsv)
+from .util import (CalibrationError, ConfigError, PedigreeError, Seed, Stream, check_widths, child_rng, fmt_float,
+                   indexed_map, parse_column, read_lines, read_tsv, write_tsv)
+
+DOSAGE_CELLS = frozenset("012")
+TAB_ZERO = ord("\t") << 8 | ord("0")
 
 
 @dataclass(frozen=True)
@@ -399,21 +406,32 @@ def write_genotypes_tsv(path: str, g: GenotypeMatrix) -> None:
 
 
 def read_genotypes_tsv(path: str, panel: list[SnpSpec]) -> GenotypeMatrix:
-    header, rows = read_tsv(path)
+    """Checks in order: row widths, header, at least one individual, unique ids,
+    then every dosage cell is exactly 0, 1 or 2. The cells after each id are
+    decoded as one byte block of n x J (tab, digit) pairs."""
+    lines = read_lines(path)
+    header = lines[0].split("\t")
+    rows = lines[1:]
+    check_widths(path, (ln.count("\t") + 1 for ln in rows), len(header))
     if header[0] != "iid" or header[1:] != [s.id for s in panel]:
         raise ConfigError(f"the header of {path} does not match the panel")
     if not rows:
         raise ConfigError(f"{path} has a header but no individuals")
-    ids = [r[0] for r in rows]
+    ids = [ln.partition("\t")[0] for ln in rows]
     repeated = [i for i, k in Counter(ids).items() if k > 1]
     if repeated:
         raise ConfigError(f"individual id {repeated[0]!r} is repeated in {path}")
-    cells = [v for r in rows for v in r[1:]]
-    if not set(cells) <= {"0", "1", "2"}:
-        k = next(k for k, v in enumerate(cells) if v not in ("0", "1", "2"))
-        raise ConfigError(f"column {header[1 + k % len(panel)]!r} of {path} holds {cells[k]!r}, not a dosage 0, 1 or 2")
-    d = np.frombuffer("".join(cells).encode(), dtype=np.uint8).reshape(len(rows), len(panel))
-    return GenotypeMatrix(ids, panel, np.stack([d >= ord("1"), d == ord("2")]))
+    cells = [ln[len(i):] for ln, i in zip(rows, ids)]  # "\tc1\tc2..." with J tabs each
+    block = "".join(cells).encode()
+    if len(block) == len(rows) * 2 * len(panel):
+        # each (tab, cell) byte pair as one big-endian uint16 minus that of (tab, "0"): the dosage if valid
+        d = np.frombuffer(block, dtype=">u2").reshape(len(rows), len(panel)) - np.uint16(TAB_ZERO)
+        if (d <= 2).all():
+            return GenotypeMatrix(ids, panel, np.stack([d >= 1, d == 2]))
+    # a row with J tabs is valid iff it has 2J characters and each odd-indexed one is 0, 1 or 2
+    bad_row = next(c for c in cells if len(c) != 2 * len(panel) or not set(c[1::2]) <= DOSAGE_CELLS)
+    k, cell = next((k, v) for k, v in enumerate(bad_row.split("\t")[1:]) if v not in DOSAGE_CELLS)
+    raise ConfigError(f"column {header[1 + k]!r} of {path} holds {cell!r}, not a dosage 0, 1 or 2")
 
 
 def write_panel_tsv(path: str, panel: list[SnpSpec]) -> None:

@@ -270,12 +270,9 @@ SUMSTATS_HEADER = ["SNP", "CHR", "POS", "EA", "BETA", "SE", "P", "N"]
 
 
 def write_sumstats_tsv(path: str, result: GwasResult) -> None:
-    rows = (
-        [result.snp_ids[j], int(result.chrom[j]), int(result.pos[j]), result.effect_allele[j],
-         fmt_float(result.beta[j]), fmt_float(result.se[j]), fmt_float(result.p[j]), int(result.n[j])]
-        for j in range(result.n_snps)
-    )
-    write_tsv(path, SUMSTATS_HEADER, rows)
+    chrom, pos, n = (col.astype(int).tolist() for col in (result.chrom, result.pos, result.n))
+    beta, se, p = (map(fmt_float, col.tolist()) for col in (result.beta, result.se, result.p))
+    write_tsv(path, SUMSTATS_HEADER, zip(result.snp_ids, chrom, pos, result.effect_allele, beta, se, p, n))
 
 
 def read_sumstats_tsv(path: str) -> GwasResult:

@@ -188,8 +188,11 @@ class ScenarioSpec:
         if not (0.0 <= self.nurture_alignment <= 1.0):
             raise ConfigError("nurture_alignment must be in [0, 1]")
         a, b = self.a_parent, self.corr_e_estar
-        if self.e_regime == "predetermined" and a * a + b * b > 1.0:
+        if self.e_regime == "predetermined" and not a * a + b * b <= 1.0:
             raise ConfigError("a_parent^2 + corr_e_estar^2 must be <= 1")
+        name = {"endogenous_active_rge": "rho_active", "endogenous_correlated": "corr_e_estar"}.get(self.e_regime)
+        if name is not None and not abs(getattr(self, name)) <= 1.0:
+            raise ConfigError(f"{name} must be in [-1, 1] under {self.e_regime}, got {getattr(self, name)}")
 
     def with_(self, **kw) -> "ScenarioSpec":
         return replace(self, **kw)

@@ -109,9 +109,7 @@ def indexed_map(fn: Callable[[int], object], n_units: int, threads: int = 1) -> 
 
 
 def fmt_float(x: float) -> str:
-    """Serialize a float with 10 significant digits (stable TSV output)."""
-    if np.isnan(x):
-        return "nan"
+    """Serialize a float with 10 significant digits (stable TSV output); every NaN is `nan`."""
     return f"{x:.10g}"
 
 
@@ -137,19 +135,32 @@ def write_tsv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_tsv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a tab-separated file; blank lines are skipped.
-    Raises ConfigError on an empty file or a row whose width differs from
-    the header's."""
+def read_lines(path: str) -> list[str]:
+    """The lines of a text file without their newlines, blank and whitespace-only
+    lines skipped. The file is read in text mode, so CRLF and CR end lines too.
+    Raises ConfigError when no line is left."""
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+        lines = [ln for ln in f.read().split("\n") if ln.strip()]
     if not lines:
         raise ConfigError(f"{path} is empty")
+    return lines
+
+
+def check_widths(path: str, widths: Iterable[int], n_header: int) -> None:
+    """ConfigError naming the first data row whose number of fields differs from the header's."""
+    for i, k in enumerate(widths):
+        if k != n_header:
+            raise ConfigError(f"{path}: data row {i + 1} has {k} fields, the header has {n_header}")
+
+
+def read_tsv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a tab-separated file (the lines of read_lines).
+    Raises ConfigError on an empty file or a row whose width differs from
+    the header's."""
+    lines = read_lines(path)
     header = lines[0].split("\t")
     rows = [ln.split("\t") for ln in lines[1:]]
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ConfigError(f"{path}: data row {i + 1} has {len(row)} fields, the header has {len(header)}")
+    check_widths(path, map(len, rows), len(header))
     return header, rows
 
 

@@ -48,6 +48,13 @@ class TestRunCell:
         with pytest.raises(SimulationError, match="100/100 replicates failed; the first with EstimationError"):
             bl.run_cell(base_spec(e_regime="predetermined"), reps=100, seed=606, sizes=SIZES)
 
+    @pytest.mark.parametrize("kw", [dict(e_regime="endogenous_correlated", corr_e_estar=1.5),
+                                    dict(e_regime="endogenous_active_rge", rho_active=-1.2)])
+    def test_correlation_beyond_one_is_a_config_error(self, kw):
+        # sqrt(1 - r^2) of the outcome model used to turn into NaNs and a ValueError inside the fit
+        with pytest.raises(ConfigError, match="must be in \\[-1, 1\\]"):
+            bl.run_cell(base_spec(**kw), reps=2, seed=610, sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20))
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(ds, weights):
             raise TypeError("not a replicate failure")

@@ -353,6 +353,14 @@ class TestErrorPaths:
         assert code == 3 or f"{key}.tsv" in err  # a config error names its file
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("digit", ["\uff12", "\u0662"], ids=["fullwidth", "arabic_indic"])
+    def test_unicode_digit_genotype_cell_exits_2(self, tmp_path, capsys, digit):
+        text = VALID_FILES["genotypes"].replace("i1\t2\t1", f"i1\t{digit}\t1")
+        assert run_on_files(tmp_path, "gwas", {**VALID_FILES, "genotypes": text}) == 2
+        err = capsys.readouterr().err
+        assert f"column 'rs0' of {tmp_path / 'genotypes.tsv'} holds '{digit}', not a dosage" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key, value", [("n_snps", -3), ("n_snps", 0), ("block_size", 0), ("block_size", -2)])
     def test_simulate_rejects_non_positive_sizes(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, "sim.json", {"n": 20, "n_snps": 10, key: value})

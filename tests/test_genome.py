@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -281,6 +283,62 @@ class TestPrincipalComponents:
         with pytest.warns(UserWarning, match="zero-variance"):
             pcs = genome.principal_components(g, 1)
         assert pcs.shape == (50, 1)
+
+
+class TestGenotypeReader:
+    """read_genotypes_tsv keeps read_tsv's line rules and today's check order."""
+
+    PANEL = genome.build_panel([1, 1, 1], np.full(3, 0.3))
+    LF = "iid\trs0\trs1\trs2\ni0\t0\t1\t2\ni1\t2\t2\t0\n"
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(text.encode())
+        return genome.read_genotypes_tsv(str(path), self.PANEL)
+
+    def assert_same(self, a, b):
+        assert a.ids == b.ids
+        assert np.array_equal(a.planes, b.planes)
+
+    def test_crlf_reads_as_its_lf_twin(self, tmp_path):
+        self.assert_same(self.read(tmp_path, self.LF.replace("\n", "\r\n")), self.read(tmp_path, self.LF))
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        header, first, second = self.LF.splitlines()
+        text = f"\n \t \n{header}\n\n  \n{first}\r\n\t\t\t\n{second}\n \n"
+        self.assert_same(self.read(tmp_path, text), self.read(tmp_path, self.LF))
+
+    def test_non_ascii_ids_round_trip(self, tmp_path):
+        d = np.array([[0, 1, 2], [2, 2, 0], [1, 0, 1]])
+        g = genome.GenotypeMatrix(["ïd-ü", "個体", "فرد٣"], self.PANEL, np.stack([d >= 1, d == 2]))
+        path = str(tmp_path / "g.tsv")
+        genome.write_genotypes_tsv(path, g)
+        self.assert_same(genome.read_genotypes_tsv(path, self.PANEL), g)
+
+    @pytest.mark.parametrize("digit", ["\uff11", "\u0661"], ids=["fullwidth", "arabic_indic"])
+    def test_unicode_digit_cell_names_its_column(self, tmp_path, digit):
+        assert int(digit) == 1  # int() would have taken it
+        with pytest.raises(ConfigError, match=f"column 'rs1' of .*g.tsv holds '{digit}', not a dosage"):
+            self.read(tmp_path, self.LF.replace("i1\t2\t2", f"i1\t2\t{digit}"))
+
+    def test_first_bad_cell_in_row_major_order_when_the_byte_count_fits(self, tmp_path):
+        # an empty cell and a two-byte digit leave the byte block its valid length
+        text = self.LF.replace("i0\t0\t1\t2", "i0\t0\t1\t").replace("i1\t2", "i1\t\u0662")
+        assert len(text.encode()) == len(self.LF.encode())
+        with pytest.raises(ConfigError, match="column 'rs2' of .*g.tsv holds '', not a dosage"):
+            self.read(tmp_path, text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("iid\trsX\trs1\trs2\ni0\t0\t01\t2\ni0\t2\t2\ni1\t0\t1\t1\n", "data row 2 has 3 fields, the header has 4"),
+        ("iid\trsX\trs1\trs2\ni0\t0\t01\t2\ni0\t2\t2\t0\n", "does not match the panel"),
+        ("iid\trsX\trs1\trs2\n", "does not match the panel"),
+        ("iid\trs0\trs1\trs2\ni0\t0\t01\t2\ni0\t2\t2\t0\n", "individual id 'i0' is repeated"),
+        ("iid\trs0\trs1\trs2\ni0\t0\t1\t2\ni1\t2\t2\t5\ni2\t01\t1\t1\n", "column 'rs2' of"),
+    ], ids=["ragged_first", "header_before_repeated", "header_before_no_individuals", "repeated_before_cell",
+            "cells_in_row_major_order"])
+    def test_error_order(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            self.read(tmp_path, text)
 
 
 class TestAlleleFrequencies:

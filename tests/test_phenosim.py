@@ -212,7 +212,18 @@ class TestScenarios:
     def test_impossible_predetermined_spec_rejected(self):
         with pytest.raises(ConfigError, match="a_parent\\^2 \\+ corr_e_estar\\^2"):
             ps.ScenarioSpec("regular_pgi_no_family", "predetermined", a_parent=0.6, corr_e_estar=0.9)
+        with pytest.raises(ConfigError, match="a_parent\\^2 \\+ corr_e_estar\\^2"):
+            ps.ScenarioSpec("regular_pgi_no_family", "predetermined", a_parent=float("nan"))
         ps.ScenarioSpec("regular_pgi_no_family", "exogenous", a_parent=0.6, corr_e_estar=0.9)
+
+    @pytest.mark.parametrize("e_regime, field", [("endogenous_correlated", "corr_e_estar"),
+                                                  ("endogenous_active_rge", "rho_active")])
+    @pytest.mark.parametrize("r", [1.5, -1.2, float("nan")])
+    def test_correlation_beyond_one_rejected(self, e_regime, field, r):
+        with pytest.raises(ConfigError, match=f"{field} must be in \\[-1, 1\\] under {e_regime}"):
+            ps.ScenarioSpec("regular_pgi_no_family", e_regime, **{field: r})
+        ps.ScenarioSpec("regular_pgi_no_family", e_regime, **{field: -1.0})
+        ps.ScenarioSpec("regular_pgi_no_family", "exogenous", **{field: r})  # unused by that regime
 
     def test_invalid_regimes_rejected(self):
         with pytest.raises(ConfigError):

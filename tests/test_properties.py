@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from gxelab import genome
 from gxelab import structural as sm
 from gxelab.gwas import result_from_stats, meta_analyze
-from gxelab.util import ConfigError
+from gxelab.util import ConfigError, fmt_float
 
 coef = st.floats(-0.5, 0.5, allow_nan=False)
 pos = st.floats(0.6, 2.0, allow_nan=False)
@@ -111,3 +111,23 @@ def test_genotype_tsv_rejects_any_other_cell_naming_its_column(d, cell, bad):
         path.write_text(reference_genotype_tsv([f"i{i}" for i in range(n)], panel, rows))
         with pytest.raises(ConfigError, match=re.escape(f"column {panel[c].id!r} of {path}")):
             genome.read_genotypes_tsv(str(path), panel)
+
+
+def fmt_float_with_nan_branch(x) -> str:
+    """fmt_float's former rule: an explicit np.isnan test, then 10 significant digits."""
+    if np.isnan(x):
+        return "nan"
+    return f"{x:.10g}"
+
+
+_rng = np.random.default_rng(11)
+RANDOM_FLOATS = (_rng.uniform(-1, 1, 16) * 10.0 ** _rng.uniform(-300, 300, 16)).tolist()
+
+
+@pytest.mark.parametrize("x", [
+    float("nan"), np.copysign(np.nan, -1.0), np.float64("nan"), -np.float64("nan"), np.float32("nan"),
+    -np.float32("nan"), float("inf"), -float("inf"), np.float32("-inf"), -0.0, np.float64(-0.0), 0.0, 5e-324,
+    1.8e308, -1.8e308, np.float32(0.1), np.float32(3.4e38), *RANDOM_FLOATS, *map(np.float64, RANDOM_FLOATS),
+])
+def test_fmt_float_equals_the_rule_with_a_nan_branch(x):
+    assert fmt_float(x) == fmt_float_with_nan_branch(x)
