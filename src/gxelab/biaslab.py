@@ -25,8 +25,7 @@ from .genome import GenotypeMatrix
 from .gwas import GwasResult, result_from_stats, run_gwas, run_trio_gwas
 from .gxe import GxeModelSpec, fit_gxe, rge_check
 from .pgi import build_pgi, incremental_r2
-from .phenosim import (CohortSizes, ScenarioDataset, ScenarioSpec, dosage_sd,
-                       simulate_scenario, treated_indicator)
+from .phenosim import CohortSizes, ScenarioDataset, ScenarioSpec, simulate_scenario, treated_indicator
 from .util import (CalibrationError, ConfigError, EstimationError, PedigreeError, Seed, SimulationError, Stream,
                    child_rng, indexed_map, substream)
 
@@ -78,10 +77,9 @@ def _population_plim(ds: ScenarioDataset, arm_scale: float) -> np.ndarray:
     half the summed nurture loadings, plus the arm-specific component (present
     only in the gwas-selection regime) at arm_scale times its full size."""
     spec = ds.spec
-    sd = dosage_sd(ds.panel)
-    w = (spec.beta_g * ds.direct_weights + 0.5 * (spec.eta_m + spec.eta_f) * ds.nurture_weights) / sd
+    w = (spec.beta_g * ds.direct_weights + 0.5 * (spec.eta_m + spec.eta_f) * ds.nurture_weights) / ds.panel.sd
     if ds.arm_weights is not None:
-        w = w + spec.beta_g * spec.arm_share * arm_scale * ds.arm_weights / sd
+        w = w + spec.beta_g * spec.arm_share * arm_scale * ds.arm_weights / ds.panel.sd
     return w
 
 
@@ -94,7 +92,7 @@ def plim_weights(ds: ScenarioDataset) -> GwasResult:
     """
     spec = ds.spec
     if spec.g_regime == "trio_pgi_family_controls":
-        w = spec.beta_g * ds.direct_weights / dosage_sd(ds.panel)
+        w = spec.beta_g * ds.direct_weights / ds.panel.sd
     else:
         w = _population_plim(ds, 1.0)
     return result_from_stats(ds.panel, w, np.ones_like(w), 0, f"plim_{spec.g_regime}")

@@ -166,7 +166,7 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
         if cfg[key] < 1:
             raise ConfigError(f"config key simulate.{key} must be >= 1, got {cfg[key]}")
     panel = genome.random_panel(cfg["n_snps"], cfg["block_size"], seed, (cfg["maf_lo"], cfg["maf_hi"]))
-    ld = genome.LdBlockModel([stop - start for start, stop in genome.panel_blocks(panel)], cfg["rho"])
+    ld = genome.LdBlockModel(panel.block_sizes.tolist(), cfg["rho"])
     files = [os.path.join(out, "panel.tsv")]
     genome.write_panel_tsv(files[0], panel)
 

@@ -1,6 +1,10 @@
 """Genome simulation: founder haplotypes with block LD, Mendelian transmission,
 mating, allele frequencies and principal components.
 
+Panel: the SNP metadata as columns (ids, chrom, pos, maf, block), checked once
+when built; consumers read its arrays (block starts/stops and sizes, the
+MAF-implied dosage SD, an id -> column lookup) and never re-check it.
+
 Layout: a GenotypeMatrix holds two strand planes, one contiguous (2, n, J) uint8
 array of 0/1 alleles (msprime/tskit's haplotype-matrix convention); the dosage
 is the sum of the planes. founder_planes and transmit_planes draw and transmit
@@ -25,6 +29,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from scipy import stats
@@ -37,53 +42,75 @@ DOSAGE_CELLS = frozenset("012")
 TAB_ZERO = ord("\t") << 8 | ord("0")
 
 
-@dataclass(frozen=True)
-class SnpSpec:
-    id: str
-    chromosome: int
-    position: int
-    maf: float
-    block_id: int
-
-    def __post_init__(self):
-        if not (1 <= self.chromosome <= 22):
-            raise ConfigError(f"SNP {self.id}: chromosome {self.chromosome} outside 1-22")
-        if not (0.0 < self.maf <= 0.5):
-            raise ConfigError(f"SNP {self.id}: maf {self.maf} outside (0, 0.5]")
+def _raise_first(bad: np.ndarray, messages) -> None:
+    """ConfigError for the first column of bad (rules x rows) that fails a rule,
+    with messages(row)[its first failing rule]."""
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        raise ConfigError(messages(i)[bad[:, i].argmax()])
 
 
-def validate_panel(panel: list[SnpSpec]) -> None:
-    seen_pos = set()
-    last_pos_by_chrom: dict[int, int] = {}
-    block_chrom: dict[int, int] = {}
-    block_order: list[int] = []
-    for s in panel:
-        key = (s.chromosome, s.position)
-        if key in seen_pos:
-            raise ConfigError(f"duplicate (chromosome, position) {key}")
-        seen_pos.add(key)
-        if s.chromosome in last_pos_by_chrom and s.position <= last_pos_by_chrom[s.chromosome]:
-            raise ConfigError(f"positions not strictly increasing on chromosome {s.chromosome} at {s.id}")
-        last_pos_by_chrom[s.chromosome] = s.position
-        if s.block_id in block_chrom:
-            if block_chrom[s.block_id] != s.chromosome:
-                raise ConfigError(f"block {s.block_id} spans chromosomes")
-            if block_order[-1] != s.block_id:
-                raise ConfigError(f"block {s.block_id} is not contiguous in panel order")
-        else:
-            block_chrom[s.block_id] = s.chromosome
-            block_order.append(s.block_id)
+class Panel:
+    """SNP metadata as columns, as in a PLINK .bim: ids (list of str) and
+    read-only arrays chrom, pos, block (int64) and maf (float64). The
+    constructor checks them once and names the first failing row (_check),
+    then rejects a repeated id. It derives the LD blocks' start/stop arrays
+    and sizes, the MAF-implied dosage SD and an id -> column lookup.
+    """
 
+    def __init__(self, ids, chrom, pos, maf, block):
+        self.ids = list(ids)
+        self.chrom, self.pos, self.block = (np.array(a, dtype=np.int64) for a in (chrom, pos, block))
+        self.maf = np.array(maf, dtype=np.float64)
+        if not len(self.ids) == len(self.chrom) == len(self.pos) == len(self.maf) == len(self.block):
+            raise ConfigError("panel columns differ in length")
+        self._check()
+        self._column = dict(zip(self.ids, range(len(self.ids))))  # a repeated id maps to its last row
+        _raise_first(self.columns(self.ids)[None] != np.arange(len(self)), lambda i: [f"SNP id {self.ids[i]!r} is repeated"])
+        self.starts = np.flatnonzero(np.diff(self.block, prepend=self.block[:1] - 1))
+        self.block_sizes = np.diff(np.append(self.starts, len(self)))
+        self.stops = self.starts + self.block_sizes
+        self.sd = np.sqrt(2 * self.maf * (1 - self.maf))  # MAF-implied dosage SD, not the sample SD
+        for a in (self.chrom, self.pos, self.maf, self.block, self.starts, self.stops, self.block_sizes, self.sd):
+            a.setflags(write=False)
 
-def panel_blocks(panel: list[SnpSpec]) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) index ranges of the panel's LD blocks."""
-    blocks = []
-    start = 0
-    for j in range(1, len(panel) + 1):
-        if j == len(panel) or panel[j].block_id != panel[start].block_id:
-            blocks.append((start, j))
-            start = j
-    return blocks
+    def _check(self) -> None:
+        """Chromosome in 1-22, then MAF in (0, 0.5], over all rows; then in one
+        pass, row by row: a duplicate (chromosome, position), a position not
+        above the last one on its chromosome, a block that spans chromosomes,
+        a block that is not contiguous. Each rule is a mask of failing rows,
+        exact for every row up to the first failure."""
+        c, p, b, ids = self.chrom, self.pos, self.block, self.ids
+        _raise_first(np.stack([(c < 1) | (c > 22), ~((self.maf > 0.0) & (self.maf <= 0.5))]), lambda i: [
+            f"SNP {ids[i]}: chromosome {c[i]} outside 1-22", f"SNP {ids[i]}: maf {self.maf[i].item()} outside (0, 0.5]"])
+        row = np.arange(len(self))
+        _, first, inverse = np.unique(np.stack([c, p], axis=1), axis=0, return_index=True, return_inverse=True)
+        duplicate = first[inverse] < row  # an earlier row holds the same site
+        by_chrom = np.argsort(c, kind="stable")  # each row right after the last earlier row of its chromosome
+        not_increasing = np.zeros(len(self), dtype=bool)
+        not_increasing[by_chrom[1:]] = (c[by_chrom[1:]] == c[by_chrom[:-1]]) & (p[by_chrom[1:]] <= p[by_chrom[:-1]])
+        _, first, inverse = np.unique(b, return_index=True, return_inverse=True)
+        first_row = first[inverse]  # the first row of each row's block
+        # while every earlier row passes, the latest new block is the previous row's
+        _raise_first(np.stack([duplicate, not_increasing, c[first_row] != c, (first_row < row) & (b != np.roll(b, 1))]),
+                     lambda i: [f"duplicate (chromosome, position) {(int(c[i]), int(p[i]))}",
+                                f"positions not strictly increasing on chromosome {c[i]} at {ids[i]}",
+                                f"block {b[i]} spans chromosomes", f"block {b[i]} is not contiguous in panel order"])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Panel) and self.ids == other.ids and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("chrom", "pos", "maf", "block"))
+
+    def columns(self, ids, what: str = "SNPs") -> np.ndarray:
+        """The panel columns of the given SNP ids; ConfigError naming those absent from the panel."""
+        try:
+            return np.fromiter(map(self._column.__getitem__, ids), dtype=np.intp, count=len(ids))
+        except KeyError:
+            missing = [i for i in ids if i not in self._column]
+            raise ConfigError(f"{what} absent from the panel: {missing[:5]}") from None
 
 
 @dataclass(frozen=True)
@@ -97,10 +124,10 @@ class LdBlockModel:
         if any(b < 1 for b in self.block_sizes):
             raise ConfigError("block sizes must be >= 1")
 
-    def check_against(self, panel: list[SnpSpec]) -> None:
-        sizes = [stop - start for start, stop in panel_blocks(panel)]
-        if sizes != list(self.block_sizes):
-            raise ConfigError(f"LD block sizes {self.block_sizes} do not partition the panel (found {sizes})")
+    def check_against(self, panel: Panel) -> None:
+        if not np.array_equal(panel.block_sizes, self.block_sizes):
+            raise ConfigError(f"LD block sizes {self.block_sizes} do not partition the panel "
+                              f"(found {panel.block_sizes.tolist()})")
 
 
 class GenotypeMatrix:
@@ -108,10 +135,11 @@ class GenotypeMatrix:
 
     planes: contiguous (2, n, n_snps) uint8 array of 0/1 alleles, one plane
     per strand (maternal, paternal for transmitted genotypes); the dosage is
-    planes[0] + planes[1]. The id index is built on the first index_of.
+    planes[0] + planes[1]. The panel is held by reference, not copied. The id
+    index is built on the first index_of.
     """
 
-    def __init__(self, ids: list[str], panel: list[SnpSpec], planes: np.ndarray):
+    def __init__(self, ids: list[str], panel: Panel, planes: np.ndarray):
         planes = np.ascontiguousarray(planes, dtype=np.uint8)
         if planes.ndim != 3 or planes.shape[0] != 2:
             raise ConfigError("planes must have shape (2, n, n_snps)")
@@ -120,7 +148,7 @@ class GenotypeMatrix:
         if planes.max(initial=0) > 1:
             raise ConfigError("strand entries must be 0/1")
         self.ids = list(ids)
-        self.panel = list(panel)
+        self.panel = panel
         self.planes = planes
         self._dosages: np.ndarray | None = None
         self._index: dict[str, int] | None = None
@@ -202,7 +230,7 @@ class Pedigree:
 
 
 def founder_planes(
-    panel: list[SnpSpec],
+    panel: Panel,
     ld: LdBlockModel,
     n: int,
     seed: Seed,
@@ -215,11 +243,8 @@ def founder_planes(
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    validate_panel(panel)
     ld.check_against(panel)
-    blocks = panel_blocks(panel)
     rho = ld.within_block_rho
-    mafs = np.array([s.maf for s in panel])
 
     if rho == 0.0:
         # SNPs are independent: one Bernoulli(maf) stream of uniforms for the whole
@@ -229,13 +254,13 @@ def founder_planes(
         step = max(1, 2**20 // (2 * len(panel)))  # individuals per chunk of about 2**20 uniforms (8 MiB)
         for i in range(0, n, step):
             u = rng.random((2 * min(step, n - i), len(panel)))
-            planes[:, i:i + step] = (u < mafs).reshape(-1, 2, len(panel)).transpose(1, 0, 2)
+            planes[:, i:i + step] = (u < panel.maf).reshape(-1, 2, len(panel)).transpose(1, 0, 2)
         return planes
 
-    thresholds = stats.norm.ppf(mafs)
+    thresholds = stats.norm.ppf(panel.maf)
 
     def sim_block(b: int) -> np.ndarray:
-        start, stop = blocks[b]
+        start, stop = panel.starts[b], panel.stops[b]
         length = stop - start
         rng = child_rng(seed, Stream.FOUNDERS, b)
         z = rng.standard_normal((2 * n, length))
@@ -244,22 +269,22 @@ def founder_planes(
             z[:, j] = rho * z[:, j - 1] + scale * z[:, j]
         return (z < thresholds[start:stop]).reshape(n, 2, length).transpose(1, 0, 2)
 
-    return np.concatenate(indexed_map(sim_block, len(blocks), threads), axis=2, dtype=np.uint8)
+    return np.concatenate(indexed_map(sim_block, len(panel.starts), threads), axis=2, dtype=np.uint8)
 
 
-def simulate_founders(panel: list[SnpSpec], ld: LdBlockModel, n: int, seed: Seed, threads: int = 1) -> GenotypeMatrix:
+def simulate_founders(panel: Panel, ld: LdBlockModel, n: int, seed: Seed, threads: int = 1) -> GenotypeMatrix:
     """founder_planes as a GenotypeMatrix with ids f0..f{n-1}."""
     return GenotypeMatrix([f"f{i}" for i in range(n)], panel, founder_planes(panel, ld, n, seed, threads))
 
 
-def transmit_planes(planes: np.ndarray, idx: np.ndarray, panel: list[SnpSpec], seed: Seed) -> np.ndarray:
+def transmit_planes(planes: np.ndarray, idx: np.ndarray, panel: Panel, seed: Seed) -> np.ndarray:
     """Mendelian transmission: child planes (2, n, J) from parent planes, where
     idx[0] and idx[1] are the (n,) parent rows of each child's mother and father.
     One gamete per parent, whole haplotypes per LD block: with c = 1 where a
     block's strand 1 is chosen, each child strand is s0 ^ (c & (s0 ^ s1))."""
-    blocks = panel_blocks(panel)
-    block_of_snp = np.repeat(np.arange(len(blocks)), [stop - start for start, stop in blocks])
-    choice = child_rng(seed, Stream.TRANSMISSION).integers(0, 2, size=(idx.shape[1], len(blocks), 2), dtype=np.uint8)
+    n_blocks = len(panel.block_sizes)
+    block_of_snp = np.repeat(np.arange(n_blocks), panel.block_sizes)
+    choice = child_rng(seed, Stream.TRANSMISSION).integers(0, 2, size=(idx.shape[1], n_blocks, 2), dtype=np.uint8)
     s0, s1 = planes[0][idx], planes[1][idx]
     return s0 ^ (np.take(choice.transpose(2, 0, 1), block_of_snp, axis=2) & (s0 ^ s1))
 
@@ -350,7 +375,7 @@ def principal_components(g: GenotypeMatrix, k: int) -> np.ndarray:
     sd = d.std(axis=0)
     keep = sd > 0.0
     if not keep.all():
-        dropped = [g.panel[j].id for j in np.nonzero(~keep)[0]]
+        dropped = list(compress(g.panel.ids, ~keep))
         warnings.warn(f"excluding {len(dropped)} zero-variance SNPs: {dropped[:10]}")
     x = d[:, keep] - mu[keep]
     x /= sd[keep]
@@ -373,21 +398,15 @@ def principal_components(g: GenotypeMatrix, k: int) -> np.ndarray:
 # Panel construction and file formats
 # ---------------------------------------------------------------------------
 
-def build_panel(block_sizes: list[int], mafs: np.ndarray, chromosome: int = 1, spacing: int = 1000) -> list[SnpSpec]:
-    """A single-chromosome panel with the given block structure and MAFs."""
+def build_panel(block_sizes: list[int], mafs: np.ndarray, chromosome: int = 1, spacing: int = 1000) -> Panel:
+    """A single-chromosome panel with the given block structure and MAFs: SNP j
+    is rs{j} at position (j + 1) * spacing."""
     total = sum(block_sizes)
-    mafs = np.broadcast_to(np.asarray(mafs, dtype=float), (total,))
-    panel = []
-    j = 0
-    for b, size in enumerate(block_sizes):
-        for _ in range(size):
-            panel.append(SnpSpec(id=f"rs{j}", chromosome=chromosome, position=(j + 1) * spacing, maf=float(mafs[j]), block_id=b))
-            j += 1
-    validate_panel(panel)
-    return panel
+    return Panel(list(map("rs{}".format, range(total))), np.full(total, chromosome), np.arange(1, total + 1) * spacing,
+                 np.broadcast_to(np.asarray(mafs, dtype=float), (total,)), np.repeat(np.arange(len(block_sizes)), block_sizes))
 
 
-def random_panel(n_snps: int, block_size: int, seed: Seed, maf_range: tuple[float, float] = (0.05, 0.5)) -> list[SnpSpec]:
+def random_panel(n_snps: int, block_size: int, seed: Seed, maf_range: tuple[float, float] = (0.05, 0.5)) -> Panel:
     """n_snps SNPs in blocks of block_size (the last block takes the remainder),
     MAFs uniform on maf_range."""
     if n_snps < 1 or block_size < 1:
@@ -402,10 +421,10 @@ def random_panel(n_snps: int, block_size: int, seed: Seed, maf_range: tuple[floa
 def write_genotypes_tsv(path: str, g: GenotypeMatrix) -> None:
     cells = np.full((g.n_individuals, 2 * g.n_snps), ord("\t"), dtype=np.uint8)  # a tab before each digit
     cells[:, 1::2] = g.dosages + ord("0")
-    write_tsv(path, ["iid", *(s.id for s in g.panel)], ((i + c.tobytes().decode(),) for i, c in zip(g.ids, cells)))
+    write_tsv(path, ["iid", *g.panel.ids], ((i + c.tobytes().decode(),) for i, c in zip(g.ids, cells)))
 
 
-def read_genotypes_tsv(path: str, panel: list[SnpSpec]) -> GenotypeMatrix:
+def read_genotypes_tsv(path: str, panel: Panel) -> GenotypeMatrix:
     """Checks in order: row widths, header, at least one individual, unique ids,
     then every dosage cell is exactly 0, 1 or 2. The cells after each id are
     decoded as one byte block of n x J (tab, digit) pairs."""
@@ -413,7 +432,7 @@ def read_genotypes_tsv(path: str, panel: list[SnpSpec]) -> GenotypeMatrix:
     header = lines[0].split("\t")
     rows = lines[1:]
     check_widths(path, (ln.count("\t") + 1 for ln in rows), len(header))
-    if header[0] != "iid" or header[1:] != [s.id for s in panel]:
+    if header[0] != "iid" or header[1:] != panel.ids:
         raise ConfigError(f"the header of {path} does not match the panel")
     if not rows:
         raise ConfigError(f"{path} has a header but no individuals")
@@ -434,19 +453,21 @@ def read_genotypes_tsv(path: str, panel: list[SnpSpec]) -> GenotypeMatrix:
     raise ConfigError(f"column {header[1 + k]!r} of {path} holds {cell!r}, not a dosage 0, 1 or 2")
 
 
-def write_panel_tsv(path: str, panel: list[SnpSpec]) -> None:
-    write_tsv(path, ["id", "chrom", "pos", "maf", "block"],
-              ([s.id, s.chromosome, s.position, fmt_float(s.maf), s.block_id] for s in panel))
+def write_panel_tsv(path: str, panel: Panel) -> None:
+    write_tsv(path, ["id", "chrom", "pos", "maf", "block"], zip(
+        panel.ids, panel.chrom.tolist(), panel.pos.tolist(), map(fmt_float, panel.maf.tolist()), panel.block.tolist()))
 
 
-def read_panel_tsv(path: str) -> list[SnpSpec]:
+def read_panel_tsv(path: str) -> Panel:
+    """A panel file; an error from the header or a panel rule is prefixed with the path."""
     header, rows = read_tsv(path)
     if header != ["id", "chrom", "pos", "maf", "block"]:
-        raise ConfigError("panel file header must be: id chrom pos maf block")
-    cols = [parse_column(path, header[j], [r[j] for r in rows], typ).tolist() for j, typ in enumerate((int, int, float, int), 1)]
-    panel = [SnpSpec(r[0], *fields) for r, fields in zip(rows, zip(*cols))]
-    validate_panel(panel)
-    return panel
+        raise ConfigError(f"{path}: panel file header must be: id chrom pos maf block")
+    cols = [parse_column(path, header[j], [r[j] for r in rows], typ) for j, typ in enumerate((int, int, float, int), 1)]
+    try:
+        return Panel([r[0] for r in rows], *cols)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def write_pedigree_tsv(path: str, ped: Pedigree) -> None:

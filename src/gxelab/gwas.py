@@ -12,11 +12,12 @@ se 1e300 and p 1 instead of stopping the panel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .genome import GenotypeMatrix, Pedigree, SnpSpec
+from .genome import GenotypeMatrix, Panel, Pedigree
 from .regress import P_FLOOR, RANK_RTOL, batched_ols_hc1, checked_qr, pvalue_from_z
 from .util import ConfigError, EstimationError, fmt_float, indexed_map, parse_column, read_tsv, write_tsv
 
@@ -51,7 +52,7 @@ class GwasResult:
         return len(self.snp_ids)
 
 
-def result_from_stats(panel: list[SnpSpec], beta, se, n, design, n_dropped=0) -> GwasResult:
+def _finite_stats(beta, se) -> dict[str, np.ndarray]:
     # zero-variance SNPs carry no information (beta 0, se huge, p 1);
     # perfect fits get the se floor so the p floor engages instead of 1/0
     se = np.asarray(se, dtype=float).copy()
@@ -60,16 +61,12 @@ def result_from_stats(panel: list[SnpSpec], beta, se, n, design, n_dropped=0) ->
     beta[dead] = 0.0
     se[dead] = 1e300
     se = np.maximum(se, 1e-300)
-    p = np.asarray(pvalue_from_z(beta / se))
-    return GwasResult(
-        snp_ids=[s.id for s in panel],
-        chrom=np.array([s.chromosome for s in panel]),
-        pos=np.array([s.position for s in panel]),
-        effect_allele=["minor"] * len(panel),
-        beta=beta, se=se, p=p,
-        n=np.full(len(panel), int(n)),
-        design=design, n_dropped=n_dropped,
-    )
+    return {"beta": beta, "se": se, "p": np.asarray(pvalue_from_z(beta / se))}
+
+
+def result_from_stats(panel: Panel, beta, se, n, design, n_dropped=0) -> GwasResult:
+    return GwasResult(snp_ids=list(panel.ids), chrom=panel.chrom, pos=panel.pos, effect_allele=["minor"] * len(panel),
+                      n=np.full(len(panel), int(n)), design=design, n_dropped=n_dropped, **_finite_stats(beta, se))
 
 
 def _slope_hc1(X: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,11 +208,8 @@ def meta_analyze(results: list[GwasResult]) -> GwasResult:
     meta_beta = (w * beta).sum(axis=0) / wsum
     meta_se = wsum**-0.5
     n = np.stack([r.n for r in results]).sum(axis=0)
-    out = result_from_stats([SnpSpec(i, int(c), int(pp), 0.5, 0) for i, c, pp in zip(first.snp_ids, first.chrom, first.pos)],
-                             meta_beta, meta_se, 0, "meta")
-    out.n = n
-    out.effect_allele = list(first.effect_allele)
-    return out
+    return replace(first, snp_ids=list(first.snp_ids), effect_allele=list(first.effect_allele), n=n, design="meta",
+                   n_dropped=0, parent_beta=None, **_finite_stats(meta_beta, meta_se))
 
 
 @dataclass
@@ -238,11 +232,11 @@ def clump(
     """Greedy lead-SNP selection by ascending p within LD blocks: accept a
     significant SNP unless its dosage r2 with an accepted lead in the same
     block reaches the threshold. Ties on p break by panel order."""
-    if result.snp_ids != [s.id for s in g.panel]:
+    if result.snp_ids != g.panel.ids:
         raise ConfigError("summary statistics do not match the genotype panel")
     sig = np.nonzero(result.p < p_thresh)[0]
     order = sig[np.lexsort((sig, result.p[sig]))]
-    block = np.array([s.block_id for s in g.panel])
+    block = g.panel.block
     d = g.dosages
     accepted: list[int] = []
     for j in order:
@@ -256,7 +250,7 @@ def clump(
         if ok:
             accepted.append(int(j))
     accepted.sort()
-    return LeadSnpSet(leads=[(g.panel[j].id, int(block[j])) for j in accepted],
+    return LeadSnpSet(leads=[(g.panel.ids[j], int(block[j])) for j in accepted],
                       p_threshold=p_thresh, r2_threshold=r2_thresh)
 
 
@@ -279,7 +273,11 @@ def read_sumstats_tsv(path: str) -> GwasResult:
     header, rows = read_tsv(path)
     if header != SUMSTATS_HEADER:
         raise ConfigError(f"summary statistics header must be {SUMSTATS_HEADER}")
+    snp_ids = [r[0] for r in rows]
+    if len(set(snp_ids)) < len(snp_ids):
+        repeated = next(i for i, k in Counter(snp_ids).items() if k > 1)
+        raise ConfigError(f"SNP {repeated!r} is repeated in {path}")
     chrom, pos, beta, se, p, n = (parse_column(path, SUMSTATS_HEADER[j], [r[j] for r in rows], typ)
                                   for j, typ in ((1, int), (2, int), (4, float), (5, float), (6, float), (7, int)))
-    return GwasResult(snp_ids=[r[0] for r in rows], chrom=chrom, pos=pos, effect_allele=[r[3] for r in rows],
+    return GwasResult(snp_ids=snp_ids, chrom=chrom, pos=pos, effect_allele=[r[3] for r in rows],
                       beta=beta, se=se, p=p, n=n, design="file")

@@ -13,6 +13,7 @@ effects per standard deviation of the latent true index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -46,38 +47,26 @@ def build_pgi(
     shift from reflecting dosages is absorbed by standardization). Ids that
     do not resolve in the panel are an error, as is a zero-variance index.
     """
-    panel_pos = {s.id: j for j, s in enumerate(g.panel)}
-    missing = [i for i in weights.snp_ids if i not in panel_pos]
-    if missing:
-        raise ConfigError(f"summary statistics contain SNPs absent from the panel: {missing[:5]}")
+    cols = g.panel.columns(weights.snp_ids, "summary statistics SNPs")
     if isinstance(selection, LeadSnpSet):
-        chosen = set(selection.snp_ids)
-        rows = [j for j, i in enumerate(weights.snp_ids) if i in chosen]
+        keep = np.isin(np.asarray(weights.snp_ids, dtype=str), np.asarray(selection.snp_ids, dtype=str))
         provenance = f"{weights.design}:lead_snps(p<{selection.p_threshold:g})"
     elif selection == "all_snps":
-        rows = list(range(len(weights.snp_ids)))
+        keep = np.ones(len(weights.snp_ids), dtype=bool)
         provenance = f"{weights.design}:all_snps"
     else:
         raise ConfigError(f"unknown selection rule {selection!r}")
 
-    n_flipped = 0
+    flip = keep & (np.asarray(weights.effect_allele, dtype=str) == "major")
     w = np.zeros(g.n_snps)
-    ids = []
-    for j in rows:
-        col = panel_pos[weights.snp_ids[j]]
-        beta = weights.beta[j]
-        if weights.effect_allele[j] == "major":
-            beta = -beta
-            n_flipped += 1
-        w[col] = beta
-        ids.append(weights.snp_ids[j])
+    w[cols[keep]] = np.where(flip, -weights.beta, weights.beta)[keep]
     raw = g.dosages.astype(float) @ w
     sd = raw.std()
     if sd == 0.0:
         raise ConfigError("polygenic index has zero variance on this sample")
     mean = raw.mean()
-    return Pgi(snp_ids=ids, weights=w, raw_values=raw, values=(raw - mean) / sd,
-               mean=float(mean), sd=float(sd), provenance=provenance, n_flipped=n_flipped)
+    return Pgi(snp_ids=list(compress(weights.snp_ids, keep)), weights=w, raw_values=raw, values=(raw - mean) / sd,
+               mean=float(mean), sd=float(sd), provenance=provenance, n_flipped=int(flip.sum()))
 
 
 def incremental_r2(pgi: Pgi | np.ndarray, y: np.ndarray, controls: np.ndarray | None = None) -> float:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .genome import GenotypeMatrix, LdBlockModel, Pedigree, SnpSpec, build_panel, founder_planes, transmit_planes
+from .genome import GenotypeMatrix, LdBlockModel, Panel, Pedigree, build_panel, founder_planes, transmit_planes
 from .util import ConfigError, Seed, Stream, child_rng, substream, write_tsv
 
 G_REGIMES = ("trio_pgi_family_controls", "regular_pgi_family_controls", "regular_pgi_no_family")
@@ -29,18 +29,12 @@ E_REGIMES = ("exogenous", "predetermined", "endogenous_active_rge",
              "endogenous_correlated", "endogenous_gwas_selection")
 
 
-def dosage_sd(panel: list[SnpSpec]) -> np.ndarray:
-    """MAF-implied dosage SD per SNP, sqrt(2p(1-p)) (not the sample SD)."""
-    p = np.array([s.maf for s in panel])
-    return np.sqrt(2 * p * (1 - p))
-
-
 def theoretical_standardize(g: GenotypeMatrix, weights: np.ndarray) -> np.ndarray:
     """Genetic values sum_j w_j (d_ij - 2p_j) / sd_j, with the panel's MAF-implied
     moments (not sample ones), as d @ (w/sd) - (2p) . (w/sd). einsum casts the
     int8 dosages in buffered chunks, so no n x J float matrix is allocated."""
-    scaled = weights / dosage_sd(g.panel)
-    return np.einsum("ij,j->i", g.dosages, scaled) - 2 * np.array([s.maf for s in g.panel]) @ scaled
+    scaled = weights / g.panel.sd
+    return np.einsum("ij,j->i", g.dosages, scaled) - 2 * g.panel.maf @ scaled
 
 
 def empirical_standardize(v: np.ndarray) -> np.ndarray:
@@ -64,23 +58,19 @@ class TraitArchitecture:
             raise ConfigError("causal ids and effects differ in length")
 
     @classmethod
-    def random(cls, panel: list[SnpSpec], n_causal: int, target_h2: float, seed: Seed) -> "TraitArchitecture":
+    def random(cls, panel: Panel, n_causal: int, target_h2: float, seed: Seed) -> "TraitArchitecture":
         if not 0 < n_causal <= len(panel):
             raise ConfigError(f"n_causal {n_causal} outside 1..{len(panel)} (the panel's SNP count)")
         rng = child_rng(seed, Stream.TRAIT_ARCHITECTURE)
         idx = np.sort(rng.choice(len(panel), size=n_causal, replace=False))
         effects = rng.standard_normal(n_causal)
         effects /= np.linalg.norm(effects)
-        return cls(tuple(panel[j].id for j in idx), effects, target_h2)
+        return cls(tuple(panel.ids[j] for j in idx), effects, target_h2)
 
-    def effect_vector(self, panel: list[SnpSpec]) -> np.ndarray:
+    def effect_vector(self, panel: Panel) -> np.ndarray:
         """Effects expanded to panel order; unknown causal ids are an error."""
-        pos = {s.id: j for j, s in enumerate(panel)}
         vec = np.zeros(len(panel))
-        for snp_id, eff in zip(self.causal_snp_ids, self.effects):
-            if snp_id not in pos:
-                raise ConfigError(f"causal SNP {snp_id} not in panel")
-            vec[pos[snp_id]] = eff
+        vec[panel.columns(self.causal_snp_ids, "causal SNPs")] = self.effects
         return vec
 
 
@@ -239,7 +229,7 @@ class Cohort:
 @dataclass
 class ScenarioDataset:
     spec: ScenarioSpec
-    panel: list[SnpSpec]
+    panel: Panel
     direct_weights: np.ndarray    # unit vector, per-SNP direct effects
     nurture_weights: np.ndarray   # unit vector the nurture channel loads on
     arm_weights: np.ndarray | None

@@ -342,10 +342,21 @@ class TestErrorPaths:
         ("gwas", "genotypes", "iid\trs0\trs1\ni0\t0\t1\ni1\t\t1\ni2\t1\t0\n", 2, "holds '', not a dosage"),
         ("gwas", "genotypes", "iid\trs0\trsX\ni0\t0\t1\ni1\t2\t1\ni2\t1\t0\n", 2, "does not match the panel"),
         ("gwas", "genotypes", "iid\trs0\trs1\ni0\t0\t1\ni1\t2\t1\n", 3, "2 observations for 2 regressors"),
+        ("gwas", "panel", "id\tchrom\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\nrs0\t1\t2000\t0.3\t1\n",
+         2, "SNP id 'rs0' is repeated"),
+        ("gwas", "panel", "id\tchrom\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\nrs1\t1\t1000\t0.3\t1\n",
+         2, "duplicate (chromosome, position) (1, 1000)"),
+        ("gwas", "panel", "id\tchrom\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\nrs1\t1\t2000\t0.3\t1\n"
+         "rs2\t1\t3000\t0.3\t0\n", 2, "block 0 is not contiguous in panel order"),
+        ("gwas", "panel", "id\tchr\tpos\tmaf\tblock\nrs0\t1\t1000\t0.3\t0\n", 2, "panel file header must be"),
+        ("pgi", "sumstats", "SNP\tCHR\tPOS\tEA\tBETA\tSE\tP\tN\n"
+         "rs0\t1\t1000\tminor\t0.5\t0.1\t5.733031438e-07\t3\nrs0\t1\t1000\tminor\t-0.5\t0.1\t5.733031438e-07\t3\n",
+         2, "SNP 'rs0' is repeated"),
     ], ids=["empty", "non_numeric", "ragged", "header_only", "inf", "nan",
             "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta", "repeated_iid", "repeated_child",
             "genotype_header_only", "parent_in_both_files", "genotype_two_digit", "genotype_empty_cell",
-            "genotype_header_mismatch", "gwas_two_individuals"])
+            "genotype_header_mismatch", "gwas_two_individuals", "panel_repeated_id", "panel_duplicate_site",
+            "panel_block_not_contiguous", "panel_header", "sumstats_repeated_snp"])
     def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
         assert run_on_files(tmp_path, command, {**VALID_FILES, key: text}) == code
         err = capsys.readouterr().err

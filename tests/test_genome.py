@@ -99,7 +99,7 @@ class TestSimulateFounders:
         assert n > 3 * (2**20 // (2 * j))
         panel = genome.random_panel(j, 1, seed=5)
         planes = genome.founder_planes(panel, genome.LdBlockModel([1] * j, 0.0), n, seed=17)
-        one_shot = child_rng(17, Stream.FOUNDERS, 0).random((2 * n, j)) < np.array([s.maf for s in panel])
+        one_shot = child_rng(17, Stream.FOUNDERS, 0).random((2 * n, j)) < panel.maf
         assert planes.dtype == np.uint8
         assert np.array_equal(planes, one_shot.reshape(n, 2, j).transpose(1, 0, 2))
 
@@ -359,20 +359,27 @@ class TestAlleleFrequencies:
 class TestPanelAndIo:
     def test_panel_invariants(self):
         with pytest.raises(ConfigError):
-            genome.SnpSpec("a", 1, 100, 0.6, 0)
+            genome.Panel(["a"], [1], [100], [0.6], [0])
         with pytest.raises(ConfigError):
-            genome.SnpSpec("a", 1, 100, 0.0, 0)
+            genome.Panel(["a"], [1], [100], [0.0], [0])
         with pytest.raises(ConfigError):
-            genome.validate_panel([
-                genome.SnpSpec("a", 1, 100, 0.3, 0),
-                genome.SnpSpec("b", 1, 100, 0.3, 0),
-            ])
+            genome.Panel(["a", "b"], [1, 1], [100, 100], [0.3, 0.3], [0, 0])
         with pytest.raises(ConfigError, match="contiguous"):
-            genome.validate_panel([
-                genome.SnpSpec("a", 1, 100, 0.3, 0),
-                genome.SnpSpec("b", 1, 200, 0.3, 1),
-                genome.SnpSpec("c", 1, 300, 0.3, 0),
-            ])
+            genome.Panel(["a", "b", "c"], [1, 1, 1], [100, 200, 300], [0.3, 0.3, 0.3], [0, 1, 0])
+        with pytest.raises(ConfigError, match="SNP id 'a' is repeated"):
+            genome.Panel(["a", "b", "a"], [1, 1, 1], [100, 200, 300], [0.3, 0.3, 0.3], [0, 1, 2])
+
+    def test_panel_columns_are_read_only_and_looked_up_by_id(self):
+        panel = genome.build_panel([2, 1], np.array([0.1, 0.25, 0.5]))
+        for column in (panel.chrom, panel.pos, panel.maf, panel.block, panel.starts, panel.stops, panel.sd):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert (panel.starts.tolist(), panel.stops.tolist(), panel.block_sizes.tolist()) == ([0, 2], [2, 3], [2, 1])
+        assert panel.columns(["rs2", "rs0"]).tolist() == [2, 0]
+        with pytest.raises(ConfigError, match=r"absent from the panel: \['rsX'\]"):
+            panel.columns(["rs1", "rsX"])
+        g = genome.simulate_founders(panel, genome.LdBlockModel([2, 1], 0.0), 4, seed=1)
+        assert g.panel is panel and g.subset(g.ids[:2]).panel is panel
 
     def test_pedigree_invariants(self, tmp_path):
         with pytest.raises(PedigreeError):
@@ -398,8 +405,8 @@ class TestPanelAndIo:
 
     def test_random_panel_blocks_and_sizes(self):
         panel = genome.random_panel(10, 4, seed=1, maf_range=(0.2, 0.3))
-        assert [stop - start for start, stop in genome.panel_blocks(panel)] == [4, 4, 2]
-        assert all(0.2 <= s.maf <= 0.3 for s in panel)
+        assert panel.block_sizes.tolist() == [4, 4, 2]
+        assert np.all((0.2 <= panel.maf) & (panel.maf <= 0.3))
         for n_snps, block_size in [(10, -2), (10, 0), (0, 5), (-3, 1)]:
             with pytest.raises(ConfigError, match="n_snps and block_size must be >= 1"):
                 genome.random_panel(n_snps, block_size, seed=1)

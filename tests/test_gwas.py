@@ -43,7 +43,7 @@ def nurture_world():
     arch = ps.TraitArchitecture.random(panel, 150, target_h2=0.25, seed=203)
     nurture = ps.NurtureParams(delta=0.3, eta_m=0.2, eta_f=0.2)
     y = ps.simulate_family_outcome(children, parents, ped, arch, nurture, seed=204)
-    sigma = np.array([np.sqrt(2 * s.maf * (1 - s.maf)) for s in panel])
+    sigma = np.sqrt(2 * panel.maf * (1 - panel.maf))
     gv_sd = ps.genetic_values(children, arch).std()
     per_snp_direct = 0.3 * arch.effect_vector(panel) / sigma / gv_sd
     return panel, parents, children, ped, y, per_snp_direct
@@ -59,8 +59,8 @@ class TestRunGwas:
         assert res.p[0] <= 1e-300
 
     @pytest.mark.parametrize("dosage", [0, 2])
-    def test_monomorphic_snp_marked_dead(self, small_panel, dosage):
-        panel = small_panel[:4]
+    def test_monomorphic_snp_marked_dead(self, dosage):
+        panel = genome.build_panel([4], np.full(4, 0.3))
         g = genome.simulate_founders(panel, genome.LdBlockModel([4], 0.4), 60, seed=245)
         g = monomorphic_snp(g, 2, dosage)
         y = np.random.default_rng(246).standard_normal(60)
@@ -164,8 +164,8 @@ class TestTrioGwas:
         assert res.n_dropped == 1
         assert res.n[0] == len(ped.child_ids) - 1
 
-    def test_monomorphic_snp_marked_dead(self, small_panel):
-        panel = small_panel[:4]
+    def test_monomorphic_snp_marked_dead(self):
+        panel = genome.build_panel([4], np.full(4, 0.3))
         ld = genome.LdBlockModel([4], 0.4)
         parents, children, ped = make_trio_population(50, panel, ld, seed=241)
         parents, children = monomorphic_snp(parents, 2), monomorphic_snp(children, 2)
@@ -183,7 +183,7 @@ def sibling_world():
     ld = genome.LdBlockModel([1] * 120, 0.0)
     parents, children, ped = make_sibling_population(8000, panel, ld, seed=232)
     arch = ps.TraitArchitecture.random(panel, 120, target_h2=0.25, seed=233)
-    sigma = np.array([np.sqrt(2 * s.maf * (1 - s.maf)) for s in panel])
+    sigma = np.sqrt(2 * panel.maf * (1 - panel.maf))
     gv_sd = ps.genetic_values(children, arch).std()
     per_snp = arch.effect_vector(panel) / sigma / gv_sd
     return panel, parents, children, ped, arch, per_snp
@@ -287,7 +287,7 @@ class TestClump:
         assert res.p[0] < 5e-8 and res.p[1] < 5e-8
         leads = gwas.clump(res, g)
         assert len(leads.leads) == 1
-        assert leads.snp_ids[0] == panel[int(np.argmin(res.p))].id
+        assert leads.snp_ids[0] == panel.ids[int(np.argmin(res.p))]
 
     def test_three_causal_loci(self):
         blocks = [6] * 10

@@ -51,8 +51,7 @@ class TestBuildPgi:
     def test_unknown_snp_rejected(self):
         panel = genome.build_panel([2], np.array([0.3, 0.4]))
         g = genome.simulate_founders(panel, genome.LdBlockModel([2], 0.0), 100, seed=304)
-        alien = genome.build_panel([2], np.array([0.3, 0.4]))
-        alien = [genome.SnpSpec("weird0", 2, 100, 0.3, 5), alien[1]]
+        alien = genome.Panel(["weird0", "rs1"], [2, 1], [100, 2000], [0.3, 0.4], [5, 0])
         res = gwas.result_from_stats(alien, np.ones(2), np.ones(2), 100, "population")
         with pytest.raises(ConfigError, match="weird0"):
             pgi_mod.build_pgi(res, g)
@@ -113,7 +112,7 @@ class TestIncrementalR2:
 
     def test_true_weights_reach_heritability(self):
         panel, arch, _, _, g_hold, y_hold = make_world(100, 10000, 100, 0.4, seed=350)
-        sigma = np.array([np.sqrt(2 * s.maf * (1 - s.maf)) for s in panel])
+        sigma = np.sqrt(2 * panel.maf * (1 - panel.maf))
         truth = gwas.result_from_stats(panel, arch.effect_vector(panel) / sigma, np.ones(100), 0, "truth")
         p = pgi_mod.build_pgi(truth, g_hold)
         assert pgi_mod.incremental_r2(p, y_hold) == pytest.approx(0.4, abs=0.02)

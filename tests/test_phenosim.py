@@ -25,14 +25,14 @@ class TestGeneticValues:
         panel = genome.build_panel([1] * j, rng.uniform(0.02, 0.5, j))
         g = genome.GenotypeMatrix([f"i{i}" for i in range(n)], panel, rng.integers(0, 2, (2, n, j)))
         w = rng.standard_normal(j)
-        p = np.array([s.maf for s in panel])
+        p = panel.maf
         reference = ((g.dosages - 2 * p) / np.sqrt(2 * p * (1 - p))) @ w
         values = ps.theoretical_standardize(g, w)
         assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_dosage_sd_is_maf_implied(self):
         panel = genome.build_panel([3], np.array([0.1, 0.25, 0.5]))
-        np.testing.assert_allclose(ps.dosage_sd(panel), np.sqrt([0.18, 0.375, 0.5]), rtol=1e-15)
+        np.testing.assert_allclose(panel.sd, np.sqrt([0.18, 0.375, 0.5]), rtol=1e-15)
 
 
 class TestSimulateTrait:
@@ -56,7 +56,7 @@ class TestSimulateTrait:
     def test_noiseless_limit_rank_orders_by_dosage(self):
         panel = genome.build_panel([1], np.array([0.3]))
         g = genome.simulate_founders(panel, genome.LdBlockModel([1], 0.0), 1000, seed=85)
-        arch = ps.TraitArchitecture((panel[0].id,), np.array([1.0]), target_h2=0.999)
+        arch = ps.TraitArchitecture((panel.ids[0],), np.array([1.0]), target_h2=0.999)
         y = ps.simulate_trait(g, arch, seed=86)
         d = g.dosages[:, 0]
         assert y[d == 2].min() > y[d == 1].max() > y[d == 0].max()

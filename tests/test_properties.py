@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,7 @@ dosage_matrices = arrays(np.int8, st.tuples(st.integers(1, 6), st.integers(0, 6)
 
 def reference_genotype_tsv(ids, panel, rows) -> str:
     """The genotype TSV formatted cell by cell."""
-    lines = ["\t".join(["iid", *(s.id for s in panel)])]
+    lines = ["\t".join(["iid", *panel.ids])]
     lines += ["\t".join([iid, *map(str, row)]) for iid, row in zip(ids, rows)]
     return "".join(line + "\n" for line in lines)
 
@@ -88,6 +89,98 @@ def test_genotype_tsv_matches_per_cell_reference_and_round_trips(d):
         back = genome.read_genotypes_tsv(path, panel)
     assert back.ids == g.ids
     assert np.array_equal(back.dosages, d)
+
+
+@dataclass(frozen=True)
+class ReferenceSnp:
+    """One panel row, checked alone as the per-SNP panel objects were."""
+    id: str
+    chromosome: int
+    position: int
+    maf: float
+    block_id: int
+
+    def __post_init__(self):
+        if not (1 <= self.chromosome <= 22):
+            raise ConfigError(f"SNP {self.id}: chromosome {self.chromosome} outside 1-22")
+        if not (0.0 < self.maf <= 0.5):
+            raise ConfigError(f"SNP {self.id}: maf {self.maf} outside (0, 0.5]")
+
+
+def reference_validate_panel(panel: list[ReferenceSnp]) -> None:
+    """The panel rules checked row by row, as the per-SNP panel loop did."""
+    seen_pos = set()
+    last_pos_by_chrom: dict[int, int] = {}
+    block_chrom: dict[int, int] = {}
+    block_order: list[int] = []
+    for s in panel:
+        key = (s.chromosome, s.position)
+        if key in seen_pos:
+            raise ConfigError(f"duplicate (chromosome, position) {key}")
+        seen_pos.add(key)
+        if s.chromosome in last_pos_by_chrom and s.position <= last_pos_by_chrom[s.chromosome]:
+            raise ConfigError(f"positions not strictly increasing on chromosome {s.chromosome} at {s.id}")
+        last_pos_by_chrom[s.chromosome] = s.position
+        if s.block_id in block_chrom:
+            if block_chrom[s.block_id] != s.chromosome:
+                raise ConfigError(f"block {s.block_id} spans chromosomes")
+            if block_order[-1] != s.block_id:
+                raise ConfigError(f"block {s.block_id} is not contiguous in panel order")
+        else:
+            block_chrom[s.block_id] = s.chromosome
+            block_order.append(s.block_id)
+
+
+def error_of(check) -> str | None:
+    try:
+        check()
+    except ConfigError as e:
+        return str(e)
+    return None
+
+
+@st.composite
+def small_panels(draw):
+    """Rows [id, chrom, pos, maf, block] of a valid panel of up to 8 SNPs on
+    chromosomes 1-3, then up to four edits: a bad chromosome or MAF, a
+    repeated position, a block id changed (a split or a non-contiguous
+    block) and two rows swapped."""
+    n = draw(st.integers(0, 8))
+    chrom = sorted(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    new_block = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows, block = [], -1
+    for i in range(n):
+        first_on_chrom = i == 0 or chrom[i] != chrom[i - 1]
+        pos = gaps[i] if first_on_chrom else rows[-1][2] + gaps[i]
+        block += first_on_chrom or new_block[i]
+        rows.append([f"s{i}", chrom[i], pos, 0.3, block])
+    for _ in range(draw(st.integers(0, 4)) if n else 0):
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edit = draw(st.sampled_from(["chrom", "maf", "pos", "block", "swap"]))
+        if edit == "chrom":
+            rows[i][1] = draw(st.sampled_from([0, 23, -1, 1, 2, 4]))
+        elif edit == "maf":
+            rows[i][3] = draw(st.sampled_from([0.0, -0.1, 0.6, 1e-9, 0.5, float("nan")]))
+        elif edit == "pos":
+            rows[i][2] = rows[k][2]
+        elif edit == "block":
+            rows[i][4] = draw(st.integers(0, 4))
+        else:
+            rows[i], rows[k] = rows[k], rows[i]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@example(rows=[])
+@example(rows=[["a", 1, 100, 0.3, 0], ["b", 1, 200, 0.3, 1], ["c", 1, 300, 0.3, 0]])
+@example(rows=[["a", 1, 100, 0.3, 0], ["b", 2, 100, 0.3, 0]])
+@example(rows=[["a", 1, 200, 0.3, 0], ["b", 1, 100, 0.3, 0], ["c", 1, 100, 0.3, 1]])
+@given(rows=small_panels())
+def test_panel_checks_match_the_per_row_reference(rows):
+    expected = error_of(lambda: reference_validate_panel([ReferenceSnp(*r) for r in rows]))
+    columns = [list(col) for col in zip(*rows)] if rows else [[]] * 5
+    assert error_of(lambda: genome.Panel(*columns)) == expected
 
 
 not_a_dosage = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\t\n\r")).filter(
@@ -109,7 +202,7 @@ def test_genotype_tsv_rejects_any_other_cell_naming_its_column(d, cell, bad):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.tsv"
         path.write_text(reference_genotype_tsv([f"i{i}" for i in range(n)], panel, rows))
-        with pytest.raises(ConfigError, match=re.escape(f"column {panel[c].id!r} of {path}")):
+        with pytest.raises(ConfigError, match=re.escape(f"column {panel.ids[c]!r} of {path}")):
             genome.read_genotypes_tsv(str(path), panel)
 
 
