@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config error, 3 estimation error, 4 simulation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -24,7 +25,7 @@ import scipy
 
 from . import __version__, biaslab, genome, gwas as gwas_mod, gxe as gxe_mod, inference, pgi as pgi_mod, phenosim
 from .structural import ModelDomainError, ModelError, SolverError
-from .util import (CalibrationError, ConfigError, EstimationError, PedigreeError,
+from .util import (CalibrationError, ConfigError, DataError, EstimationError, PedigreeError,
                    SimulationError, atomic_write_text, fmt_float, parse_column, read_tsv, write_json, write_tsv)
 
 EXIT_CONFIG, EXIT_ESTIMATION, EXIT_SIMULATION = 2, 3, 4
@@ -131,6 +132,15 @@ def _read_columns(path: str) -> dict[str, np.ndarray]:
     return out
 
 
+@contextlib.contextmanager
+def _data_table(path: str):
+    """The columns of the table at `path`, naming the path in a DataError raised on them."""
+    try:
+        yield _read_columns(path)
+    except DataError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -213,12 +223,12 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
 def _load_phenotype(path: str, ids: list[str]) -> np.ndarray:
     cols = _read_columns(path)
     if "iid" not in cols or "Y" not in cols:
-        raise ConfigError("phenotype file needs iid and Y columns")
+        raise ConfigError(f"{path}: phenotype file needs iid and Y columns")
     index = {iid: i for i, iid in enumerate(cols["iid"])}
     try:
         return np.array([float(cols["Y"][index[i]]) for i in ids])
     except KeyError as e:
-        raise ConfigError(f"phenotype file is missing individual {e.args[0]!r}") from None
+        raise ConfigError(f"{path}: phenotype file is missing individual {e.args[0]!r}") from None
 
 
 def _cmd_gwas(cfg: dict, seed, threads: int, out: str) -> list[str]:
@@ -278,31 +288,27 @@ def _cmd_pgi(cfg: dict, seed, threads: int, out: str) -> list[str]:
 
 
 def _cmd_gxe(cfg: dict, seed, threads: int, out: str) -> list[str]:
-    data = _read_columns(cfg["data"])
-    spec = gxe_mod.GxeModelSpec(
-        terms=tuple(cfg["terms"]), controls=tuple(cfg["controls"]),
-        control_interactions=cfg["control_interactions"],
-        se=cfg["se"], cluster_on=cfg["cluster_on"],
-    )
-    fit = gxe_mod.fit_gxe(data, spec)
+    with _data_table(cfg["data"]) as data:
+        spec = gxe_mod.GxeModelSpec(
+            terms=tuple(cfg["terms"]), controls=tuple(cfg["controls"]),
+            control_interactions=cfg["control_interactions"],
+            se=cfg["se"], cluster_on=cfg["cluster_on"],
+        )
+        fit = gxe_mod.fit_gxe(data, spec)
     path = os.path.join(out, "gxe_fit.json")
     atomic_write_text(path, fit.to_json() + "\n")
     return [path]
 
 
 def _cmd_rdd(cfg: dict, seed, threads: int, out: str) -> list[str]:
-    data = _read_columns(cfg["data"])
-    spec = gxe_mod.RddSpec(bandwidth=cfg["bandwidth"], covariates=tuple(cfg["covariates"]),
-                           pcs=tuple(cfg["pcs"]))
-    fit = gxe_mod.fit_rdd_gxe(data, spec, model=cfg["model"])
+    with _data_table(cfg["data"]) as data:
+        spec = gxe_mod.RddSpec(bandwidth=cfg["bandwidth"], covariates=tuple(cfg["covariates"]),
+                               pcs=tuple(cfg["pcs"]))
+        fit = gxe_mod.fit_rdd_gxe(data, spec, model=cfg["model"])
+        sample = gxe_mod.rdd_sample(data, spec)
     fit_path = os.path.join(out, "rdd_fit.json")
     atomic_write_text(fit_path, fit.to_json() + "\n")
-
-    mob = np.asarray(data[spec.running], dtype=float)
-    keep = (mob >= -spec.bandwidth) & (mob <= spec.bandwidth - 1)
-    plot_data = {"Y": np.asarray(data["Y"], float)[keep], "G": np.asarray(data["G"], float)[keep],
-                 "E": (mob[keep] >= 0).astype(float)}
-    rows = gxe_mod.slope_plot_data(plot_data, bins=cfg["slope_bins"])
+    rows = gxe_mod.slope_plot_data(sample, bins=cfg["slope_bins"])
     slope_path = os.path.join(out, "slope_plot.tsv")
     write_tsv(slope_path, ["arm", "bin_center", "mean_Y", "count"], rows)
     return [fit_path, slope_path]
@@ -328,11 +334,11 @@ def _cmd_power(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
 
 
 def _cmd_permute(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
-    data = _read_columns(cfg["data"])
-    spec = gxe_mod.GxeModelSpec(terms=tuple(cfg["terms"]), controls=tuple(cfg["controls"]),
-                                control_interactions=cfg["control_interactions"])
-    res = inference.permutation_test(data, spec, n_perm=cfg["n_perm"], seed=seed,
-                                     joint=cfg["joint"], threads=threads)
+    with _data_table(cfg["data"]) as data:
+        spec = gxe_mod.GxeModelSpec(terms=tuple(cfg["terms"]), controls=tuple(cfg["controls"]),
+                                    control_interactions=cfg["control_interactions"])
+        res = inference.permutation_test(data, spec, n_perm=cfg["n_perm"], seed=seed,
+                                         joint=cfg["joint"], threads=threads)
     null_path = os.path.join(out, "permutation_null.tsv")
     write_tsv(null_path, ["draw", "coef", "t"],
               ((i, fmt_float(c), fmt_float(t)) for i, (c, t) in enumerate(zip(res.null_coefs, res.null_ts))))

@@ -300,7 +300,6 @@ def assortative_pairs(
     phenotype: np.ndarray,
     target_corr: float,
     seed: Seed,
-    max_iter: int = 60,
 ) -> list[tuple[int, int]]:
     """Pair the first half of candidates with the second half by noisy rank
     matching on phenotype, calibrated to the target cross-partner correlation;
@@ -342,7 +341,7 @@ def assortative_pairs(
             hi *= 2.0
             if hi > 1e6:
                 raise CalibrationError("noisy rank matching cannot reach the target correlation")
-        for _ in range(max_iter):
+        for _ in range(60):
             s = 0.5 * (lo + hi)
             r, _, _ = realized(s)
             if abs(r - target_corr) < 1e-3:
@@ -398,11 +397,11 @@ def principal_components(g: GenotypeMatrix, k: int) -> np.ndarray:
 # Panel construction and file formats
 # ---------------------------------------------------------------------------
 
-def build_panel(block_sizes: list[int], mafs: np.ndarray, chromosome: int = 1, spacing: int = 1000) -> Panel:
-    """A single-chromosome panel with the given block structure and MAFs: SNP j
-    is rs{j} at position (j + 1) * spacing."""
+def build_panel(block_sizes: list[int], mafs: np.ndarray) -> Panel:
+    """A chromosome-1 panel with the given block structure and MAFs: SNP j
+    is rs{j} at position (j + 1) * 1000."""
     total = sum(block_sizes)
-    return Panel(list(map("rs{}".format, range(total))), np.full(total, chromosome), np.arange(1, total + 1) * spacing,
+    return Panel(list(map("rs{}".format, range(total))), np.full(total, 1), np.arange(1, total + 1) * 1000,
                  np.broadcast_to(np.asarray(mafs, dtype=float), (total,)), np.repeat(np.arange(len(block_sizes)), block_sizes))
 
 
@@ -478,7 +477,7 @@ def write_pedigree_tsv(path: str, ped: Pedigree) -> None:
 def read_pedigree_tsv(path: str, design: str = "trios") -> Pedigree:
     header, rows = read_tsv(path)
     if header != ["child", "mother", "father", "family"]:
-        raise ConfigError("pedigree file header must be: child mother father family")
+        raise ConfigError(f"{path}: pedigree file header must be: child mother father family")
     try:
         return Pedigree(*([r[j] for r in rows] for j in range(4)), design=design)
     except PedigreeError as e:

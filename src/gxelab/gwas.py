@@ -88,7 +88,6 @@ def run_gwas(
     y: np.ndarray,
     controls: np.ndarray | None = None,
     control_names: list[str] | None = None,
-    design: str = "population",
     threads: int = 1,
 ) -> GwasResult:
     """One OLS of y on [1, SNP_j, controls] per SNP, HC1 standard errors."""
@@ -123,7 +122,7 @@ def run_gwas(
         beta[lo:hi], se[lo:hi] = _slope_hc1(X, y_r, k)
 
     indexed_map(work, len(chunks), threads)
-    return result_from_stats(g.panel, beta, se, n, design)
+    return result_from_stats(g.panel, beta, se, n, "population")
 
 
 def run_trio_gwas(
@@ -272,7 +271,7 @@ def write_sumstats_tsv(path: str, result: GwasResult) -> None:
 def read_sumstats_tsv(path: str) -> GwasResult:
     header, rows = read_tsv(path)
     if header != SUMSTATS_HEADER:
-        raise ConfigError(f"summary statistics header must be {SUMSTATS_HEADER}")
+        raise ConfigError(f"{path}: summary statistics header must be {SUMSTATS_HEADER}")
     snp_ids = [r[0] for r in rows]
     if len(set(snp_ids)) < len(snp_ids):
         repeated = next(i for i, k in Counter(snp_ids).items() if k > 1)

@@ -2,10 +2,11 @@
 
 fit_gxe covers the interacted specification family on the cubic monomial
 basis with optional control-by-G and control-by-E interactions (controls are
-demeaned before interacting so main effects stay interpretable at the
-sample mean). fit_rdd_gxe is the month-of-birth discontinuity design:
-integer running variable with the cutoff month at 0, treatment = born at or
-after the cutoff, standard errors clustered on the running variable.
+always demeaned, so main effects stay interpretable at the sample mean).
+fit_rdd_gxe is the month-of-birth discontinuity design on the columns Y, G
+and MoB within rdd_sample's bandwidth window: integer running variable with
+the cutoff month at 0, treatment E = born at or after the cutoff, standard
+errors clustered on the running variable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from .regress import ols, pvalue_from_z
-from .util import ConfigError, EstimationError, fmt_float
+from .util import ConfigError, DataError, EstimationError, fmt_float
 
 TERM_MENU = ("G", "E", "GxE", "G2", "E2", "G3", "E3", "G2E", "GE2")
 
@@ -28,7 +29,6 @@ class GxeModelSpec:
     terms: tuple[str, ...] = ("G", "E", "GxE")
     controls: tuple[str, ...] = ()
     control_interactions: bool = False
-    demean_controls: bool = True
     se: str = "hc1"                 # hc1 | cluster
     cluster_on: str | None = None
 
@@ -38,8 +38,6 @@ class GxeModelSpec:
             raise ConfigError(f"unknown terms {sorted(unknown)}; menu is {TERM_MENU}")
         if "GxE" in self.terms and not {"G", "E"} <= set(self.terms):
             raise ConfigError("GxE requires both G and E main effects")
-        if self.control_interactions and not self.demean_controls:
-            raise ConfigError("control interactions require demeaned controls")
         if self.se == "cluster" and not self.cluster_on:
             raise ConfigError("cluster SEs need a cluster variable")
         if self.se not in ("hc1", "cluster"):
@@ -94,7 +92,7 @@ _TERM_COLUMNS = {
 def gxe_design(G: np.ndarray, E: np.ndarray, spec: GxeModelSpec,
                data: dict[str, np.ndarray] | None = None) -> tuple[list[str], list[np.ndarray]]:
     """Names and columns of the interacted design: intercept, the requested
-    terms in menu order, the controls, then control-by-G and control-by-E.
+    terms in menu order, the demeaned controls, then control-by-G and control-by-E.
 
     G and E are (n,) for one fit or (R, n) for R fits at once; the intercept
     and controls are (n,) columns shared by every fit.
@@ -104,15 +102,26 @@ def gxe_design(G: np.ndarray, E: np.ndarray, spec: GxeModelSpec,
     ctrl = []
     for c in spec.controls:
         if data is None or c not in data:
-            raise ConfigError(f"control column {c!r} missing from data")
+            raise DataError(f"control column {c!r} missing from data")
         v = np.asarray(data[c], dtype=float)
-        ctrl.append(v - v.mean() if spec.demean_controls else v)
+        ctrl.append(v - v.mean())
     names += [f"ctrl:{c}" for c in spec.controls]
     cols += ctrl
     if spec.control_interactions:
         names += [f"ctrlxG:{c}" for c in spec.controls] + [f"ctrlxE:{c}" for c in spec.controls]
         cols += [v * G for v in ctrl] + [v * E for v in ctrl]
     return names, cols
+
+
+def _fit(Y: np.ndarray, names: list[str], cols: list[np.ndarray], se: str,
+         clusters: np.ndarray | None = None) -> GxeFit:
+    """OLS of Y on the design columns, its covariance symmetrized."""
+    fit = ols(Y, np.column_stack(cols), names=names, se=se, clusters=clusters)
+    return GxeFit(
+        coefficients=dict(zip(names, map(float, fit.beta))),
+        cov=0.5 * (fit.cov + fit.cov.T),
+        names=names, se_mode=se, n=Y.shape[0], r2=fit.r2, n_clusters=fit.n_clusters,
+    )
 
 
 def fit_gxe(data: dict[str, np.ndarray], spec: GxeModelSpec) -> GxeFit:
@@ -122,32 +131,22 @@ def fit_gxe(data: dict[str, np.ndarray], spec: GxeModelSpec) -> GxeFit:
     interacted = spec.control_interactions and bool(spec.controls)
     for col in ("Y", "G", "E"):
         if col not in data and (col == "Y" or interacted or any(col in t for t in spec.terms)):
-            raise ConfigError(f"data is missing column {col!r}")
+            raise DataError(f"data is missing column {col!r}")
     Y = np.asarray(data["Y"], dtype=float)
-    n = Y.shape[0]
     # an unused G or E enters no column; zeros stand in for a missing one
-    G, E = (np.asarray(data[c], dtype=float) if c in data else np.zeros(n) for c in ("G", "E"))
+    G, E = (np.asarray(data[c], dtype=float) if c in data else np.zeros(Y.shape[0]) for c in ("G", "E"))
     names, cols = gxe_design(G, E, spec, data)
-    X = np.column_stack(cols)
     clusters = None
     if spec.se == "cluster":
         if spec.cluster_on not in data:
-            raise ConfigError(f"cluster column {spec.cluster_on!r} missing from data")
+            raise DataError(f"cluster column {spec.cluster_on!r} missing from data")
         clusters = np.asarray(data[spec.cluster_on])
-    fit = ols(Y, X, names=names, se=spec.se, clusters=clusters)
-    return GxeFit(
-        coefficients=dict(zip(names, map(float, fit.beta))),
-        cov=0.5 * (fit.cov + fit.cov.T),
-        names=names, se_mode=spec.se, n=n, r2=fit.r2, n_clusters=fit.n_clusters,
-    )
+    return _fit(Y, names, cols, spec.se, clusters)
 
 
 @dataclass(frozen=True)
 class RddSpec:
     bandwidth: int = 3
-    running: str = "MoB"
-    outcome: str = "Y"
-    g_col: str = "G"
     covariates: tuple[str, ...] = ()
     pcs: tuple[str, ...] = ()
 
@@ -156,8 +155,28 @@ class RddSpec:
             raise ConfigError("bandwidth must be >= 1")
 
 
+def rdd_sample(data: dict[str, np.ndarray], spec: RddSpec) -> dict[str, np.ndarray]:
+    """The rows with MoB in [-bandwidth, bandwidth), as float columns Y, G,
+    MoB, the covariates and PCs, and E = MoB >= 0 (a given E must agree with
+    it)."""
+    missing = [c for c in ("MoB", "Y", "G", *spec.covariates, *spec.pcs) if c not in data]
+    if missing:
+        raise DataError(f"data is missing column {missing[0]!r}")
+    mob = np.asarray(data["MoB"], dtype=float)
+    if not np.allclose(mob, np.round(mob)):
+        raise DataError("running variable must be integer month offsets (cutoff month = 0)")
+    keep = (mob >= -spec.bandwidth) & (mob <= spec.bandwidth - 1)
+    if not keep.any():
+        raise DataError("no rows inside the bandwidth")
+    E = (mob[keep] >= 0).astype(float)
+    if "E" in data and not np.array_equal(np.asarray(data["E"], dtype=float)[keep], E):
+        raise DataError("treatment column inconsistent with the running variable")
+    sample = {c: np.asarray(data[c], dtype=float)[keep] for c in ("Y", "G", *spec.covariates, *spec.pcs)}
+    return {**sample, "E": E, "MoB": mob[keep]}
+
+
 def fit_rdd_gxe(data: dict[str, np.ndarray], spec: RddSpec, model: str = "main_effects") -> GxeFit:
-    """Month-of-birth discontinuity fit.
+    """Month-of-birth discontinuity fit on rdd_sample's rows.
 
     main_effects: Y on G, E, MoB, MoBxE plus demeaned covariates/PCs and
     their xE interactions. with_interaction adds GxE, MoBxG, MoBxGxE and the
@@ -166,21 +185,8 @@ def fit_rdd_gxe(data: dict[str, np.ndarray], spec: RddSpec, model: str = "main_e
     """
     if model not in ("main_effects", "with_interaction"):
         raise ConfigError(f"unknown RDD model {model!r}")
-    missing = [c for c in (spec.running, spec.outcome, spec.g_col, *spec.covariates, *spec.pcs) if c not in data]
-    if missing:
-        raise ConfigError(f"data is missing column {missing[0]!r}")
-    mob = np.asarray(data[spec.running], dtype=float)
-    if not np.allclose(mob, np.round(mob)):
-        raise ConfigError("running variable must be integer month offsets (cutoff month = 0)")
-    keep = (mob >= -spec.bandwidth) & (mob <= spec.bandwidth - 1)
-    if not keep.any():
-        raise ConfigError("no rows inside the bandwidth")
-    mob = mob[keep]
-    E = (mob >= 0).astype(float)
-    if "E" in data:
-        given = np.asarray(data["E"], dtype=float)[keep]
-        if not np.array_equal(given, E):
-            raise ConfigError("treatment column inconsistent with the running variable")
+    s = rdd_sample(data, spec)
+    Y, G, E, mob = s["Y"], s["G"], s["E"], s["MoB"]
     left, right = np.unique(mob[E == 0]), np.unique(mob[E == 1])
     if len(left) < 2 or len(right) < 2:
         raise EstimationError("need at least 2 running-variable clusters on each side of the cutoff")
@@ -188,18 +194,13 @@ def fit_rdd_gxe(data: dict[str, np.ndarray], spec: RddSpec, model: str = "main_e
     if n_clusters < 10:
         warnings.warn(f"only {n_clusters} running-variable clusters; cluster-robust inference is fragile")
 
-    Y = np.asarray(data[spec.outcome], dtype=float)[keep]
-    G = np.asarray(data[spec.g_col], dtype=float)[keep]
-    n = Y.shape[0]
-
     names = ["intercept", "G", "E", "MoB", "MoBxE"]
-    cols = [np.ones(n), G, E, mob, mob * E]
+    cols = [np.ones(Y.shape[0]), G, E, mob, mob * E]
     if model == "with_interaction":
         names += ["GxE", "MoBxG", "MoBxGxE"]
         cols += [G * E, mob * G, mob * G * E]
     for c in (*spec.covariates, *spec.pcs):
-        v = np.asarray(data[c], dtype=float)[keep]
-        v = v - v.mean()
+        v = s[c] - s[c].mean()
         names.append(f"ctrl:{c}")
         cols.append(v)
         if model == "with_interaction":
@@ -207,40 +208,27 @@ def fit_rdd_gxe(data: dict[str, np.ndarray], spec: RddSpec, model: str = "main_e
             cols.append(v * G)
         names.append(f"ctrlxE:{c}")
         cols.append(v * E)
-
-    X = np.column_stack(cols)
-    fit = ols(Y, X, names=names, se="cluster", clusters=mob)
-    return GxeFit(
-        coefficients=dict(zip(names, map(float, fit.beta))),
-        cov=0.5 * (fit.cov + fit.cov.T),
-        names=names, se_mode="cluster", n=n, r2=fit.r2, n_clusters=fit.n_clusters,
-    )
+    return _fit(Y, names, cols, "cluster", mob)
 
 
-def slope_plot_data(
-    data: dict[str, np.ndarray],
-    g_col: str = "G",
-    y_col: str = "Y",
-    arm_col: str = "E",
-    bins: int = 10,
-    trim: float = 3.0,
-) -> list[tuple[float, float, float, int]]:
-    """(arm, bin center, mean outcome, count) over equal-width index bins,
-    index trimmed to +/- trim standard deviations."""
+def slope_plot_data(data: dict[str, np.ndarray], bins: int = 10) -> list[tuple[float, float, float, int]]:
+    """(arm, bin center, mean Y, count) per arm of E over equal-width bins of
+    the index G, which is trimmed to +/- 3 standard deviations."""
     if bins < 3:
         raise ConfigError("need at least 3 bins")
-    G = np.asarray(data[g_col], dtype=float)
-    Y = np.asarray(data[y_col], dtype=float)
-    arm = np.asarray(data[arm_col])
-    inside = (G >= -trim) & (G <= trim)
+    G = np.asarray(data["G"], dtype=float)
+    Y = np.asarray(data["Y"], dtype=float)
+    arm = np.asarray(data["E"])
+    inside = (G >= -3.0) & (G <= 3.0)
     G, Y, arm = G[inside], Y[inside], arm[inside]
-    edges = np.linspace(-trim, trim, bins + 1)
+    arms = np.unique(arm)
+    if arms.size < 2:
+        raise ConfigError(f"slope plot needs two arms of E with an index inside +/-3, got {arms.size}")
+    edges = np.linspace(-3.0, 3.0, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rows = []
-    for a in np.unique(arm):
+    for a in arms:
         mask = arm == a
-        if not mask.any():
-            raise ConfigError(f"arm {a!r} is empty")
         which = np.clip(np.digitize(G[mask], edges) - 1, 0, bins - 1)
         for b in range(bins):
             sel = which == b

@@ -113,9 +113,8 @@ def simulate_family_outcome(
     arch: TraitArchitecture,
     nurture: NurtureParams,
     seed: Seed,
-    noise_sd: float = 1.0,
 ) -> np.ndarray:
-    """Y_i = delta*GV_i + eta_m*GV_m + eta_f*GV_f + w*U_fam + gamma*GV_sib + noise.
+    """Y_i = delta*GV_i + eta_m*GV_m + eta_f*GV_f + w*U_fam + gamma*GV_sib + N(0, 1) noise.
 
     Genetic values are standardized per cohort; the sibling term requires a
     sibling-pairs pedigree. Y is returned in model units (not standardized).
@@ -144,7 +143,7 @@ def simulate_family_outcome(
         for rows in by_family.values():
             sib_of[rows[0]], sib_of[rows[1]] = rows[1], rows[0]
         y = y + nurture.gamma * gv_c[sib_of]
-    return y + rng.standard_normal(len(y)) * noise_sd
+    return y + rng.standard_normal(len(y))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,6 @@ class CohortSizes:
     n_discovery: int
     n_analysis: int
     n_snps: int = 300
-    maf_range: tuple[float, float] = (0.2, 0.5)
 
     def __post_init__(self):
         if min(self.n_discovery, self.n_analysis) < 1 or self.n_snps < 2:
@@ -265,12 +263,13 @@ def _make_cohort(panel, n, prefix, seed: Seed) -> tuple[GenotypeMatrix, Genotype
 
 
 def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: Seed) -> ScenarioDataset:
-    """One Table-1 cell's data: a discovery cohort (for GWAS weights) and a
-    disjoint analysis cohort with outcome, environment and confounds. Each
-    cohort's genomes come from the substream (SCENARIO_COHORT, cohort)."""
+    """One Table-1 cell's data over unlinked SNPs with MAF ~ U(0.2, 0.5): a
+    discovery cohort (for GWAS weights) and a disjoint analysis cohort with
+    outcome, environment and confounds. Each cohort's genomes come from the
+    substream (SCENARIO_COHORT, cohort)."""
     rng = child_rng(seed, Stream.SCENARIO)
     panel_rng = child_rng(seed, Stream.SCENARIO_PANEL)
-    mafs = panel_rng.uniform(*sizes.maf_range, size=sizes.n_snps)
+    mafs = panel_rng.uniform(0.2, 0.5, size=sizes.n_snps)
     panel = build_panel([1] * sizes.n_snps, mafs)
 
     d = _unit(panel_rng.standard_normal(sizes.n_snps))

@@ -28,6 +28,9 @@ from .util import Seed, SimulationError, Stream, child_rng
 
 SOLVER_BOUNDS = (-1e3, 1e3)
 MAX_ITER = 200
+MAX_REJECT_RATE = 0.01  # share of e_k draws simulate_outcomes may redraw
+H = 1e-4  # relative finite-difference step, except in the implicit slopes
+H_IMPLICIT = 1e-3  # relative step of the implicit slopes and their outer difference (see _implicit_slope)
 
 
 class ModelDomainError(ValueError):
@@ -140,10 +143,10 @@ def _cross_partial(f, a: float, b: float, ha: float, hb: float) -> float:
     return (f(a + ha, b + hb) - f(a + ha, b - hb) - f(a - ha, b + hb) + f(a - ha, b - hb)) / (4 * ha * hb)
 
 
-def solve_effort(production, cost, G: float, E: float, e, h: float = 1e-4) -> float:
+def solve_effort(production, cost, G: float, E: float, e) -> float:
     """Root of F_x - C_x in SOLVER_BOUNDS by Brent's method, checked to be a maximum."""
     def foc(x):
-        hx = _step(h, x)
+        hx = _step(H, x)
         return (_first_diff(lambda t: production(t, G, E, e), x, hx)
                 - _first_diff(lambda t: cost(t, G, E, e), x, hx))
 
@@ -154,7 +157,7 @@ def solve_effort(production, cost, G: float, E: float, e, h: float = 1e-4) -> fl
     x, info = brentq(foc, lo, hi, maxiter=MAX_ITER, full_output=True, disp=False)
     if not info.converged:
         raise SolverError(f"Brent's method did not converge in {MAX_ITER} iterations ({info.flag})")
-    soc = _first_diff(foc, x, _step(h, x))
+    soc = _first_diff(foc, x, _step(H, x))
     if soc >= 0:
         raise ModelError(f"second-order condition violated at x*={x:.6g} (F_xx - C_xx = {soc:.3g})")
     return float(x)
@@ -175,12 +178,12 @@ class DecompositionReport:
                 + self.choice_gxe + self.tech_nonlinearities)
 
 
-def _effort(production, cost, s: AgentState, h: float):
+def _effort(production, cost, s: AgentState):
     """x*(G, E) at the agent's shocks, as a function to difference."""
-    return lambda g_, e_: solve_effort(production, cost, g_, e_, s.shocks, h)
+    return lambda g_, e_: solve_effort(production, cost, g_, e_, s.shocks)
 
 
-def gxe_decomposition(production, cost, s: AgentState, h: float = 1e-4) -> DecompositionReport:
+def gxe_decomposition(production, cost, s: AgentState) -> DecompositionReport:
     """Split d2Y*/dGdE into its five mechanism terms.
 
     Terms: interaction inside the production technology at fixed effort;
@@ -188,10 +191,10 @@ def gxe_decomposition(production, cost, s: AgentState, h: float = 1e-4) -> Decom
     the optimal choice itself; and curvature (F_xx) times both effort slopes.
     """
     G, E, e = s.G, s.E, s.shocks
-    hg, he = _step(h, G), _step(h, E)
-    x_star = _effort(production, cost, s, h)
+    hg, he = _step(H, G), _step(H, E)
+    x_star = _effort(production, cost, s)
     x0 = x_star(G, E)
-    hx = _step(h, x0)
+    hx = _step(H, x0)
     f_x = _first_diff(lambda x: production(x, G, E, e), x0, hx)
     f_xx = _second_diff(lambda x: production(x, G, E, e), x0, hx)
     f_ge = _cross_partial(lambda g_, e_: production(x0, g_, e_, e), G, E, hg, he)
@@ -211,30 +214,30 @@ def gxe_decomposition(production, cost, s: AgentState, h: float = 1e-4) -> Decom
     )
 
 
-def outcome_cross_partial(production, cost, s: AgentState, h: float = 1e-4) -> float:
+def outcome_cross_partial(production, cost, s: AgentState) -> float:
     """Direct central finite difference of Y*(G, E) = F(x*(G, E), G, E, e).
 
     Independent of the decomposition path; used as its oracle.
     """
-    x_star = _effort(production, cost, s, h)
+    x_star = _effort(production, cost, s)
 
     def y_star(g_, e_):
         return production(x_star(g_, e_), g_, e_, s.shocks)
 
-    return _cross_partial(y_star, s.G, s.E, _step(h, s.G), _step(h, s.E))
+    return _cross_partial(y_star, s.G, s.E, _step(H, s.G), _step(H, s.E))
 
 
-def effort_slopes(production, cost, s: AgentState, h: float = 1e-4) -> tuple[float, float, float]:
+def effort_slopes(production, cost, s: AgentState) -> tuple[float, float, float]:
     """(dx*/dE, dx*/dG, d2x*/dGdE).
 
     First-order slopes are central differences of the solved optimum; the
     cross slope goes through the implicit-FOC derivative, which is the only
     numerically clean way to second-differentiate the optimum.
     """
-    x_star = _effort(production, cost, s, h)
-    x_e = _first_diff(lambda e_: x_star(s.G, e_), s.E, _step(h, s.E))
-    x_g = _first_diff(lambda g_: x_star(g_, s.E), s.G, _step(h, s.G))
-    x_ge = _implicit_cross_slope(production, cost, s.G, s.E, s.shocks, h)
+    x_star = _effort(production, cost, s)
+    x_e = _first_diff(lambda e_: x_star(s.G, e_), s.E, _step(H, s.E))
+    x_g = _first_diff(lambda g_: x_star(g_, s.E), s.G, _step(H, s.G))
+    x_ge = _implicit_cross_slope(production, cost, s.G, s.E, s.shocks)
     return float(x_e), float(x_g), float(x_ge)
 
 
@@ -248,13 +251,13 @@ class MarginalEffects:
     behavioral_G: float
 
 
-def marginal_effects(production, cost, s: AgentState, h: float = 1e-4) -> MarginalEffects:
+def marginal_effects(production, cost, s: AgentState) -> MarginalEffects:
     """dY*/dE and dY*/dG split into technology and behavioral-response parts."""
     G, E, e = s.G, s.E, s.shocks
-    hg, he = _step(h, G), _step(h, E)
-    x_star = _effort(production, cost, s, h)
+    hg, he = _step(H, G), _step(H, E)
+    x_star = _effort(production, cost, s)
     x0 = x_star(G, E)
-    f_x = _first_diff(lambda x: production(x, G, E, e), x0, _step(h, x0))
+    f_x = _first_diff(lambda x: production(x, G, E, e), x0, _step(H, x0))
     f_e = _first_diff(lambda e_: production(x0, G, e_, e), E, he)
     f_g = _first_diff(lambda g_: production(x0, g_, E, e), G, hg)
     x_e = _first_diff(lambda e_: x_star(G, e_), E, he)
@@ -269,9 +272,9 @@ def marginal_effects(production, cost, s: AgentState, h: float = 1e-4) -> Margin
     )
 
 
-def value_function(production, cost, s: AgentState, h: float = 1e-4) -> tuple[float, float, float]:
+def value_function(production, cost, s: AgentState) -> tuple[float, float, float]:
     """(x*, Y*, V) for generic callables."""
-    x = solve_effort(production, cost, s.G, s.E, s.shocks, h)
+    x = solve_effort(production, cost, s.G, s.E, s.shocks)
     y = production(x, s.G, s.E, s.shocks)
     v = y - cost(x, s.G, s.E, s.shocks)
     return float(x), float(y), float(v)
@@ -282,11 +285,11 @@ def _implicit_slope(production, cost, e, x: float, v: float, at) -> float:
     (C_xv - F_xv) / (F_xx - C_xx), evaluated at the solved optimum x, where
     at(v) gives the (G, E) point as v moves (v is G or E).
 
-    Uses a 1e-3-scaled step: second differences at 1e-4 sit at the eps/h^2
+    Uses the H_IMPLICIT step: second differences at H sit at the eps/h^2
     rounding floor, whose jitter would dominate any outer derivative of the
     slope; the larger step trades that for a smooth O(h^2) bias.
     """
-    hx, hv = _step(1e-3, x), _step(1e-3, v)
+    hx, hv = _step(H_IMPLICIT, x), _step(H_IMPLICIT, v)
 
     def along(f):
         return lambda xx, vv: f(xx, *at(vv), e)
@@ -297,17 +300,17 @@ def _implicit_slope(production, cost, e, x: float, v: float, at) -> float:
     return (_cross_partial(C, x, v, hx, hv) - _cross_partial(F, x, v, hx, hv)) / (f_xx - c_xx)
 
 
-def _implicit_cross_slope(production, cost, G: float, E: float, e, h: float) -> float:
-    """d2x*/dGdE: outer central difference (1e-3-scaled step) of the implicit
+def _implicit_cross_slope(production, cost, G: float, E: float, e) -> float:
+    """d2x*/dGdE: outer central difference (H_IMPLICIT step) of the implicit
     environment slope, re-solving the optimum at each G offset."""
     def x_e_at(g_: float) -> float:
-        x = solve_effort(production, cost, g_, E, e, h)
+        x = solve_effort(production, cost, g_, E, e)
         return _implicit_slope(production, cost, e, x, E, lambda v: (g_, v))
 
-    return _first_diff(x_e_at, G, _step(1e-3, G))
+    return _first_diff(x_e_at, G, _step(H_IMPLICIT, G))
 
 
-def welfare_gap(production, cost, s: AgentState, h: float = 1e-4) -> float:
+def welfare_gap(production, cost, s: AgentState) -> float:
     """d2V/dGdE - d2Y*/dGdE, which equals -d2C*/dGdE.
 
     Expanded as -(C_xx*x_G*x_E + C_xG*x_E + C_xE*x_G + C_x*x_GE + C_GE) with
@@ -316,13 +319,13 @@ def welfare_gap(production, cost, s: AgentState, h: float = 1e-4) -> float:
     keeps solver noise out of the second differences.
     """
     G, E, e = s.G, s.E, s.shocks
-    x0 = solve_effort(production, cost, G, E, e, h)
-    hg, he = _step(h, G), _step(h, E)
-    hx = _step(h, x0)
+    x0 = solve_effort(production, cost, G, E, e)
+    hg, he = _step(H, G), _step(H, E)
+    hx = _step(H, x0)
 
     x_e = _implicit_slope(production, cost, e, x0, E, lambda v: (G, v))
     x_g = _implicit_slope(production, cost, e, x0, G, lambda v: (v, E))
-    x_ge = _implicit_cross_slope(production, cost, G, E, e, h)
+    x_ge = _implicit_cross_slope(production, cost, G, E, e)
     c_x = _first_diff(lambda x: cost(x, G, E, e), x0, hx)
     c_xx = _second_diff(lambda x: cost(x, G, E, e), x0, hx)
     c_xg = _cross_partial(lambda x, g_: cost(x, g_, E, e), x0, G, hx, hg)
@@ -399,12 +402,11 @@ def simulate_outcomes(
     e_f_sd: float = 0.0,
     e_k_sd: float = 0.0,
     seed: Seed = 0,
-    max_reject_rate: float = 0.01,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Draw shocks, resolve optima and outcomes for many agents at once.
 
     e_k draws that push the inverse cost non-positive are redrawn; the final
-    rejection rate is returned and rates above max_reject_rate abort.
+    rejection rate is returned and rates above MAX_REJECT_RATE abort.
     """
     G = np.asarray(G, dtype=float)
     E = np.asarray(E, dtype=float)
@@ -425,8 +427,8 @@ def simulate_outcomes(
         else:
             raise SimulationError("inverse-cost rejection did not terminate")
     reject_rate = n_redraw / G.size if G.size else 0.0
-    if reject_rate > max_reject_rate:
-        raise SimulationError(f"inverse-cost rejection rate {reject_rate:.3%} exceeds {max_reject_rate:.1%}")
+    if reject_rate > MAX_REJECT_RATE:
+        raise SimulationError(f"inverse-cost rejection rate {reject_rate:.3%} exceeds {MAX_REJECT_RATE:.1%}")
     inv_c = base + e_k
     phi = p.marginal_product(G, E)
     x = inv_c * phi

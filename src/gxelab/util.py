@@ -29,6 +29,10 @@ class ConfigError(ValueError):
     """Invalid configuration or inconsistent inputs."""
 
 
+class DataError(ConfigError):
+    """A ConfigError about an input table's rows or columns; the CLI prefixes the table's path."""
+
+
 class PedigreeError(ValueError):
     """Unresolvable parent/child relations."""
 

@@ -57,16 +57,16 @@ COMMAND_INPUTS = {"gxe": ["data"], "rdd": ["data"], "permute": ["data"], "gwas":
                   "pgi": ["sumstats", "genotypes", "panel"]}
 
 
-def run_on_files(tmp_path, command, files):
-    """Exit code of `command` run on the given file texts; "gwas-trio" is a
-    trio-design gwas."""
+def run_on_files(tmp_path, command, files, **config):
+    """Exit code of `command` run at seed 1 on the given file texts and config
+    values; "gwas-trio" is a trio-design gwas."""
     payload = {"design": "trio"} if command == "gwas-trio" else {}
     for name in COMMAND_INPUTS[command]:
         path = tmp_path / f"{name}.tsv"
         path.write_text(files[name])
         payload[name] = str(path)
-    cfg = write_config(tmp_path, f"{command}.json", payload)
-    return run([command.removesuffix("-trio"), "--config", cfg, "--out", str(tmp_path / "o")])
+    cfg = write_config(tmp_path, f"{command}.json", {**payload, **config})
+    return run([command.removesuffix("-trio"), "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")])
 
 
 # Manifest checksums of three small seeded simulate runs. A change that moves
@@ -93,6 +93,46 @@ PINNED_SIMULATE = {
         "parents.tsv": "a28e61074a1e3669df5980cbe14f88734d3378482e3c1217a8087cf4baff8a9a",
         "pedigree.tsv": "2bc59d8366ce654ef6a567d58b38f16ed253fb490be587915a1b1c0532752cf0",
         "phenotype.tsv": "b823ecb5578b79de9c3850708d9565d09451c821d0e60a66372ac8e77b6228a7",
+    }),
+}
+
+
+def make_pinned_estimation_data(path, n=400, seed=53):
+    """Rows for the pinned gxe, rdd and permute runs: month of birth on
+    -6..5 with E = MoB >= 0, a G-correlated control c1 and a plain control c2."""
+    rng = np.random.default_rng(seed)
+    mob = rng.integers(-6, 6, n).astype(float)
+    E = (mob >= 0).astype(float)
+    G = rng.standard_normal(n)
+    c1 = 0.3 * G + rng.standard_normal(n)
+    c2 = rng.standard_normal(n)
+    Y = 0.25 * G + 0.4 * E + 0.2 * G * E + 0.03 * mob + 0.3 * c1 - 0.2 * c2 + rng.standard_normal(n)
+    write_tsv(str(path), ["iid", "Y", "G", "E", "MoB", "c1", "c2"],
+              ((f"i{i}", *map(float, (Y[i], G[i], E[i], mob[i], c1[i], c2[i]))) for i in range(n)))
+
+
+# Manifest checksums of small runs of the estimation commands on the rows
+# above: (command, config, seed, outputs). Like PINNED_SIMULATE, a change that
+# moves a fit, a window or a permutation stream shows up here.
+PINNED_ESTIMATION = {
+    "gxe": ("gxe", {"terms": ["G", "E", "GxE", "G2"], "controls": ["c1", "c2"],
+                    "control_interactions": True}, None, {
+        "gxe_fit.json": "1a2f8e687e6816355472690e8dc6f2337f9153857c95f9108870d9686e4b4bd7",
+    }),
+    "gxe-cluster": ("gxe", {"controls": ["c1"], "se": "cluster", "cluster_on": "MoB"}, None, {
+        "gxe_fit.json": "fab2990f7f7e4b9b2d9af6159159f71344128f2067fd0dcd8ec8b0a8e40c2385",
+    }),
+    "rdd": ("rdd", {"bandwidth": 5, "covariates": ["c1"], "pcs": ["c2"], "slope_bins": 6}, None, {
+        "rdd_fit.json": "5d44e76347ba265bfcd3f372d659b3d05f0a578342faed809374fc584ec17926",
+        "slope_plot.tsv": "1d5a9ea7058192c53a5318090b66da914acd8c7fc5401d61546dee737d30c645",
+    }),
+    "rdd-main": ("rdd", {"bandwidth": 6, "model": "main_effects"}, None, {
+        "rdd_fit.json": "6c36bf32245fbdea1565f68b42a62aade3645eaf7b854f11a2dfb30236b19726",
+        "slope_plot.tsv": "61ea082ac3f81bb22e124ea8f6f2dc86afbbf6546b98d5b871c80a210ca0198e",
+    }),
+    "permute": ("permute", {"n_perm": 100, "controls": ["c1", "c2"], "control_interactions": True}, 59, {
+        "permutation.json": "686c7e61081a32b3ce326c479fe50d61e1461db522762dc36a6e28ec4eb896b5",
+        "permutation_null.tsv": "3e940792ebcc0e0e89ec4bb139913fbdf997895650361768f26f4eeb9c8bb2d8",
     }),
 }
 
@@ -160,6 +200,16 @@ class TestSimulatePipeline:
 
 
 class TestEstimationCommands:
+    @pytest.mark.parametrize("name", list(PINNED_ESTIMATION))
+    def test_seeded_outputs_pinned(self, tmp_path, name):
+        command, config, seed, expected = PINNED_ESTIMATION[name]
+        make_pinned_estimation_data(tmp_path / "data.tsv")
+        cfg = write_config(tmp_path, f"{command}.json", {"data": str(tmp_path / "data.tsv"), **config})
+        out = str(tmp_path / "out")
+        flags = [] if seed is None else ["--seed", seed]
+        assert run([command, "--config", cfg, *flags, "--out", out]) == 0
+        assert manifest(out)["outputs"] == expected
+
     def test_gxe_fit_report(self, tmp_path):
         data = tmp_path / "data.tsv"
         make_gxe_data(data, seed=21)
@@ -352,17 +402,39 @@ class TestErrorPaths:
         ("pgi", "sumstats", "SNP\tCHR\tPOS\tEA\tBETA\tSE\tP\tN\n"
          "rs0\t1\t1000\tminor\t0.5\t0.1\t5.733031438e-07\t3\nrs0\t1\t1000\tminor\t-0.5\t0.1\t5.733031438e-07\t3\n",
          2, "SNP 'rs0' is repeated"),
+        ("pgi", "sumstats", "SNP\tCHR\tBP\tEA\tBETA\tSE\tP\tN\n"
+         "rs0\t1\t1000\tminor\t0.1\t0.1\t0.3173105079\t3\n", 2, "summary statistics header must be"),
+        ("gwas-trio", "pedigree", "child\tmum\tfather\tfamily\ni0\tm0\tf0\tfam0\n", 2, "pedigree file header must be"),
+        ("gwas", "phenotype", "iid\tZ\ni0\t0.5\ni1\t-1.0\ni2\t0.2\n", 2, "needs iid and Y columns"),
+        ("gwas", "phenotype", "iid\tY\ni0\t0.5\ni1\t-1.0\n", 2, "missing individual 'i2'"),
+        ("gxe", "data", "iid\tY\tG\ni0\t1.0\t0.5\ni1\t2.0\t-0.5\n", 2, "missing column 'E'"),
+        ("permute", "data", "iid\tY\tG\ni0\t1.0\t0.5\ni1\t2.0\t-0.5\n", 2, "missing column 'E'"),
+        ("rdd", "data", "iid\tY\tG\tE\ni0\t1.0\t0.5\t0\n", 2, "missing column 'MoB'"),
+        ("rdd", "data", "iid\tY\tG\tMoB\ni0\t1.0\t0.5\t0.5\n", 2, "integer month offsets"),
+        ("rdd", "data", "iid\tY\tG\tE\tMoB\ni0\t1.0\t0.5\t1\t-1\n", 2, "inconsistent with the running variable"),
     ], ids=["empty", "non_numeric", "ragged", "header_only", "inf", "nan",
             "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta", "repeated_iid", "repeated_child",
             "genotype_header_only", "parent_in_both_files", "genotype_two_digit", "genotype_empty_cell",
             "genotype_header_mismatch", "gwas_two_individuals", "panel_repeated_id", "panel_duplicate_site",
-            "panel_block_not_contiguous", "panel_header", "sumstats_repeated_snp"])
+            "panel_block_not_contiguous", "panel_header", "sumstats_repeated_snp", "sumstats_header",
+            "pedigree_header", "phenotype_columns", "phenotype_missing_individual", "gxe_missing_column",
+            "permute_missing_column", "rdd_missing_column", "rdd_fractional_month", "rdd_inconsistent_treatment"])
     def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
         assert run_on_files(tmp_path, command, {**VALID_FILES, key: text}) == code
         err = capsys.readouterr().err
         assert message in err
         assert code == 3 or f"{key}.tsv" in err  # a config error names its file
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("permute", {"n_perm": 10}, "n_perm must be >= 100"),
+        ("rdd", {"model": "cubic"}, "unknown RDD model 'cubic'"),
+        ("gxe", {"terms": ["GxE"]}, "GxE requires both G and E main effects"),
+    ], ids=["n_perm", "rdd_model", "gxe_terms"])
+    def test_config_value_error_names_no_data_file(self, tmp_path, capsys, command, config, message):
+        assert run_on_files(tmp_path, command, VALID_FILES, **config) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "data.tsv" not in err
 
     @pytest.mark.parametrize("digit", ["\uff12", "\u0662"], ids=["fullwidth", "arabic_indic"])
     def test_unicode_digit_genotype_cell_exits_2(self, tmp_path, capsys, digit):

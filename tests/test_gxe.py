@@ -90,8 +90,6 @@ class TestFitGxe:
         with pytest.raises(ConfigError):
             gxe.GxeModelSpec(terms=("GxE",))
         with pytest.raises(ConfigError):
-            gxe.GxeModelSpec(control_interactions=True, demean_controls=False)
-        with pytest.raises(ConfigError):
             gxe.GxeModelSpec(se="cluster")
 
     def test_cluster_se_sanity(self):
@@ -225,8 +223,14 @@ class TestSlopePlot:
     def test_empty_arm_rejected(self):
         rng = np.random.default_rng(441)
         G = rng.standard_normal(100)
-        with pytest.raises(ConfigError):
-            gxe.slope_plot_data({"Y": G, "G": G, "E": np.zeros(100)}, bins=2)
+        with pytest.raises(ConfigError, match="two arms of E"):
+            gxe.slope_plot_data({"Y": G, "G": G, "E": np.zeros(100)}, bins=10)
+        # an arm whose every index lies beyond the trim is empty after trimming
+        E = (G > 0).astype(float)
+        with pytest.raises(ConfigError, match="two arms of E"):
+            gxe.slope_plot_data({"Y": G, "G": np.where(E == 1, 5.0, G), "E": E}, bins=10)
+        with pytest.raises(ConfigError, match="at least 3 bins"):
+            gxe.slope_plot_data({"Y": G, "G": G, "E": E}, bins=2)
 
 
 class TestRgeCheck:
