@@ -163,3 +163,75 @@ class TestGwasSelection:
         bias, diag = bl.gwas_selection_experiment(self.selection_spec(0.3), reps=200, seed=633, sizes=SIZES)
         assert abs(diag.remedy_gxe) < abs(diag.fitted_gxe)
         assert diag.reduction_share > 0.40
+
+
+# Bias-lab results recorded before the replicate kernel moved to one dosage
+# block per cohort and one batched coefficient fit per cell: (mean, mc_se,
+# verdict) for G, E and GxE, then the failed count, per cell.
+PIN_BASE = ScenarioSpec(g_regime="trio_pgi_family_controls", e_regime="exogenous", eta_m=0.5, eta_f=0.5,
+                        nurture_alignment=0.3)
+PIN_SIZES = CohortSizes(n_discovery=64, n_analysis=300, n_snps=40)
+PINNED_TABLES = {
+    "plim": {
+        ("trio_pgi_family_controls", "exogenous"): ([(0.27676179130956763, 0.04069700117221568, "ambiguous"), (0.6291364665348885, 0.058705486373213295, "ambiguous"), (0.2108375312757097, 0.03584657673944769, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "predetermined"): ([(0.2766637199907053, 0.02156033856009815, "ambiguous"), (0.7852993700722272, 0.03848596847552514, "up"), (0.13868147038479298, 0.03394984038140876, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.2551327906876862, 0.021620611437880136, "ambiguous"), (0.763369746830354, 0.03213715094249451, "up"), (0.1770349796180655, 0.03696816391004394, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "exogenous"): ([(0.18597821793973812, 0.032833983247770065, "ambiguous"), (0.5773904239019352, 0.038806776758073196, "ambiguous"), (0.04776770604933726, 0.05748880231360465, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "predetermined"): ([(0.23654799574085236, 0.03746322363557274, "ambiguous"), (0.7081472809923994, 0.019124795501849562, "up"), (0.15096957397667982, 0.024019984380183945, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "endogenous_correlated"): ([(0.1550192374878848, 0.0352294893803682, "ambiguous"), (0.7860583717518516, 0.0371681109534154, "up"), (0.06030947648928935, 0.024791308859345176, "down")], 0),
+        ("regular_pgi_no_family", "exogenous"): ([(0.6462692105489566, 0.04287931580576824, "up"), (0.6115084086079469, 0.038843178327878765, "ambiguous"), (0.04762440185606723, 0.03807755541070469, "ambiguous")], 0),
+        ("regular_pgi_no_family", "predetermined"): ([(0.5792750504951402, 0.02817987142108492, "up"), (0.7727268479074643, 0.03620102794098127, "up"), (0.09551510862231237, 0.037638770857905304, "ambiguous")], 0),
+        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.6081919207800568, 0.007887438325366166, "up"), (0.7503610071683546, 0.01771591569717787, "up"), (0.11585469646312817, 0.03874279362081531, "ambiguous")], 0),
+    },
+    "finite": {
+        ("trio_pgi_family_controls", "exogenous"): ([(0.08577120189385266, 0.038053859579011064, "down"), (0.6294589183599592, 0.062493405526233045, "ambiguous"), (0.10371164648454982, 0.042285114151442524, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "predetermined"): ([(0.0860370397436299, 0.034998235318618835, "down"), (0.8698716906343082, 0.04292545604664431, "up"), (0.06066133678955399, 0.01998740339113312, "down")], 0),
+        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.029313139382469655, 0.031825916203933886, "down"), (0.7511993136917213, 0.032867636033538865, "up"), (0.016397995610309298, 0.02189711731855976, "down")], 0),
+        ("regular_pgi_family_controls", "exogenous"): ([(0.06254757640468782, 0.048218967332554374, "down"), (0.574006670425303, 0.04737499454592933, "ambiguous"), (0.022351749883292943, 0.039933753313201294, "down")], 0),
+        ("regular_pgi_family_controls", "predetermined"): ([(0.10749283097743427, 0.048509161209009805, "down"), (0.8135501759716995, 0.03729608398578568, "up"), (0.06687603428782118, 0.02792692498139974, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "endogenous_correlated"): ([(0.006295817468685014, 0.04261924102229554, "down"), (0.8026440819192345, 0.030705426679912412, "up"), (0.026214202243287157, 0.03453028733799985, "down")], 0),
+        ("regular_pgi_no_family", "exogenous"): ([(0.34811518534339586, 0.07550715978496159, "ambiguous"), (0.5910188768294535, 0.04757489148644402, "ambiguous"), (0.09142026372102859, 0.06783721423741634, "ambiguous")], 0),
+        ("regular_pgi_no_family", "predetermined"): ([(0.26798999349092817, 0.03497460163036898, "ambiguous"), (0.8306232138207438, 0.0294122447501643, "up"), (0.0511877828658433, 0.03810131863398998, "ambiguous")], 0),
+        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.2984739648354699, 0.04974229217892898, "ambiguous"), (0.7717231007023743, 0.021704011694635907, "up"), (0.07462930514450496, 0.0351964340104419, "ambiguous")], 0),
+    },
+}
+PINNED_SELECTION = ([(0.258914217789128, 0.034688854998070034, "ambiguous"), (0.7069769999066686, 0.05739992486733717, "ambiguous"), (-0.02845367463281567, 0.04804384994174433, "ambiguous")], 0)
+PINNED_DIAGNOSTICS = dict(fitted_gxe=-0.02845367463281567, fitted_gxe_mc_se=0.04804384994174433,
+                          r2_treated=0.06010570391697817, r2_control=0.07008682562953793,
+                          rge_corr=0.0029702317950870694, rge_significant_share=0.16666666666666666,
+                          remedy_gxe=-0.04464613294160791, reduction_share=-0.5690814461664453)
+
+
+def assert_pinned(rep, pinned):
+    coefs, failed = pinned
+    for c, (mean, mc_se, verdict) in zip((rep.g, rep.e, rep.gxe), coefs):
+        assert c.mean_estimate == pytest.approx(mean, rel=1e-12, abs=0)
+        assert c.mc_se == pytest.approx(mc_se, rel=1e-12, abs=0)
+        assert c.verdict == verdict
+    assert rep.n_failed == failed
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize("discovery", ["plim", "finite"])
+    def test_table_matches_recorded_results(self, discovery):
+        table = bl.run_table(PIN_BASE, reps=6, seed=1401, sizes=PIN_SIZES, discovery=discovery)
+        assert list(table.cells) == list(PINNED_TABLES[discovery])
+        for cell, rep in table.cells.items():
+            assert_pinned(rep, PINNED_TABLES[discovery][cell])
+
+    def test_gwas_selection_matches_recorded_results(self):
+        spec = ScenarioSpec(g_regime="regular_pgi_family_controls", e_regime="endogenous_gwas_selection",
+                            beta_x=0.0, arm_share=0.3)
+        bias, diag = bl.gwas_selection_experiment(spec, reps=6, seed=1402, sizes=PIN_SIZES)
+        assert_pinned(bias, PINNED_SELECTION)
+        for name, value in PINNED_DIAGNOSTICS.items():
+            assert getattr(diag, name) == pytest.approx(value, rel=1e-12, abs=0), name
+
+    def test_singular_design_is_a_replicate_failure(self):
+        # no treated share: E and GxE are all zero in every replicate
+        spec = ScenarioSpec(g_regime="regular_pgi_family_controls", e_regime="exogenous", treated_share=0.0)
+        expected = ("4/4 replicates failed; the first with EstimationError: design matrix is rank deficient; "
+                    "dependent columns: ['E', 'GxE']")
+        with pytest.raises(SimulationError) as info:
+            bl.run_cell(spec, reps=4, seed=1403, sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20))
+        assert str(info.value) == expected
