@@ -1,17 +1,19 @@
 """Monte Carlo bias harness for the nine estimation scenarios.
 
 Each cell runs the full pipeline per replicate: simulate a scenario dataset,
-derive discovery weights for the cell's index regime, build standardized
-indices for the analysis cohort (child plus parents when the regime controls
-for family), fit the interaction model, and compare mean estimates with the
-generating values.
+build the analysis cohort's index for the cell's index regime, standardize it
+per member (child, plus parents when the regime controls for family), and
+build the interaction design. The designs of all of a cell's replicates are
+then fit together, one coefficient-only batched QR (regress.batched_ols),
+and the mean estimates are compared with the generating values.
 
-Discovery weights default to the probability limit of the design's per-SNP
-estimand (an infinite discovery cohort): the scenario taxonomy abstracts
-from classical index measurement error, and finite-discovery sampling noise
-attenuates every cell -- including the ones that should read as unbiased.
-discovery="finite" runs the literal GWAS on the simulated discovery cohort
-instead.
+The index defaults to the probability limit of the design's per-SNP
+estimand (an infinite discovery cohort), a combination of the cohort's
+genetic values: the scenario taxonomy abstracts from classical index
+measurement error, and finite-discovery sampling noise attenuates every
+cell -- including the ones that should read as unbiased. discovery="finite"
+runs the literal GWAS on the simulated discovery cohort instead; only then
+are the discovery genomes drawn.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .genome import GenotypeMatrix
-from .gwas import GwasResult, result_from_stats, run_gwas, run_trio_gwas
-from .gxe import GxeModelSpec, fit_gxe, rge_check
-from .pgi import build_pgi, incremental_r2
+from .gwas import run_gwas, run_trio_gwas
+from .gxe import GxeModelSpec, fit_gxe, gxe_design, rge_check
+from .pgi import incremental_r2
 from .phenosim import CohortSizes, ScenarioDataset, ScenarioSpec, simulate_scenario, treated_indicator
+from .regress import batched_ols, ols
 from .util import (CalibrationError, ConfigError, EstimationError, PedigreeError, Seed, SimulationError, Stream,
                    child_rng, indexed_map, substream)
 
@@ -73,73 +75,76 @@ class BiasReport:
 
 
 def _population_plim(ds: ScenarioDataset, arm_scale: float) -> np.ndarray:
-    """Infinite-discovery slopes of a population GWAS: the direct effect plus
-    half the summed nurture loadings, plus the arm-specific component (present
-    only in the gwas-selection regime) at arm_scale times its full size."""
-    spec = ds.spec
-    w = (spec.beta_g * ds.direct_weights + 0.5 * (spec.eta_m + spec.eta_f) * ds.nurture_weights) / ds.panel.sd
-    if ds.arm_weights is not None:
-        w = w + spec.beta_g * spec.arm_share * arm_scale * ds.arm_weights / ds.panel.sd
-    return w
+    """Infinite-discovery index of a population GWAS on the analysis cohort:
+    the direct effect plus half the summed nurture loadings, plus the
+    arm-specific component (present only in the gwas-selection regime) at
+    arm_scale times its full size, as a combination of the genetic values."""
+    spec, values = ds.spec, ds.analysis.values
+    loadings = [spec.beta_g, 0.5 * (spec.eta_m + spec.eta_f), spec.beta_g * spec.arm_share * arm_scale]
+    return values @ np.array(loadings[:values.shape[1]])
 
 
-def plim_weights(ds: ScenarioDataset) -> GwasResult:
-    """Infinite-discovery per-SNP slopes for the dataset's index regime.
+def plim_index(ds: ScenarioDataset) -> np.ndarray:
+    """Raw infinite-discovery index values (3n,) of the analysis cohort for
+    the dataset's index regime.
 
     trio designs estimate the direct per-dosage effect; a population GWAS
     additionally picks up half the summed nurture loadings, and an
     arm-restricted discovery picks up the arm-specific component in full.
     """
-    spec = ds.spec
-    if spec.g_regime == "trio_pgi_family_controls":
-        w = spec.beta_g * ds.direct_weights / ds.panel.sd
-    else:
-        w = _population_plim(ds, 1.0)
-    return result_from_stats(ds.panel, w, np.ones_like(w), 0, f"plim_{spec.g_regime}")
-
-
-def balanced_plim_weights(ds: ScenarioDataset) -> GwasResult:
-    """Remedy weights: discovery drawn from both arms, so the arm-specific
-    component enters at the treated share instead of fully."""
-    w = _population_plim(ds, ds.spec.treated_share)
-    return result_from_stats(ds.panel, w, np.ones_like(w), 0, "plim_balanced")
-
-
-def finite_weights(ds: ScenarioDataset) -> GwasResult:
-    disc = ds.discovery
     if ds.spec.g_regime == "trio_pgi_family_controls":
-        parents = GenotypeMatrix(disc.mothers.ids + disc.fathers.ids, ds.panel,
-                                 np.concatenate([disc.mothers.planes, disc.fathers.planes], axis=1))
-        return run_trio_gwas(disc.children, parents, disc.pedigree, disc.y)
-    return run_gwas(disc.children, disc.y)
+        return ds.spec.beta_g * ds.analysis.values[:, 0]
+    return _population_plim(ds, 1.0)
 
 
-def _fit_cell(ds: ScenarioDataset, weights: GwasResult) -> dict[str, float]:
-    spec = ds.spec
-    ana = ds.analysis
-    child = build_pgi(weights, ana.children)
-    data = {"Y": ana.y, "G": child.values, "E": ana.e}
-    controls: tuple[str, ...] = ()
-    if spec.g_regime in ("trio_pgi_family_controls", "regular_pgi_family_controls"):
-        data["pgi_m"] = build_pgi(weights, ana.mothers).values
-        data["pgi_f"] = build_pgi(weights, ana.fathers).values
-        controls = ("pgi_m", "pgi_f")
-    fit = fit_gxe(data, GxeModelSpec(controls=controls))
-    return {"G": fit.coef("G"), "E": fit.coef("E"), "GxE": fit.coef("GxE")}
+def balanced_plim_index(ds: ScenarioDataset) -> np.ndarray:
+    """Remedy index: discovery drawn from both arms, so the arm-specific
+    component enters at the treated share instead of fully."""
+    return _population_plim(ds, ds.spec.treated_share)
+
+
+def finite_index(ds: ScenarioDataset) -> np.ndarray:
+    """Index from the literal GWAS on the discovery cohort: the analysis
+    cohort's dosages weighted by the per-dosage slopes."""
+    disc = ds.discovery()
+    children, parents = disc.genotypes()
+    if ds.spec.g_regime == "trio_pgi_family_controls":
+        gwas = run_trio_gwas(children, parents, disc.pedigree, disc.y)
+    else:
+        gwas = run_gwas(children, disc.y)
+    return ds.analysis.dosages @ gwas.beta
+
+
+def _cell_design(ds: ScenarioDataset, index: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The cell's G×E design, outcome last, from the analysis cohort's index
+    values (3n,) standardized per member as build_pgi does: the child's as G,
+    the parents' as controls when the regime controls for family."""
+    family = ds.spec.g_regime in ("trio_pgi_family_controls", "regular_pgi_family_controls")
+    raw = index.reshape(3, -1)[:3 if family else 1]
+    sd = raw.std(axis=1, keepdims=True)
+    if (sd == 0.0).any():
+        raise ConfigError("polygenic index has zero variance on this sample")
+    pgi = (raw - raw.mean(axis=1, keepdims=True)) / sd
+    controls = dict(zip(("pgi_m", "pgi_f"), pgi[1:]))
+    names, cols = gxe_design(pgi[0], ds.analysis.e, GxeModelSpec(controls=tuple(controls)), controls)
+    return names, np.column_stack([*cols, ds.analysis.y])
 
 
 _REPLICATE_ERRORS = (ConfigError, PedigreeError, EstimationError, SimulationError, CalibrationError,
                     np.linalg.LinAlgError)
 
 
-def _run_replicates(reps: int, threads: int, fit: Callable[[int], dict]) -> list[dict]:
-    """fit(r) for every replicate r, in replicate order; fit keys its draws
-    by r under its own replicate stream.
+def _run_replicates(reps: int, threads: int, draw: Callable[[int], dict]) -> list[dict]:
+    """draw(r) for every replicate r, in replicate order; draw keys its draws
+    by r under its own replicate stream. The designs (_cell_design) it returns
+    under one key are fit together by one batched QR, and each is replaced by
+    its coefficients by name; a fit the batch leaves NaN is refit alone by ols,
+    which raises checked_qr's error.
 
-    A replicate that raises a simulation or estimation error counts as
-    failed and is left out; more than 1% failures (at least 2) raise
-    SimulationError, naming the first failed replicate's error. Any other
-    exception is a bug and propagates.
+    A replicate that raises a simulation or estimation error, in draw or in
+    a fit, counts as failed and is left out; more than 1% failures (at least
+    2) raise SimulationError, naming the first failed replicate's error. Any
+    other exception is a bug and propagates.
     """
     if reps < 2:
         raise ConfigError(f"reps must be >= 2 for a Monte Carlo SE, got {reps}")
@@ -147,11 +152,25 @@ def _run_replicates(reps: int, threads: int, fit: Callable[[int], dict]) -> list
 
     def work(r: int):
         try:
-            rows[r] = fit(r)
+            rows[r] = draw(r)
         except _REPLICATE_ERRORS as e:
             rows[r] = e  # counted against the failure cap
 
     indexed_map(work, reps, threads)
+    first = next((row for row in rows if isinstance(row, dict)), {})
+    for key in [k for k, v in first.items() if isinstance(v, tuple)]:
+        live = [r for r, row in enumerate(rows) if isinstance(row, dict)]
+        if not live:
+            break
+        XY = np.stack([rows[r][key][1] for r in live])
+        for r, xy, beta in zip(live, XY, batched_ols(XY)):
+            names = rows[r][key][0]
+            try:
+                if np.isnan(beta).any():
+                    beta = ols(xy[:, -1], xy[:, :-1], names).beta
+                rows[r][key] = dict(zip(names, map(float, beta)))
+            except _REPLICATE_ERRORS as e:
+                rows[r] = e
     ok = [r for r in rows if not isinstance(r, Exception)]
     n_failed = reps - len(ok)
     if n_failed > max(1, int(0.01 * reps)):
@@ -181,13 +200,13 @@ def run_cell(
     """Replicated pipeline for one scenario cell."""
     if discovery not in ("plim", "finite"):
         raise ConfigError(f"unknown discovery mode {discovery!r}")
-    weights = plim_weights if discovery == "plim" else finite_weights
+    index = plim_index if discovery == "plim" else finite_index
 
-    def fit(r: int) -> dict:
+    def draw(r: int) -> dict:
         ds = simulate_scenario(spec, sizes, substream(seed, Stream.CELL_REPLICATE, r))
-        return _fit_cell(ds, weights(ds))
+        return {"fit": _cell_design(ds, index(ds))}
 
-    return _bias_report(spec, _run_replicates(reps, threads, fit), reps)
+    return _bias_report(spec, [row["fit"] for row in _run_replicates(reps, threads, draw)], reps)
 
 
 @dataclass
@@ -303,22 +322,21 @@ def gwas_selection_experiment(
     if spec.e_regime != "endogenous_gwas_selection":
         raise ConfigError("experiment requires the endogenous_gwas_selection regime")
 
-    def fit(r: int) -> dict:
+    def draw(r: int) -> dict:
         ds = simulate_scenario(spec, sizes, substream(seed, Stream.SELECTION_REPLICATE, r))
         ana = ds.analysis
-        w = plim_weights(ds)
-        child = build_pgi(w, ana.children)
+        fit = _cell_design(ds, plim_index(ds))
+        child = fit[1][:, fit[0].index("G")]
         treated = treated_indicator(ana.e)
-        r2 = {arm: incremental_r2(child.values[treated == arm], ana.y[treated == arm]) for arm in (0, 1)}
-        corr, _, p = rge_check(child.values, ana.e)
-        remedy = _fit_cell(ds, balanced_plim_weights(ds))
-        return {**_fit_cell(ds, w), "r2_treated": r2[1], "r2_control": r2[0],
-                "rge_corr": corr, "rge_sig": p < 0.05, "remedy_gxe": remedy["GxE"]}
+        r2 = {arm: incremental_r2(child[treated == arm], ana.y[treated == arm]) for arm in (0, 1)}
+        corr, _, p = rge_check(child, ana.e)
+        return {"remedy": _cell_design(ds, balanced_plim_index(ds)), "fit": fit, "r2_treated": r2[1],
+                "r2_control": r2[0], "rge_corr": corr, "rge_sig": p < 0.05}
 
-    ok = _run_replicates(reps, threads, fit)
-    bias = _bias_report(spec, ok, reps)
+    ok = _run_replicates(reps, threads, draw)
+    bias = _bias_report(spec, [r["fit"] for r in ok], reps)
     fitted = bias.gxe.mean_estimate
-    remedy_mean = float(np.mean([r["remedy_gxe"] for r in ok]))
+    remedy_mean = float(np.mean([r["remedy"]["GxE"] for r in ok]))
     diag = SelectionDiagnostics(
         fitted_gxe=fitted,
         fitted_gxe_mc_se=bias.gxe.mc_se,

@@ -326,7 +326,7 @@ def _cmd_power(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
                for b, p, lo, hi in zip(curve.beta_x, curve.power, curve.ci_lo, curve.ci_hi)))
     files = [path]
     if cfg["mde"]:
-        value = inference.mde(spec, target_power=cfg["target_power"], seed=seed, threads=threads)
+        value = curve.mde(target_power=cfg["target_power"])
         mde_path = os.path.join(out, "mde.json")
         write_json(mde_path, {"mde": value, "target_power": cfg["target_power"], "n": cfg["n"]})
         files.append(mde_path)

@@ -26,6 +26,7 @@ cells: the first failing one, to name its first bad cell.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -99,6 +100,18 @@ class Panel:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def with_maf(self, maf) -> "Panel":
+        """The same SNPs with other MAFs. Only the MAF rule is checked: the rest
+        of the panel was checked when it was built."""
+        panel = copy.copy(self)
+        panel.maf = np.array(np.broadcast_to(maf, self.maf.shape), dtype=np.float64)
+        _raise_first(~((panel.maf > 0.0) & (panel.maf <= 0.5))[None],
+                     lambda i: [f"SNP {self.ids[i]}: maf {panel.maf[i].item()} outside (0, 0.5]"])
+        panel.sd = np.sqrt(2 * panel.maf * (1 - panel.maf))
+        panel.maf.setflags(write=False)
+        panel.sd.setflags(write=False)
+        return panel
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Panel) and self.ids == other.ids and all(
@@ -277,23 +290,29 @@ def simulate_founders(panel: Panel, ld: LdBlockModel, n: int, seed: Seed, thread
     return GenotypeMatrix([f"f{i}" for i in range(n)], panel, founder_planes(panel, ld, n, seed, threads))
 
 
-def transmit_planes(planes: np.ndarray, idx: np.ndarray, panel: Panel, seed: Seed) -> np.ndarray:
-    """Mendelian transmission: child planes (2, n, J) from parent planes, where
-    idx[0] and idx[1] are the (n,) parent rows of each child's mother and father.
-    One gamete per parent, whole haplotypes per LD block: with c = 1 where a
-    block's strand 1 is chosen, each child strand is s0 ^ (c & (s0 ^ s1))."""
+def transmit_planes(parents: np.ndarray, panel: Panel, seed: Seed) -> np.ndarray:
+    """Mendelian transmission: child planes (2, n, J) from parents (2, 2, n, J),
+    the strand planes of each child's mother (parents[:, 0]) and father
+    (parents[:, 1]). One gamete per parent, whole haplotypes per LD block: with
+    c = 1 where a block's strand 1 is chosen, each child strand is s0 ^ (c & (s0 ^ s1))."""
     n_blocks = len(panel.block_sizes)
-    block_of_snp = np.repeat(np.arange(n_blocks), panel.block_sizes)
-    choice = child_rng(seed, Stream.TRANSMISSION).integers(0, 2, size=(idx.shape[1], n_blocks, 2), dtype=np.uint8)
-    s0, s1 = planes[0][idx], planes[1][idx]
-    return s0 ^ (np.take(choice.transpose(2, 0, 1), block_of_snp, axis=2) & (s0 ^ s1))
+    choice = child_rng(seed, Stream.TRANSMISSION).integers(0, 2, size=(parents.shape[2], n_blocks, 2), dtype=np.uint8)
+    c = choice.transpose(2, 0, 1)
+    if n_blocks < len(panel):  # one choice per block, repeated over its SNPs
+        c = np.take(c, np.repeat(np.arange(n_blocks), panel.block_sizes), axis=2)
+    s0, s1 = parents
+    child = s0 ^ s1
+    child &= c
+    child ^= s0
+    return child
 
 
 def transmit(parents: GenotypeMatrix, pedigree: Pedigree, seed: Seed) -> GenotypeMatrix:
     """transmit_planes by pedigree ids: the child's strand plane 0 comes from the
     mother, plane 1 from the father."""
     idx = np.stack([parents.index_of(pedigree.mother_ids), parents.index_of(pedigree.father_ids)])
-    return GenotypeMatrix(pedigree.child_ids, parents.panel, transmit_planes(parents.planes, idx, parents.panel, seed))
+    children = transmit_planes(parents.planes[:, idx], parents.panel, seed)
+    return GenotypeMatrix(pedigree.child_ids, parents.panel, children)
 
 
 def assortative_pairs(

@@ -81,6 +81,14 @@ class GxeFit:
         }, indent=2, sort_keys=True)
 
 
+def _numeric(data: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """data[name] as floats; a DataError naming the column when it is not numeric."""
+    try:
+        return np.asarray(data[name], dtype=float)
+    except ValueError:
+        raise DataError(f"column {name!r} is not numeric") from None
+
+
 # built on demand: on (R, n) permutation or power stacks every product is costly
 _TERM_COLUMNS = {
     "G": lambda G, E: G, "E": lambda G, E: E, "GxE": lambda G, E: G * E,
@@ -103,7 +111,7 @@ def gxe_design(G: np.ndarray, E: np.ndarray, spec: GxeModelSpec,
     for c in spec.controls:
         if data is None or c not in data:
             raise DataError(f"control column {c!r} missing from data")
-        v = np.asarray(data[c], dtype=float)
+        v = _numeric(data, c)
         ctrl.append(v - v.mean())
     names += [f"ctrl:{c}" for c in spec.controls]
     cols += ctrl
@@ -171,7 +179,7 @@ def rdd_sample(data: dict[str, np.ndarray], spec: RddSpec) -> dict[str, np.ndarr
     E = (mob[keep] >= 0).astype(float)
     if "E" in data and not np.array_equal(np.asarray(data["E"], dtype=float)[keep], E):
         raise DataError("treatment column inconsistent with the running variable")
-    sample = {c: np.asarray(data[c], dtype=float)[keep] for c in ("Y", "G", *spec.covariates, *spec.pcs)}
+    sample = {c: _numeric(data, c)[keep] for c in ("Y", "G", *spec.covariates, *spec.pcs)}
     return {**sample, "E": E, "MoB": mob[keep]}
 
 

@@ -63,6 +63,29 @@ class PowerCurve:
     ci_hi: np.ndarray
     n: int
     reps: int
+    alpha: float
+    draw: tuple[np.ndarray, np.ndarray]  # the (u, se) replicates every power here is read from
+
+    def mde(self, target_power: float = 0.8, power_tol: float = 0.01, width_tol: float = 0.005) -> float:
+        """Smallest interaction coefficient reaching the target power, by
+        bisection over [0, 1], every evaluation read from this curve's draw.
+
+        Stops when the estimated power is within power_tol of the target or the
+        bracket is narrower than width_tol; returns the bracket midpoint.
+        """
+        lo, hi = 0.0, 1.0
+        if _power(self.draw, hi, self.alpha) < target_power:
+            raise CalibrationError(f"target power {target_power} unreachable with beta_x <= 1")
+        while hi - lo > width_tol:
+            mid = 0.5 * (lo + hi)
+            p = _power(self.draw, mid, self.alpha)
+            if abs(p - target_power) < power_tol:
+                return mid
+            if p < target_power:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
 
 def _chunked_fits(reps: int, seed: Seed, stream: Stream, threads: int, fit) -> tuple[np.ndarray, np.ndarray]:
@@ -99,13 +122,15 @@ def power_simulate(spec: PowerSpec, seed: Seed, threads: int = 1) -> float:
 
 
 def power_curve(spec: PowerSpec, beta_x_grid: np.ndarray, seed: Seed, threads: int = 1) -> PowerCurve:
+    """Power at each beta_x of the grid, all read from one draw of replicates,
+    which the curve keeps for its mde."""
     grid = np.asarray(beta_x_grid, dtype=float)
     draw = _interaction_draw(spec, seed, threads)
     power = np.array([_power(draw, b, spec.alpha) for b in grid])
     half = 1.96 * np.sqrt(power * (1 - power) / spec.reps)
     return PowerCurve(beta_x=grid, power=power,
                       ci_lo=np.clip(power - half, 0, 1), ci_hi=np.clip(power + half, 0, 1),
-                      n=spec.n, reps=spec.reps)
+                      n=spec.n, reps=spec.reps, alpha=spec.alpha, draw=draw)
 
 
 def mde(
@@ -116,26 +141,8 @@ def mde(
     power_tol: float = 0.01,
     width_tol: float = 0.005,
 ) -> float:
-    """Smallest interaction coefficient reaching the target power, by
-    bisection over [0, 1], every evaluation read from one draw of replicates.
-
-    Stops when the estimated power is within power_tol of the target or the
-    bracket is narrower than width_tol; returns the bracket midpoint.
-    """
-    draw = _interaction_draw(spec, seed, threads)
-    lo, hi = 0.0, 1.0
-    if _power(draw, hi, spec.alpha) < target_power:
-        raise CalibrationError(f"target power {target_power} unreachable with beta_x <= 1")
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        p = _power(draw, mid, spec.alpha)
-        if abs(p - target_power) < power_tol:
-            return mid
-        if p < target_power:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """PowerCurve.mde on the draw of power_curve(spec, [], seed, threads)."""
+    return power_curve(spec, np.empty(0), seed, threads).mde(target_power, power_tol, width_tol)
 
 
 # ---------------------------------------------------------------------------

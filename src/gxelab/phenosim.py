@@ -9,8 +9,9 @@ on a weight vector partially distinct from the direct effects (alignment
 knob): with identical weightings a population-GWAS index is proportional to
 the direct index and several estimation biases cannot materialize at all.
 
-Scenario cohorts are drawn as strand planes, and every cohort of one size
-shares one cached, read-only trio Pedigree (_trio_pedigree).
+A scenario cohort is one int8 dosage block of children, mothers and fathers,
+whose genetic values on all the scenario's weightings come from one matmul.
+Pedigrees are cached per cohort size and the panel structure per SNP count.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -29,12 +31,15 @@ E_REGIMES = ("exogenous", "predetermined", "endogenous_active_rge",
              "endogenous_correlated", "endogenous_gwas_selection")
 
 
-def theoretical_standardize(g: GenotypeMatrix, weights: np.ndarray) -> np.ndarray:
-    """Genetic values sum_j w_j (d_ij - 2p_j) / sd_j, with the panel's MAF-implied
-    moments (not sample ones), as d @ (w/sd) - (2p) . (w/sd). einsum casts the
-    int8 dosages in buffered chunks, so no n x J float matrix is allocated."""
-    scaled = weights / g.panel.sd
-    return np.einsum("ij,j->i", g.dosages, scaled) - 2 * g.panel.maf @ scaled
+def theoretical_standardize(g: GenotypeMatrix | Cohort, weights: np.ndarray) -> np.ndarray:
+    """Genetic values sum_j w_j (d_ij - 2p_j) / sd_j of g's int8 dosages, with
+    the panel's MAF-implied moments (not sample ones), as d @ (w/sd) - (2p) . (w/sd).
+    Weights (J,) give (n,) values: einsum casts the dosages in buffered chunks,
+    so no n x J float matrix is allocated. Weights (J, K) give (n, K) values
+    from one matmul."""
+    scaled = (weights.T / g.panel.sd).T
+    raw = np.einsum("ij,j->i", g.dosages, scaled) if scaled.ndim == 1 else g.dosages @ scaled
+    return raw - 2 * g.panel.maf @ scaled
 
 
 def empirical_standardize(v: np.ndarray) -> np.ndarray:
@@ -211,17 +216,28 @@ class CohortSizes:
 
 @dataclass
 class Cohort:
-    children: GenotypeMatrix
-    mothers: GenotypeMatrix
-    fathers: GenotypeMatrix
+    """n trios as one (3n, J) int8 dosage block: children in rows 0..n-1, their
+    mothers in n..2n-1 and their fathers in 2n..3n-1, so family i is rows i,
+    n+i and 2n+i. values holds every member's genetic values (3n, K) on the
+    scenario's weightings: direct, nurture and, under gwas selection, arm."""
+    dosages: np.ndarray
+    panel: Panel
     pedigree: Pedigree
-    y: np.ndarray
+    values: np.ndarray | None = None
+    y: np.ndarray | None = None
     e: np.ndarray | None = None
     estar: np.ndarray | None = None
 
     @property
     def ids(self) -> list[str]:
-        return self.children.ids
+        return self.pedigree.child_ids
+
+    def genotypes(self) -> tuple[GenotypeMatrix, GenotypeMatrix]:
+        """The children, and the parents (mothers, then fathers), as genotype
+        matrices whose planes are rebuilt from the dosages as a genotype file is read."""
+        p, n = self.pedigree, len(self.ids)
+        return tuple(GenotypeMatrix(ids, self.panel, np.stack([d >= 1, d == 2]))
+                     for ids, d in ((p.child_ids, self.dosages[:n]), (p.mother_ids + p.father_ids, self.dosages[n:])))
 
 
 @dataclass
@@ -231,17 +247,18 @@ class ScenarioDataset:
     direct_weights: np.ndarray    # unit vector, per-SNP direct effects
     nurture_weights: np.ndarray   # unit vector the nurture channel loads on
     arm_weights: np.ndarray | None
-    discovery: Cohort
     analysis: Cohort
-
-    def check_disjoint(self) -> None:
-        overlap = set(self.discovery.ids) & set(self.analysis.ids)
-        if overlap:
-            raise ConfigError(f"discovery and analysis cohorts overlap: {sorted(overlap)[:5]}")
+    discovery: Callable[[], Cohort]  # draws the discovery cohort, so only a caller that reads it pays for it
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
+
+
+@functools.cache
+def _unlinked_panel(n_snps: int) -> Panel:
+    """n_snps single-SNP blocks, checked once; each scenario sets its MAFs (Panel.with_maf)."""
+    return build_panel([1] * n_snps, 0.5)
 
 
 @functools.cache
@@ -254,23 +271,25 @@ def _trio_pedigree(prefix: str, n: int) -> Pedigree:
                     father_ids=parent_ids[n:], family_ids=[f"{prefix}fam{i}" for i in range(n)], design="trios")
 
 
-def _make_cohort(panel, n, prefix, seed: Seed) -> tuple[GenotypeMatrix, GenotypeMatrix, GenotypeMatrix, Pedigree]:
+def _trio_dosages(panel: Panel, n: int, seed: Seed) -> np.ndarray:
+    """The dosage block of n trios (see Cohort). The 2n founders are the mothers,
+    then the fathers, so the parents are a (2, 2, n, J) view of their planes."""
     founders = founder_planes(panel, LdBlockModel([1] * len(panel), 0.0), 2 * n, seed)
-    children = transmit_planes(founders, np.arange(2 * n).reshape(2, n), panel, seed)
-    ped = _trio_pedigree(prefix, n)
-    return (GenotypeMatrix(ped.child_ids, panel, children), GenotypeMatrix(ped.mother_ids, panel, founders[:, :n]),
-            GenotypeMatrix(ped.father_ids, panel, founders[:, n:]), ped)
+    children = transmit_planes(founders.reshape(2, 2, n, len(panel)), panel, seed)
+    dosages = np.empty((3 * n, len(panel)), dtype=np.int8)
+    np.add(children[0], children[1], out=dosages[:n], dtype=np.int8)
+    np.add(founders[0], founders[1], out=dosages[n:], dtype=np.int8)
+    return dosages
 
 
 def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: Seed) -> ScenarioDataset:
     """One Table-1 cell's data over unlinked SNPs with MAF ~ U(0.2, 0.5): a
     discovery cohort (for GWAS weights) and a disjoint analysis cohort with
     outcome, environment and confounds. Each cohort's genomes come from the
-    substream (SCENARIO_COHORT, cohort)."""
+    substream (SCENARIO_COHORT, cohort), the discovery cohort's when it is called."""
     rng = child_rng(seed, Stream.SCENARIO)
     panel_rng = child_rng(seed, Stream.SCENARIO_PANEL)
-    mafs = panel_rng.uniform(0.2, 0.5, size=sizes.n_snps)
-    panel = build_panel([1] * sizes.n_snps, mafs)
+    panel = _unlinked_panel(sizes.n_snps).with_maf(panel_rng.uniform(0.2, 0.5, size=sizes.n_snps))
 
     d = _unit(panel_rng.standard_normal(sizes.n_snps))
     a_orth = panel_rng.standard_normal(sizes.n_snps)
@@ -281,73 +300,68 @@ def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: Seed) -> Sce
     if spec.e_regime == "endogenous_gwas_selection":
         s_raw = panel_rng.standard_normal(sizes.n_snps)
         s_arm = _unit(s_raw - (s_raw @ d) * d)
+    weights = np.column_stack([d, m] if s_arm is None else [d, m, s_arm])
 
-    disc = _build_cohort_outcome(spec, panel, sizes.n_discovery, "d", substream(seed, Stream.SCENARIO_COHORT, 0),
-                                 d, m, s_arm, rng, discovery=True)
-    ana = _build_cohort_outcome(spec, panel, sizes.n_analysis, "a", substream(seed, Stream.SCENARIO_COHORT, 1),
-                                d, m, s_arm, rng, discovery=False)
+    disc_draws = _outcome_draws(spec, sizes.n_discovery, rng)
+    ana = _cohort(spec, panel, weights, "a", substream(seed, Stream.SCENARIO_COHORT, 1),
+                  _outcome_draws(spec, sizes.n_analysis, rng))
 
-    ds = ScenarioDataset(spec=spec, panel=panel, direct_weights=d, nurture_weights=m,
-                         arm_weights=s_arm, discovery=disc, analysis=ana)
-    ds.check_disjoint()
-    return ds
+    def discovery() -> Cohort:
+        disc = _cohort(spec, panel, weights, "d", substream(seed, Stream.SCENARIO_COHORT, 0), disc_draws)
+        if spec.e_regime == "endogenous_gwas_selection":
+            disc = _subset_cohort(disc, np.nonzero(disc.e == 1.0)[0])
+        return disc
+
+    return ScenarioDataset(spec=spec, panel=panel, direct_weights=d, nurture_weights=m, arm_weights=s_arm,
+                           analysis=ana, discovery=discovery)
 
 
-def _build_cohort_outcome(spec, panel, n, prefix, cohort_seed, d, m, s_arm, rng, discovery):
-    children, mothers, fathers, ped = _make_cohort(panel, n, prefix, cohort_seed)
-    dv_c, dv_m, dv_f = (theoretical_standardize(g, d) for g in (children, mothers, fathers))
-    nv_m, nv_f = theoretical_standardize(mothers, m), theoretical_standardize(fathers, m)
+def _outcome_draws(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """A cohort's draws from the scenario stream, in stream order: family
+    effect, outcome noise, E*, then E's own draw (uniform for a binary E)."""
+    binary = spec.e_regime in ("exogenous", "endogenous_gwas_selection")
+    return (rng.standard_normal(n), rng.standard_normal(n) * spec.noise_sd, rng.standard_normal(n),
+            rng.random(n) if binary else rng.standard_normal(n))
 
-    fam_u = rng.standard_normal(n)
-    noise = rng.standard_normal(n) * spec.noise_sd
-    estar = rng.standard_normal(n)
 
-    e = None
-    e_causal = 0.0
-    if spec.e_regime == "exogenous":
-        e = (rng.random(n) < spec.treated_share).astype(float)
+def _cohort(spec, panel, weights, prefix, cohort_seed, draws) -> Cohort:
+    fam_u, noise, estar, e_draw = draws
+    n = len(fam_u)
+    cohort = Cohort(_trio_dosages(panel, n, cohort_seed), panel, _trio_pedigree(prefix, n), estar=estar)
+    cohort.values = theoretical_standardize(cohort, weights)
+    dv_c, dv_m, dv_f = cohort.values[:, 0].reshape(3, n)
+    nv_m, nv_f = cohort.values[n:, 1].reshape(2, n)
+
+    if spec.e_regime in ("exogenous", "endogenous_gwas_selection"):
+        e = (e_draw < spec.treated_share).astype(float)
     elif spec.e_regime == "predetermined":
         a, b = spec.a_parent, spec.corr_e_estar
         midparent = (dv_m + dv_f) / np.sqrt(2.0)
-        e = a * midparent + b * estar + np.sqrt(1.0 - a * a - b * b) * rng.standard_normal(n)
+        e = a * midparent + b * estar + np.sqrt(1.0 - a * a - b * b) * e_draw
     elif spec.e_regime == "endogenous_active_rge":
         rho = spec.rho_active
-        e = rho * dv_c + np.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
-    elif spec.e_regime == "endogenous_correlated":
+        e = rho * dv_c + np.sqrt(1.0 - rho * rho) * e_draw
+    else:  # endogenous_correlated
         r = spec.corr_e_estar
-        e = r * estar + np.sqrt(1.0 - r * r) * rng.standard_normal(n)
-    elif spec.e_regime == "endogenous_gwas_selection":
-        e = (rng.random(n) < spec.treated_share).astype(float)
+        e = r * estar + np.sqrt(1.0 - r * r) * e_draw
 
     y = (spec.beta_g * dv_c + spec.beta_e * e + spec.beta_x * dv_c * e
          + spec.eta_m * nv_m + spec.eta_f * nv_f + spec.w * fam_u + noise)
     if spec.e_regime in ("predetermined", "endogenous_correlated"):
         y = y + spec.beta_estar * estar
-    if spec.e_regime == "endogenous_gwas_selection" and s_arm is not None:
-        y = y + spec.beta_g * spec.arm_share * theoretical_standardize(children, s_arm) * e
-
-    cohort = Cohort(children=children, mothers=mothers, fathers=fathers,
-                    pedigree=ped, y=y, e=e, estar=estar)
-    if discovery and spec.e_regime == "endogenous_gwas_selection":
-        keep = np.nonzero(e == 1.0)[0]
-        cohort = _subset_cohort(cohort, keep)
+    if spec.e_regime == "endogenous_gwas_selection":
+        y = y + spec.beta_g * spec.arm_share * cohort.values[:n, 2] * e
+    cohort.y, cohort.e = y, e
     return cohort
 
 
 def _subset_cohort(c: Cohort, idx: np.ndarray) -> Cohort:
-    """Families idx of a cohort, whose genomes share the pedigree's row order."""
-    p = c.pedigree
+    """Families idx of a cohort: rows idx of each member's part of the block."""
+    p, n = c.pedigree, len(c.ids)
+    rows = np.concatenate([idx, n + idx, 2 * n + idx])
     ped = Pedigree(*([col[i] for i in idx] for col in (p.child_ids, p.mother_ids, p.father_ids, p.family_ids)),
                    design=p.design)
-    return Cohort(
-        children=GenotypeMatrix(ped.child_ids, c.children.panel, c.children.planes[:, idx]),
-        mothers=GenotypeMatrix(ped.mother_ids, c.mothers.panel, c.mothers.planes[:, idx]),
-        fathers=GenotypeMatrix(ped.father_ids, c.fathers.panel, c.fathers.planes[:, idx]),
-        pedigree=ped,
-        y=c.y[idx],
-        e=None if c.e is None else c.e[idx],
-        estar=None if c.estar is None else c.estar[idx],
-    )
+    return Cohort(c.dosages[rows], c.panel, ped, c.values[rows], c.y[idx], c.e[idx], c.estar[idx])
 
 
 def treated_indicator(e: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@ the rank check, the coefficients by a triangular solve and the bread
 (X'X)^-1 = R^-1 R^-T. One sandwich turns a bread and the scores into HC1 or
 CR1 covariances for both OLS (scores from X) and just-identified IV (scores
 from the instruments Z, bread (Z'X)^-1); classical covariances are also
-available. batched_ols_hc1 is the one solver for many small fits at once:
-it takes the design as a list of columns, each broadcastable to the (R, n)
-outcome array, so columns shared by every fit are stored once. p-values use
+available. batched_ols_hc1 fits many small designs at once with HC1 SEs: it
+takes the design as a list of columns, each broadcastable to the (R, n)
+outcome array, so columns shared by every fit are stored once. Its sibling
+batched_ols gives coefficients only, for stacked designs that share no
+column, from one QR of each [X, y] under checked_qr's rank rule. p-values use
 the two-sided normal approximation and are floored at 1e-320 before taking
 logs downstream.
 """
@@ -57,6 +59,12 @@ class OlsFit:
         return np.asarray(pvalue_from_z(self.z))
 
 
+def _dependent(r: np.ndarray) -> np.ndarray:
+    """The rank rule on R factors (..., k, k): columns with |diag R| <= RANK_RTOL * its max."""
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return diag <= RANK_RTOL * diag.max(axis=-1, keepdims=True)
+
+
 def checked_qr(X: np.ndarray, names: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR of a full-rank design.
 
@@ -68,8 +76,7 @@ def checked_qr(X: np.ndarray, names: list[str] | None = None) -> tuple[np.ndarra
     if n <= k:
         raise EstimationError(f"design has {n} rows for {k} columns {labels}")
     q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    bad = np.nonzero(diag <= RANK_RTOL * diag.max())[0]
+    bad = np.nonzero(_dependent(r))[0]
     if bad.size:
         raise EstimationError(f"design matrix is rank deficient; dependent columns: {[labels[i] for i in bad]}")
     return q, r
@@ -169,6 +176,22 @@ def batched_ols_hc1(Y: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
     beta[singular] = np.nan
     var[singular] = np.nan
     return beta, np.sqrt(var)
+
+
+def batched_ols(XY: np.ndarray) -> np.ndarray:
+    """Coefficients of many OLS fits at once. XY: (R, n, k + 1), each fit's
+    design with its outcome as the last column. One Householder QR of each
+    [X, y] gives X's R factor, read by checked_qr's rank rule, and Q'y in its
+    last column, so no sandwich and no Q are formed. Returns beta (R, k); a fit
+    with no more rows than columns or a dependent column gets NaN.
+    """
+    R, n, k = XY.shape[0], XY.shape[1], XY.shape[2] - 1
+    beta = np.full((R, k), np.nan)
+    if n > k and R:
+        r = np.linalg.qr(XY, mode="r")
+        ok = ~_dependent(r[:, :k, :k]).any(axis=1)
+        beta[ok] = np.linalg.solve(r[ok, :k, :k], r[ok, :k, k:])[:, :, 0]
+    return beta
 
 
 def breusch_pagan(resid: np.ndarray, Z: np.ndarray) -> tuple[float, float]:

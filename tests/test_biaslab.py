@@ -41,10 +41,10 @@ class TestRunCell:
         with pytest.raises(ConfigError, match="a_parent"):
             base_spec(e_regime="predetermined", a_parent=0.9, corr_e_estar=0.9)
 
-        def failing(ds, weights):
+        def failing(ds, index):
             raise EstimationError("singular design")
 
-        monkeypatch.setattr(bl, "_fit_cell", failing)
+        monkeypatch.setattr(bl, "_cell_design", failing)
         with pytest.raises(SimulationError, match="100/100 replicates failed; the first with EstimationError"):
             bl.run_cell(base_spec(e_regime="predetermined"), reps=100, seed=606, sizes=SIZES)
 
@@ -56,10 +56,10 @@ class TestRunCell:
             bl.run_cell(base_spec(**kw), reps=2, seed=610, sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20))
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(ds, weights):
+        def broken(ds, index):
             raise TypeError("not a replicate failure")
 
-        monkeypatch.setattr(bl, "_fit_cell", broken)
+        monkeypatch.setattr(bl, "_cell_design", broken)
         with pytest.raises(TypeError, match="not a replicate failure"):
             bl.run_cell(base_spec(), reps=3, seed=609, sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20))
 
@@ -145,10 +145,10 @@ class TestGwasSelection:
         assert abs(diag.rge_corr) < 0.02
 
     def test_failure_cap(self, monkeypatch):
-        def failing(ds, weights):
+        def failing(ds, index):
             raise EstimationError("singular design")
 
-        monkeypatch.setattr(bl, "_fit_cell", failing)
+        monkeypatch.setattr(bl, "_cell_design", failing)
         with pytest.raises(SimulationError, match="3/3 replicates failed"):
             bl.gwas_selection_experiment(self.selection_spec(0.3), reps=3, seed=634,
                                          sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20))

@@ -55,18 +55,23 @@ VALID_FILES = {
 COMMAND_INPUTS = {"gxe": ["data"], "rdd": ["data"], "permute": ["data"], "gwas": ["genotypes", "panel", "phenotype"],
                   "gwas-trio": ["genotypes", "panel", "phenotype", "mothers", "fathers", "pedigree"],
                   "pgi": ["sumstats", "genotypes", "panel"]}
+# Config values of command variants "command-variant", which read the files of
+# "command" unless COMMAND_INPUTS lists their own
+VARIANT_CONFIG = {"gwas-trio": {"design": "trio"}, "gxe-iid-control": {"controls": ["iid"]},
+                  "permute-iid-control": {"controls": ["iid"]}, "rdd-iid-covariate": {"covariates": ["iid"]}}
 
 
 def run_on_files(tmp_path, command, files, **config):
     """Exit code of `command` run at seed 1 on the given file texts and config
-    values; "gwas-trio" is a trio-design gwas."""
-    payload = {"design": "trio"} if command == "gwas-trio" else {}
-    for name in COMMAND_INPUTS[command]:
+    values; a variant such as "gwas-trio" adds its VARIANT_CONFIG values."""
+    base = command.partition("-")[0]
+    payload = dict(VARIANT_CONFIG.get(command, {}))
+    for name in COMMAND_INPUTS.get(command, COMMAND_INPUTS[base]):
         path = tmp_path / f"{name}.tsv"
         path.write_text(files[name])
         payload[name] = str(path)
     cfg = write_config(tmp_path, f"{command}.json", {**payload, **config})
-    return run([command.removesuffix("-trio"), "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")])
+    return run([base, "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")])
 
 
 # Manifest checksums of three small seeded simulate runs. A change that moves
@@ -412,13 +417,17 @@ class TestErrorPaths:
         ("rdd", "data", "iid\tY\tG\tE\ni0\t1.0\t0.5\t0\n", 2, "missing column 'MoB'"),
         ("rdd", "data", "iid\tY\tG\tMoB\ni0\t1.0\t0.5\t0.5\n", 2, "integer month offsets"),
         ("rdd", "data", "iid\tY\tG\tE\tMoB\ni0\t1.0\t0.5\t1\t-1\n", 2, "inconsistent with the running variable"),
+        ("gxe-iid-control", "data", VALID_FILES["data"], 2, "column 'iid' is not numeric"),
+        ("permute-iid-control", "data", VALID_FILES["data"], 2, "column 'iid' is not numeric"),
+        ("rdd-iid-covariate", "data", VALID_FILES["data"], 2, "column 'iid' is not numeric"),
     ], ids=["empty", "non_numeric", "ragged", "header_only", "inf", "nan",
             "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta", "repeated_iid", "repeated_child",
             "genotype_header_only", "parent_in_both_files", "genotype_two_digit", "genotype_empty_cell",
             "genotype_header_mismatch", "gwas_two_individuals", "panel_repeated_id", "panel_duplicate_site",
             "panel_block_not_contiguous", "panel_header", "sumstats_repeated_snp", "sumstats_header",
             "pedigree_header", "phenotype_columns", "phenotype_missing_individual", "gxe_missing_column",
-            "permute_missing_column", "rdd_missing_column", "rdd_fractional_month", "rdd_inconsistent_treatment"])
+            "permute_missing_column", "rdd_missing_column", "rdd_fractional_month", "rdd_inconsistent_treatment",
+            "gxe_non_numeric_control", "permute_non_numeric_control", "rdd_non_numeric_covariate"])
     def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
         assert run_on_files(tmp_path, command, {**VALID_FILES, key: text}) == code
         err = capsys.readouterr().err

@@ -168,7 +168,7 @@ class TestTransmit:
         panel = genome.build_panel(block_sizes, np.full(sum(block_sizes), 0.4))
         planes = genome.founder_planes(panel, genome.LdBlockModel(block_sizes, 0.5), 50, seed=31)
         idx = np.random.default_rng(32).integers(0, 50, (2, 70))
-        child = genome.transmit_planes(planes, idx, panel, seed=33)
+        child = genome.transmit_planes(planes[:, idx], panel, seed=33)
         # the strand choice as np.where on the per-block choice array, drawn from the same stream
         choice = child_rng(33, Stream.TRANSMISSION).integers(0, 2, size=(70, len(block_sizes), 2), dtype=np.uint8)
         block_of_snp = np.repeat(np.arange(len(block_sizes)), block_sizes)

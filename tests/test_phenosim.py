@@ -136,8 +136,7 @@ class TestScenarios:
     def test_exogenous_environment_independent_of_genes(self):
         spec = ps.ScenarioSpec("regular_pgi_no_family", "exogenous", eta_m=0.2, eta_f=0.2)
         ds = ps.simulate_scenario(spec, ps.CohortSizes(500, 10000, n_snps=150), seed=101)
-        dv_c = ps.theoretical_standardize(ds.analysis.children, ds.direct_weights)
-        dv_m = ps.theoretical_standardize(ds.analysis.mothers, ds.direct_weights)
+        dv_c, dv_m, _ = ps.theoretical_standardize(ds.analysis, ds.direct_weights).reshape(3, -1)
         e = ds.analysis.e
         assert abs(np.corrcoef(e, dv_c)[0, 1]) < 0.03
         assert abs(np.corrcoef(e, dv_m)[0, 1]) < 0.03
@@ -145,9 +144,7 @@ class TestScenarios:
     def test_predetermined_environment(self):
         spec = ps.ScenarioSpec("regular_pgi_no_family", "predetermined", a_parent=0.3)
         ds = ps.simulate_scenario(spec, ps.CohortSizes(500, 10000, n_snps=150), seed=102)
-        dv_c = ps.theoretical_standardize(ds.analysis.children, ds.direct_weights)
-        dv_m = ps.theoretical_standardize(ds.analysis.mothers, ds.direct_weights)
-        dv_f = ps.theoretical_standardize(ds.analysis.fathers, ds.direct_weights)
+        dv_c, dv_m, dv_f = ps.theoretical_standardize(ds.analysis, ds.direct_weights).reshape(3, -1)
         midparent = (dv_m + dv_f) / np.sqrt(2)
         e = ds.analysis.e
         assert np.corrcoef(e, midparent)[0, 1] > 0.2
@@ -159,7 +156,7 @@ class TestScenarios:
     def test_active_rge(self):
         spec = ps.ScenarioSpec("regular_pgi_no_family", "endogenous_active_rge", rho_active=0.4)
         ds = ps.simulate_scenario(spec, ps.CohortSizes(500, 10000, n_snps=150), seed=103)
-        dv_c = ps.theoretical_standardize(ds.analysis.children, ds.direct_weights)
+        dv_c = ps.theoretical_standardize(ds.analysis, ds.direct_weights)[:len(ds.analysis.ids)]
         assert np.corrcoef(ds.analysis.e, dv_c)[0, 1] == pytest.approx(0.4, abs=0.03)
 
     def test_correlated_environment(self):
@@ -170,7 +167,7 @@ class TestScenarios:
     def test_gwas_selection_restricts_discovery(self):
         spec = ps.ScenarioSpec("regular_pgi_no_family", "endogenous_gwas_selection", arm_share=0.3)
         ds = ps.simulate_scenario(spec, ps.CohortSizes(4000, 3000, n_snps=150), seed=105)
-        assert len(ds.discovery.ids) == pytest.approx(2000, abs=150)
+        assert len(ds.discovery().ids) == pytest.approx(2000, abs=150)
         assert ds.arm_weights is not None
         assert abs(ds.arm_weights @ ds.direct_weights) < 1e-10
         # analysis cohort keeps both arms
@@ -179,35 +176,34 @@ class TestScenarios:
     def test_cohorts_disjoint(self):
         spec = ps.ScenarioSpec("trio_pgi_family_controls", "exogenous")
         ds = ps.simulate_scenario(spec, ps.CohortSizes(400, 400, n_snps=100), seed=106)
-        ds.check_disjoint()
-        assert not (set(ds.discovery.ids) & set(ds.analysis.ids))
+        assert not (set(ds.discovery().ids) & set(ds.analysis.ids))
 
     def test_cohort_equals_the_object_path(self):
         panel = genome.random_panel(30, 1, seed=3)
         n, seed = 40, np.random.SeedSequence(9, spawn_key=(2,))
-        children, mothers, fathers, ped = ps._make_cohort(panel, n, "x", seed)
+        dosages = ps._trio_dosages(panel, n, seed)
         founders = genome.simulate_founders(panel, genome.LdBlockModel([1] * 30, 0.0), 2 * n, seed)
         founders = genome.GenotypeMatrix([f"xp{i}" for i in range(2 * n)], panel, founders.planes)
         ref_ped = genome.Pedigree([f"xc{i}" for i in range(n)], founders.ids[:n], founders.ids[n:],
                                   [f"xfam{i}" for i in range(n)])
         ref_children = genome.transmit(founders, ref_ped, seed)
-        assert ped == ref_ped
-        for g, ref in ((children, ref_children), (mothers, founders.subset(ref_ped.mother_ids)),
-                       (fathers, founders.subset(ref_ped.father_ids))):
-            assert g.ids == ref.ids and np.array_equal(g.planes, ref.planes)
+        assert ps._trio_pedigree("x", n) == ref_ped
+        reference = [ref_children, founders.subset(ref_ped.mother_ids), founders.subset(ref_ped.father_ids)]
+        assert dosages.dtype == np.int8
+        assert np.array_equal(dosages, np.concatenate([g.dosages for g in reference]))
 
     def test_scenario_identical_with_cold_and_warm_pedigree_cache(self):
         spec = ps.ScenarioSpec("trio_pgi_family_controls", "endogenous_gwas_selection")
         sizes = ps.CohortSizes(60, 80, n_snps=20)
         ps._trio_pedigree.cache_clear()
         cold = ps.simulate_scenario(spec, sizes, seed=11)
+        cold_discovery = cold.discovery()
         warm = ps.simulate_scenario(spec, sizes, seed=11)
-        assert ps._trio_pedigree.cache_info().hits == 2
-        for a, b in ((cold.discovery, warm.discovery), (cold.analysis, warm.analysis)):
+        for a, b in ((cold_discovery, warm.discovery()), (cold.analysis, warm.analysis)):
             assert a.pedigree == b.pedigree
             assert np.array_equal(a.y, b.y) and np.array_equal(a.e, b.e) and np.array_equal(a.estar, b.estar)
-            for ga, gb in ((a.children, b.children), (a.mothers, b.mothers), (a.fathers, b.fathers)):
-                assert ga.ids == gb.ids and np.array_equal(ga.planes, gb.planes)
+            assert np.array_equal(a.dosages, b.dosages) and np.array_equal(a.values, b.values)
+        assert ps._trio_pedigree.cache_info().hits == 2
 
     def test_impossible_predetermined_spec_rejected(self):
         with pytest.raises(ConfigError, match="a_parent\\^2 \\+ corr_e_estar\\^2"):
