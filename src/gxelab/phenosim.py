@@ -243,7 +243,6 @@ class Cohort:
 @dataclass
 class ScenarioDataset:
     spec: ScenarioSpec
-    panel: Panel
     direct_weights: np.ndarray    # unit vector, per-SNP direct effects
     nurture_weights: np.ndarray   # unit vector the nurture channel loads on
     arm_weights: np.ndarray | None
@@ -312,8 +311,8 @@ def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: Seed) -> Sce
             disc = _subset_cohort(disc, np.nonzero(disc.e == 1.0)[0])
         return disc
 
-    return ScenarioDataset(spec=spec, panel=panel, direct_weights=d, nurture_weights=m, arm_weights=s_arm,
-                           analysis=ana, discovery=discovery)
+    return ScenarioDataset(spec=spec, direct_weights=d, nurture_weights=m, arm_weights=s_arm, analysis=ana,
+                           discovery=discovery)
 
 
 def _outcome_draws(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
