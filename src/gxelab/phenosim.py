@@ -374,12 +374,5 @@ def treated_indicator(e: np.ndarray) -> np.ndarray:
 def write_cohort_tsv(path: str, cohort: Cohort) -> None:
     """Cohort export: iid family Y E Estar treated. Dosages are written
     separately (genotype TSV) and referenced by the run manifest."""
-    n = len(cohort.ids)
-    e = cohort.e if cohort.e is not None else np.full(n, np.nan)
-    estar = cohort.estar if cohort.estar is not None else np.full(n, np.nan)
-    treated = treated_indicator(np.nan_to_num(e))
-    rows = (
-        [cohort.ids[i], cohort.pedigree.family_ids[i], float(cohort.y[i]), float(e[i]), float(estar[i]), int(treated[i])]
-        for i in range(n)
-    )
-    write_tsv(path, ["iid", "family", "Y", "E", "Estar", "treated"], rows)
+    columns = (cohort.y.tolist(), cohort.e.tolist(), cohort.estar.tolist(), treated_indicator(cohort.e).tolist())
+    write_tsv(path, ["iid", "family", "Y", "E", "Estar", "treated"], zip(cohort.ids, cohort.pedigree.family_ids, *columns))
