@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .gwas import run_gwas, run_trio_gwas
-from .gxe import GxeModelSpec, fit_gxe, gxe_design, rge_check
+from .gxe import GxeModelSpec, gxe_design, rge_check
 from .pgi import incremental_r2
 from .phenosim import CohortSizes, ScenarioDataset, ScenarioSpec, simulate_scenario, treated_indicator
 from .regress import batched_ols, ols
@@ -136,10 +136,10 @@ _REPLICATE_ERRORS = (ConfigError, PedigreeError, EstimationError, SimulationErro
 
 def _run_replicates(reps: int, threads: int, draw: Callable[[int], dict]) -> list[dict]:
     """draw(r) for every replicate r, in replicate order; draw keys its draws
-    by r under its own replicate stream. The designs (_cell_design) it returns
-    under one key are fit together by one batched QR, and each is replaced by
-    its coefficients by name; a fit the batch leaves NaN is refit alone by ols,
-    which raises checked_qr's error.
+    by r under its own replicate stream. The (names, [X, y]) designs it returns
+    under one key (as _cell_design builds them) are fit together by one batched
+    QR, and each is replaced by its coefficients by name; a fit the batch
+    leaves NaN is refit alone by ols, which raises checked_qr's error.
 
     A replicate that raises a simulation or estimation error, in draw or in
     a fit, counts as failed and is left out; more than 1% failures (at least
@@ -284,15 +284,16 @@ def noisy_environment_experiment(
         raise ConfigError("reliability must be in (0, 1]")
     noise_var = (1.0 - reliability) / reliability
 
-    def fit(r: int) -> dict:
+    def draw(r: int) -> dict:
         rng = child_rng(seed, Stream.NOISE_REPLICATE, r)
         G = rng.standard_normal(n)
         e_true = rng.standard_normal(n)
         y = beta_g * G + beta_e * e_true + beta_x * G * e_true + rng.standard_normal(n)
         e_obs = e_true + rng.standard_normal(n) * np.sqrt(noise_var)
-        return fit_gxe({"Y": y, "G": G, "E": e_obs}, GxeModelSpec()).coefficients
+        names, cols = gxe_design(G, e_obs, GxeModelSpec())
+        return {"fit": (names, np.column_stack([*cols, y]))}
 
-    ok = _run_replicates(reps, 1, fit)
+    ok = [row["fit"] for row in _run_replicates(reps, 1, draw)]
     return float(np.mean([r["E"] for r in ok])), float(np.mean([r["GxE"] for r in ok]))
 
 

@@ -176,25 +176,27 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
         if cfg[key] < 1:
             raise ConfigError(f"config key simulate.{key} must be >= 1, got {cfg[key]}")
     panel = genome.random_panel(cfg["n_snps"], cfg["block_size"], seed, (cfg["maf_lo"], cfg["maf_hi"]))
-    ld = genome.LdBlockModel(panel.block_sizes.tolist(), cfg["rho"])
+    design = cfg["design"]
+    if design not in ("founders", "trios", "sibling-pairs"):
+        raise ConfigError(f"unknown design {design!r}")
+    # drawn before the first file is written, so a bad rho or n leaves the output directory empty
+    n_founders = cfg["n"] if design == "founders" else 2 * cfg["n"]
+    founders = genome.simulate_founders(panel, cfg["rho"], n_founders, seed, threads)
     files = [os.path.join(out, "panel.tsv")]
     genome.write_panel_tsv(files[0], panel)
 
-    design = cfg["design"]
     if design == "founders":
-        g = genome.simulate_founders(panel, ld, cfg["n"], seed, threads)
         path = os.path.join(out, "genotypes.tsv")
-        genome.write_genotypes_tsv(path, g)
+        genome.write_genotypes_tsv(path, founders)
         files.append(path)
         if cfg["h2"] is not None:
             arch = phenosim.TraitArchitecture.random(panel, cfg["n_causal"] or cfg["n_snps"], cfg["h2"], seed)
-            y = phenosim.simulate_trait(g, arch, seed)
+            y = phenosim.simulate_trait(founders, arch, seed)
             p = os.path.join(out, "phenotype.tsv")
-            write_tsv(p, ["iid", "Y"], zip(g.ids, map(float, y)))
+            write_tsv(p, ["iid", "Y"], zip(founders.ids, map(float, y)))
             files.append(p)
-    elif design in ("trios", "sibling-pairs"):
+    else:
         n_fam = cfg["n"]
-        founders = genome.simulate_founders(panel, ld, 2 * n_fam, seed, threads)
         mothers, fathers = founders.ids[:n_fam], founders.ids[n_fam:]
         kids = [""] if design == "trios" else ["_0", "_1"]  # child id suffixes within a family
         fam = [i for i in range(n_fam) for _ in kids]
@@ -215,8 +217,6 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
             p = os.path.join(out, "phenotype.tsv")
             write_tsv(p, ["iid", "Y"], zip(children.ids, map(float, y)))
             files.append(p)
-    else:
-        raise ConfigError(f"unknown design {design!r}")
     return files
 
 

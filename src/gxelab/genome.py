@@ -10,10 +10,11 @@ array of 0/1 alleles (msprime/tskit's haplotype-matrix convention); the dosage
 is the sum of the planes. founder_planes and transmit_planes draw and transmit
 planes without ids; simulate_founders and transmit wrap them with ids.
 
-LD model: within each block the two haplotypes of an individual are independent
-thresholded latent Gaussian AR(1) processes; the latent correlation between
-SNPs at distance d within a block is rho**d, and blocks are independent
-(free recombination between blocks, none within).
+LD model: the blocks are the panel's (Panel.block) and one float rho in [0, 1)
+sets the LD within them. Within each block the two haplotypes of an individual
+are independent thresholded latent Gaussian AR(1) processes; the latent
+correlation between SNPs at distance d within a block is rho**d, and blocks are
+independent (free recombination between blocks, none within).
 
 Genotype TSV: a header `iid` + SNP ids, then one row per individual whose
 dosage cells are each exactly one character, 0, 1 or 2. Phase is not stored:
@@ -126,23 +127,6 @@ class Panel:
             raise ConfigError(f"{what} absent from the panel: {missing[:5]}") from None
 
 
-@dataclass(frozen=True)
-class LdBlockModel:
-    block_sizes: list[int]
-    within_block_rho: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.within_block_rho < 1.0):
-            raise ConfigError(f"within_block_rho {self.within_block_rho} outside [0, 1)")
-        if any(b < 1 for b in self.block_sizes):
-            raise ConfigError("block sizes must be >= 1")
-
-    def check_against(self, panel: Panel) -> None:
-        if not np.array_equal(panel.block_sizes, self.block_sizes):
-            raise ConfigError(f"LD block sizes {self.block_sizes} do not partition the panel "
-                              f"(found {panel.block_sizes.tolist()})")
-
-
 class GenotypeMatrix:
     """Individuals x SNPs genotypes held as two strand planes.
 
@@ -242,22 +226,17 @@ class Pedigree:
                     stack.append((cur, iter(parents[cur])))
 
 
-def founder_planes(
-    panel: Panel,
-    ld: LdBlockModel,
-    n: int,
-    seed: Seed,
-    threads: int = 1,
-) -> np.ndarray:
-    """Founder strand planes (2, n, J) uint8: Bernoulli(maf) marginals, AR(1)-threshold LD in blocks.
+def founder_planes(panel: Panel, rho: float, n: int, seed: Seed, threads: int = 1) -> np.ndarray:
+    """Founder strand planes (2, n, J) uint8: Bernoulli(maf) marginals, AR(1)-threshold LD
+    of within-block correlation rho in the panel's blocks.
 
     Each block draws from its own stream (FOUNDERS, block), so results do not
     depend on scheduling.
     """
+    if not 0.0 <= rho < 1.0:
+        raise ConfigError(f"rho {rho} outside [0, 1)")
     if n < 1:
         raise ConfigError("n must be >= 1")
-    ld.check_against(panel)
-    rho = ld.within_block_rho
 
     if rho == 0.0:
         # SNPs are independent: one Bernoulli(maf) stream of uniforms for the whole
@@ -285,9 +264,9 @@ def founder_planes(
     return np.concatenate(indexed_map(sim_block, len(panel.starts), threads), axis=2, dtype=np.uint8)
 
 
-def simulate_founders(panel: Panel, ld: LdBlockModel, n: int, seed: Seed, threads: int = 1) -> GenotypeMatrix:
+def simulate_founders(panel: Panel, rho: float, n: int, seed: Seed, threads: int = 1) -> GenotypeMatrix:
     """founder_planes as a GenotypeMatrix with ids f0..f{n-1}."""
-    return GenotypeMatrix([f"f{i}" for i in range(n)], panel, founder_planes(panel, ld, n, seed, threads))
+    return GenotypeMatrix([f"f{i}" for i in range(n)], panel, founder_planes(panel, rho, n, seed, threads))
 
 
 def transmit_planes(parents: np.ndarray, panel: Panel, seed: Seed) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .genome import GenotypeMatrix, LdBlockModel, Panel, Pedigree, build_panel, founder_planes, transmit_planes
+from .genome import GenotypeMatrix, Panel, Pedigree, build_panel, founder_planes, transmit_planes
 from .util import ConfigError, Seed, Stream, child_rng, substream, write_tsv
 
 G_REGIMES = ("trio_pgi_family_controls", "regular_pgi_family_controls", "regular_pgi_no_family")
@@ -273,7 +273,7 @@ def _trio_pedigree(prefix: str, n: int) -> Pedigree:
 def _trio_dosages(panel: Panel, n: int, seed: Seed) -> np.ndarray:
     """The dosage block of n trios (see Cohort). The 2n founders are the mothers,
     then the fathers, so the parents are a (2, 2, n, J) view of their planes."""
-    founders = founder_planes(panel, LdBlockModel([1] * len(panel), 0.0), 2 * n, seed)
+    founders = founder_planes(panel, 0.0, 2 * n, seed)
     children = transmit_planes(founders.reshape(2, 2, n, len(panel)), panel, seed)
     dosages = np.empty((3 * n, len(panel)), dtype=np.int8)
     np.add(children[0], children[1], out=dosages[:n], dtype=np.int8)

@@ -4,9 +4,9 @@ import pytest
 from gxelab import genome
 
 
-def make_trio_population(n_families: int, panel, ld, seed: int):
+def make_trio_population(n_families: int, panel, rho: float, seed: int):
     """Founder couples plus one child per family; returns (parents, children, pedigree)."""
-    parents = genome.simulate_founders(panel, ld, 2 * n_families, seed)
+    parents = genome.simulate_founders(panel, rho, 2 * n_families, seed)
     mothers = parents.ids[:n_families]
     fathers = parents.ids[n_families:]
     ped = genome.Pedigree(
@@ -20,9 +20,9 @@ def make_trio_population(n_families: int, panel, ld, seed: int):
     return parents, children, ped
 
 
-def make_sibling_population(n_families: int, panel, ld, seed: int):
+def make_sibling_population(n_families: int, panel, rho: float, seed: int):
     """Founder couples with two children per family (sibling-pairs design)."""
-    parents = genome.simulate_founders(panel, ld, 2 * n_families, seed)
+    parents = genome.simulate_founders(panel, rho, 2 * n_families, seed)
     mothers = parents.ids[:n_families]
     fathers = parents.ids[n_families:]
     child_ids, mom_ids, dad_ids, fam_ids = [], [], [], []
@@ -44,4 +44,4 @@ def small_panel():
 
 @pytest.fixture(scope="session")
 def small_ld():
-    return genome.LdBlockModel(block_sizes=[5, 5], within_block_rho=0.4)
+    return 0.4

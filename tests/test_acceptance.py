@@ -200,9 +200,8 @@ def test_c4_reduced_form_exactness():
 
 def test_c5_nurture_decomposition():
     panel = genome.random_panel(200, 1, seed=1007, maf_range=(0.2, 0.5))
-    ld = genome.LdBlockModel([1] * 200, 0.0)
     n_fam = 20000
-    founders = genome.simulate_founders(panel, ld, 2 * n_fam, seed=1008)
+    founders = genome.simulate_founders(panel, 0.0, 2 * n_fam, seed=1008)
     ped = genome.Pedigree([f"c{i}" for i in range(n_fam)], founders.ids[:n_fam],
                           founders.ids[n_fam:], [f"f{i}" for i in range(n_fam)])
     children = genome.transmit(founders, ped, seed=1009)
@@ -233,9 +232,8 @@ def test_c5_nurture_decomposition():
 
 def test_c6_sibling_spillover():
     panel = genome.random_panel(200, 1, seed=1012, maf_range=(0.2, 0.5))
-    ld = genome.LdBlockModel([1] * 200, 0.0)
     n_fam = 20000
-    founders = genome.simulate_founders(panel, ld, 2 * n_fam, seed=1013)
+    founders = genome.simulate_founders(panel, 0.0, 2 * n_fam, seed=1013)
     ids, ms, fs, fams = [], [], [], []
     for i in range(n_fam):
         for s_ in (0, 1):
@@ -318,7 +316,7 @@ def test_c8_attenuation_and_oriv():
 
 def test_c9_null_gwas_calibration():
     panel = genome.random_panel(100000, 1, seed=1020, maf_range=(0.05, 0.5))
-    g = genome.simulate_founders(panel, genome.LdBlockModel([1] * 100000, 0.0), 2000, seed=1021)
+    g = genome.simulate_founders(panel, 0.0, 2000, seed=1021)
     y = np.random.default_rng(1022).standard_normal(2000)
     res = gwas.run_gwas(g, y)
     hits = int((res.p < 5e-8).sum())
@@ -326,7 +324,7 @@ def test_c9_null_gwas_calibration():
     passes = 0
     for rep in range(100):
         panel_r = genome.random_panel(10000, 1, seed=2000 + rep, maf_range=(0.05, 0.5))
-        g_r = genome.simulate_founders(panel_r, genome.LdBlockModel([1] * 10000, 0.0), 2000, seed=3000 + rep)
+        g_r = genome.simulate_founders(panel_r, 0.0, 2000, seed=3000 + rep)
         y_r = np.random.default_rng(4000 + rep).standard_normal(2000)
         p = gwas.run_gwas(g_r, y_r).p
         passes += stats.kstest(p, "uniform").statistic < 1.63 / np.sqrt(10000)
@@ -396,9 +394,8 @@ def test_c12_thread_determinism(tmp_path):
     from gxelab import cli
 
     panel = genome.random_panel(60, 5, seed=1023)
-    ld = genome.LdBlockModel([5] * 12, 0.6)
-    g1 = genome.simulate_founders(panel, ld, 500, seed=1024, threads=1)
-    g4 = genome.simulate_founders(panel, ld, 500, seed=1024, threads=4)
+    g1 = genome.simulate_founders(panel, 0.6, 500, seed=1024, threads=1)
+    g4 = genome.simulate_founders(panel, 0.6, 500, seed=1024, threads=4)
     founders_same = np.array_equal(g1.planes, g4.planes)
 
     spec = inf.PowerSpec(beta_g=0.259, beta_e=0.9, beta_x=0.2, n=500, reps=600)

@@ -471,6 +471,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("config, message", [
+        ({"n": 20, "rho": 1.0}, "rho 1.0 outside [0, 1)"),
+        ({"n": 20, "rho": -0.1}, "rho -0.1 outside [0, 1)"),
+        ({"n": 0}, "n must be >= 1"),
+    ], ids=["rho_one", "rho_negative", "n_zero"])
+    def test_simulate_rejects_founder_settings_before_writing(self, tmp_path, capsys, config, message):
+        cfg = write_config(tmp_path, "sim.json", {"n_snps": 10, **config})
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert os.listdir(out) == []
+
     def test_gxe_reads_only_the_columns_its_design_uses(self, tmp_path, capsys):
         rng = np.random.default_rng(49)
         E = (rng.random(200) < 0.5).astype(float)

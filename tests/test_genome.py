@@ -44,14 +44,12 @@ def sibling_dosage_corr_oracle(p: float) -> float:
 class TestSimulateFounders:
     def test_maf_half_mean_dosage(self):
         panel = genome.build_panel([4], np.full(4, 0.5))
-        ld = genome.LdBlockModel([4], 0.0)
-        g = genome.simulate_founders(panel, ld, 10000, seed=11)
+        g = genome.simulate_founders(panel, 0.0, 10000, seed=11)
         assert np.allclose(g.dosages.mean(axis=0), 1.0, atol=0.03)
 
     def test_rho_zero_adjacent_independent(self):
         panel = genome.build_panel([6], np.full(6, 0.3))
-        ld = genome.LdBlockModel([6], 0.0)
-        g = genome.simulate_founders(panel, ld, 10000, seed=120)
+        g = genome.simulate_founders(panel, 0.0, 10000, seed=120)
         d = g.dosages.astype(float)
         for j in range(5):
             r = np.corrcoef(d[:, j], d[:, j + 1])[0, 1]
@@ -60,16 +58,14 @@ class TestSimulateFounders:
     def test_adjacent_corr_matches_threshold_oracle(self):
         maf, rho = 0.3, 0.9
         panel = genome.build_panel([2], np.full(2, maf))
-        ld = genome.LdBlockModel([2], rho)
-        g = genome.simulate_founders(panel, ld, 40000, seed=13)
+        g = genome.simulate_founders(panel, rho, 40000, seed=13)
         d = g.dosages.astype(float)
         r = np.corrcoef(d[:, 0], d[:, 1])[0, 1]
         assert r == pytest.approx(threshold_dosage_corr_oracle(maf, rho), abs=0.02)
 
     def test_ld_decay_monotone_with_distance(self):
         panel = genome.build_panel([5], np.full(5, 0.25))
-        ld = genome.LdBlockModel([5], 0.8)
-        g = genome.simulate_founders(panel, ld, 30000, seed=14)
+        g = genome.simulate_founders(panel, 0.8, 30000, seed=14)
         d = g.dosages.astype(float)
         corrs = [np.corrcoef(d[:, 0], d[:, j])[0, 1] for j in range(1, 5)]
         assert all(corrs[i] > corrs[i + 1] - 0.02 for i in range(3))
@@ -78,9 +74,8 @@ class TestSimulateFounders:
 
     def test_hardy_weinberg_heterozygosity(self):
         panel = genome.build_panel([3], np.array([0.1, 0.3, 0.5]))
-        ld = genome.LdBlockModel([3], 0.0)
         n = 10000
-        g = genome.simulate_founders(panel, ld, n, seed=15)
+        g = genome.simulate_founders(panel, 0.0, n, seed=15)
         for j, p in enumerate([0.1, 0.3, 0.5]):
             expected = 2 * p * (1 - p)
             se = np.sqrt(expected * (1 - expected) / n)
@@ -98,14 +93,10 @@ class TestSimulateFounders:
         n, j = 2000, 800  # 2**20 // (2 * 800) = 655 individuals per chunk: four chunks, the last ragged
         assert n > 3 * (2**20 // (2 * j))
         panel = genome.random_panel(j, 1, seed=5)
-        planes = genome.founder_planes(panel, genome.LdBlockModel([1] * j, 0.0), n, seed=17)
+        planes = genome.founder_planes(panel, 0.0, n, seed=17)
         one_shot = child_rng(17, Stream.FOUNDERS, 0).random((2 * n, j)) < panel.maf
         assert planes.dtype == np.uint8
         assert np.array_equal(planes, one_shot.reshape(n, 2, j).transpose(1, 0, 2))
-
-    def test_inconsistent_ld_partition_rejected(self, small_panel):
-        with pytest.raises(ConfigError):
-            genome.simulate_founders(small_panel, genome.LdBlockModel([10], 0.2), 10, seed=1)
 
 
 class TestTransmit:
@@ -121,8 +112,7 @@ class TestTransmit:
 
     def test_parent_child_regression_and_correlation(self):
         panel = genome.build_panel([1], np.array([0.3]))
-        ld = genome.LdBlockModel([1], 0.0)
-        parents, children, ped = make_trio_population(10000, panel, ld, seed=21)
+        parents, children, ped = make_trio_population(10000, panel, 0.0, seed=21)
         mi = parents.index_of(ped.mother_ids)
         fi = parents.index_of(ped.father_ids)
         dm = parents.dosages[mi, 0].astype(float)
@@ -136,8 +126,7 @@ class TestTransmit:
 
     def test_sibling_correlation_matches_oracle(self):
         panel = genome.build_panel([1], np.array([0.3]))
-        ld = genome.LdBlockModel([1], 0.0)
-        parents, children, ped = make_sibling_population(10000, panel, ld, seed=22)
+        parents, children, ped = make_sibling_population(10000, panel, 0.0, seed=22)
         d = children.dosages[:, 0].astype(float)
         r = np.corrcoef(d[0::2], d[1::2])[0, 1]
         oracle = sibling_dosage_corr_oracle(0.3)
@@ -166,7 +155,7 @@ class TestTransmit:
     @pytest.mark.parametrize("block_sizes", [[3, 1, 5, 2, 1, 4], [1] * 12], ids=["mixed_blocks", "single_snp_blocks"])
     def test_xor_kernel_matches_strand_choice_oracle(self, block_sizes):
         panel = genome.build_panel(block_sizes, np.full(sum(block_sizes), 0.4))
-        planes = genome.founder_planes(panel, genome.LdBlockModel(block_sizes, 0.5), 50, seed=31)
+        planes = genome.founder_planes(panel, 0.5, 50, seed=31)
         idx = np.random.default_rng(32).integers(0, 50, (2, 70))
         child = genome.transmit_planes(planes[:, idx], panel, seed=33)
         # the strand choice as np.where on the per-block choice array, drawn from the same stream
@@ -221,10 +210,9 @@ class TestPrincipalComponents:
         shift = rng.choice([-1, 1], j) * rng.uniform(0.08, 0.16, j)
         mafs_b = np.clip(mafs_a + shift, 0.05, 0.5)
         panel = genome.build_panel([j], mafs_a)
-        ld = genome.LdBlockModel([j], 0.0)
-        ga = genome.simulate_founders(panel, ld, n // 2, seed=42)
+        ga = genome.simulate_founders(panel, 0.0, n // 2, seed=42)
         panel_b = genome.build_panel([j], mafs_b)
-        gb = genome.simulate_founders(panel_b, ld, n // 2, seed=43)
+        gb = genome.simulate_founders(panel_b, 0.0, n // 2, seed=43)
         planes = np.concatenate([ga.planes, gb.planes], axis=1)
         g = genome.GenotypeMatrix([f"i{i}" for i in range(n)], panel, planes)
         pcs = genome.principal_components(g, 2)
@@ -233,8 +221,7 @@ class TestPrincipalComponents:
 
     def test_homogeneous_population_null(self):
         panel = genome.random_panel(200, 10, seed=44)
-        ld = genome.LdBlockModel([10] * 20, 0.3)
-        g = genome.simulate_founders(panel, ld, 5000, seed=45)
+        g = genome.simulate_founders(panel, 0.3, 5000, seed=45)
         pcs = genome.principal_components(g, 3)
         rng = np.random.default_rng(46)
         label = rng.integers(0, 2, 5000).astype(float)
@@ -244,7 +231,7 @@ class TestPrincipalComponents:
     @pytest.mark.parametrize("n, j", [(60, 200), (400, 30)], ids=["wide", "tall"])
     def test_matches_svd_reference(self, n, j):
         panel = genome.random_panel(j, 10, seed=48)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([10] * (j // 10), 0.5), n, seed=49)
+        g = genome.simulate_founders(panel, 0.5, n, seed=49)
         d = g.dosages.astype(float)
         x = (d - d.mean(axis=0)) / d.std(axis=0)
         u = np.linalg.svd(x, full_matrices=False)[0][:, :5]
@@ -352,7 +339,7 @@ class TestAlleleFrequencies:
 
     def test_founder_frequency_near_maf(self):
         panel = genome.build_panel([1], np.array([0.2]))
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1], 0.0), 10000, seed=48)
+        g = genome.simulate_founders(panel, 0.0, 10000, seed=48)
         assert genome.allele_frequencies(g)[0] == pytest.approx(0.2, abs=0.01)
 
 
@@ -378,7 +365,7 @@ class TestPanelAndIo:
         assert panel.columns(["rs2", "rs0"]).tolist() == [2, 0]
         with pytest.raises(ConfigError, match=r"absent from the panel: \['rsX'\]"):
             panel.columns(["rs1", "rsX"])
-        g = genome.simulate_founders(panel, genome.LdBlockModel([2, 1], 0.0), 4, seed=1)
+        g = genome.simulate_founders(panel, 0.0, 4, seed=1)
         assert g.panel is panel and g.subset(g.ids[:2]).panel is panel
 
     def test_pedigree_invariants(self, tmp_path):

@@ -38,8 +38,7 @@ def assert_dead_and_rest_match(res, dead, design_of):
 def nurture_world():
     """Trio cohort with same-architecture nurture: delta=0.3, eta=0.2 each."""
     panel = genome.random_panel(150, 1, seed=201, maf_range=(0.2, 0.5))
-    ld = genome.LdBlockModel([1] * 150, 0.0)
-    parents, children, ped = make_trio_population(8000, panel, ld, seed=202)
+    parents, children, ped = make_trio_population(8000, panel, 0.0, seed=202)
     arch = ps.TraitArchitecture.random(panel, 150, target_h2=0.25, seed=203)
     nurture = ps.NurtureParams(delta=0.3, eta_m=0.2, eta_f=0.2)
     y = ps.simulate_family_outcome(children, parents, ped, arch, nurture, seed=204)
@@ -52,7 +51,7 @@ def nurture_world():
 class TestRunGwas:
     def test_perfect_fit_floors_p(self):
         panel = genome.build_panel([1], np.array([0.4]))
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1], 0.0), 500, seed=205)
+        g = genome.simulate_founders(panel, 0.0, 500, seed=205)
         y = g.dosages[:, 0].astype(float)
         res = gwas.run_gwas(g, y)
         assert res.beta[0] == pytest.approx(1.0, abs=1e-10)
@@ -61,7 +60,7 @@ class TestRunGwas:
     @pytest.mark.parametrize("dosage", [0, 2])
     def test_monomorphic_snp_marked_dead(self, dosage):
         panel = genome.build_panel([4], np.full(4, 0.3))
-        g = genome.simulate_founders(panel, genome.LdBlockModel([4], 0.4), 60, seed=245)
+        g = genome.simulate_founders(panel, 0.4, 60, seed=245)
         g = monomorphic_snp(g, 2, dosage)
         y = np.random.default_rng(246).standard_normal(60)
         with warnings.catch_warnings():
@@ -72,14 +71,14 @@ class TestRunGwas:
 
     def test_null_trait_no_hits(self):
         panel = genome.random_panel(20000, 1, seed=206)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1] * 20000, 0.0), 1500, seed=207)
+        g = genome.simulate_founders(panel, 0.0, 1500, seed=207)
         y = np.random.default_rng(208).standard_normal(1500)
         res = gwas.run_gwas(g, y)
         assert int((res.p < gwas.GENOME_WIDE_SIG).sum()) == 0
 
     def test_single_causal_snp_recovered(self):
         panel = genome.random_panel(50, 1, seed=209)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1] * 50, 0.0), 50000, seed=210)
+        g = genome.simulate_founders(panel, 0.0, 50000, seed=210)
         rng = np.random.default_rng(211)
         y = 0.1 * g.dosages[:, 7].astype(float) + rng.standard_normal(50000)
         res = gwas.run_gwas(g, y)
@@ -88,7 +87,7 @@ class TestRunGwas:
 
     def test_controls_partialled_out(self):
         panel = genome.random_panel(30, 1, seed=212)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1] * 30, 0.0), 4000, seed=213)
+        g = genome.simulate_founders(panel, 0.0, 4000, seed=213)
         rng = np.random.default_rng(214)
         sex = rng.integers(0, 2, 4000).astype(float)
         y = 2.0 * sex + rng.standard_normal(4000)
@@ -97,14 +96,14 @@ class TestRunGwas:
 
     def test_rank_deficient_controls_named(self):
         panel = genome.random_panel(5, 1, seed=215)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1] * 5, 0.0), 100, seed=216)
+        g = genome.simulate_founders(panel, 0.0, 100, seed=216)
         c = np.ones((100, 2))
         with pytest.raises(EstimationError, match="dup"):
             gwas.run_gwas(g, np.zeros(100), controls=c, control_names=["dup1", "dup2"])
 
     def test_thread_invariance(self):
         panel = genome.random_panel(9000, 1, seed=217)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1] * 9000, 0.0), 400, seed=218)
+        g = genome.simulate_founders(panel, 0.0, 400, seed=218)
         y = np.random.default_rng(219).standard_normal(400)
         a = gwas.run_gwas(g, y, threads=1)
         b = gwas.run_gwas(g, y, threads=4)
@@ -112,7 +111,7 @@ class TestRunGwas:
 
     def test_null_pvalues_uniform(self):
         panel = genome.random_panel(5000, 1, seed=220)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1] * 5000, 0.0), 2000, seed=221)
+        g = genome.simulate_founders(panel, 0.0, 2000, seed=221)
         y = np.random.default_rng(222).standard_normal(2000)
         res = gwas.run_gwas(g, y)
         ks = stats.kstest(res.p, "uniform").statistic
@@ -133,8 +132,7 @@ class TestTrioGwas:
 
     def test_no_confounds_designs_agree(self):
         panel = genome.random_panel(100, 1, seed=223)
-        ld = genome.LdBlockModel([1] * 100, 0.0)
-        parents, children, ped = make_trio_population(6000, panel, ld, seed=224)
+        parents, children, ped = make_trio_population(6000, panel, 0.0, seed=224)
         arch = ps.TraitArchitecture.random(panel, 100, target_h2=0.25, seed=225)
         y = ps.simulate_family_outcome(children, parents, ped, arch, ps.NurtureParams(delta=0.3), seed=226)
         trio = gwas.run_trio_gwas(children, parents, ped, y)
@@ -166,8 +164,7 @@ class TestTrioGwas:
 
     def test_monomorphic_snp_marked_dead(self):
         panel = genome.build_panel([4], np.full(4, 0.3))
-        ld = genome.LdBlockModel([4], 0.4)
-        parents, children, ped = make_trio_population(50, panel, ld, seed=241)
+        parents, children, ped = make_trio_population(50, panel, 0.4, seed=241)
         parents, children = monomorphic_snp(parents, 2), monomorphic_snp(children, 2)
         y = np.random.default_rng(242).standard_normal(50)
         res = gwas.run_trio_gwas(children, parents, ped, y)
@@ -180,8 +177,7 @@ class TestTrioGwas:
 @pytest.fixture(scope="module")
 def sibling_world():
     panel = genome.random_panel(120, 1, seed=231, maf_range=(0.2, 0.5))
-    ld = genome.LdBlockModel([1] * 120, 0.0)
-    parents, children, ped = make_sibling_population(8000, panel, ld, seed=232)
+    parents, children, ped = make_sibling_population(8000, panel, 0.0, seed=232)
     arch = ps.TraitArchitecture.random(panel, 120, target_h2=0.25, seed=233)
     sigma = np.sqrt(2 * panel.maf * (1 - panel.maf))
     gv_sd = ps.genetic_values(children, arch).std()
@@ -255,7 +251,7 @@ class TestMetaAnalysis:
 
     def test_split_halves_match_full(self):
         panel = genome.random_panel(40, 1, seed=241)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1] * 40, 0.0), 8000, seed=242)
+        g = genome.simulate_founders(panel, 0.0, 8000, seed=242)
         rng = np.random.default_rng(243)
         y = 0.05 * g.dosages[:, 3].astype(float) + rng.standard_normal(8000)
         full = gwas.run_gwas(g, y)
@@ -275,13 +271,13 @@ class TestMetaAnalysis:
 class TestClump:
     def test_nothing_significant(self):
         panel = genome.random_panel(20, 5, seed=251)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([5] * 4, 0.5), 500, seed=252)
+        g = genome.simulate_founders(panel, 0.5, 500, seed=252)
         res = gwas.run_gwas(g, np.random.default_rng(253).standard_normal(500))
         assert gwas.clump(res, g).leads == []
 
     def test_correlated_pair_single_lead(self):
         panel = genome.build_panel([2], np.array([0.3, 0.3]))
-        g = genome.simulate_founders(panel, genome.LdBlockModel([2], 0.95), 4000, seed=254)
+        g = genome.simulate_founders(panel, 0.95, 4000, seed=254)
         y = g.dosages[:, 0] + 0.2 * np.random.default_rng(255).standard_normal(4000)
         res = gwas.run_gwas(g, y)
         assert res.p[0] < 5e-8 and res.p[1] < 5e-8
@@ -290,9 +286,8 @@ class TestClump:
         assert leads.snp_ids[0] == panel.ids[int(np.argmin(res.p))]
 
     def test_three_causal_loci(self):
-        blocks = [6] * 10
         panel = genome.random_panel(60, 6, seed=256, maf_range=(0.25, 0.45))
-        g = genome.simulate_founders(panel, genome.LdBlockModel(blocks, 0.8), 6000, seed=257)
+        g = genome.simulate_founders(panel, 0.8, 6000, seed=257)
         rng = np.random.default_rng(258)
         causal = [3, 33, 57]  # one SNP inside blocks 0, 5, 9
         y = sum(0.25 * g.dosages[:, j].astype(float) for j in causal) + rng.standard_normal(6000)
@@ -316,7 +311,7 @@ class TestExports:
 
     def test_sumstats_roundtrip(self, tmp_path):
         panel = genome.random_panel(10, 1, seed=261)
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1] * 10, 0.0), 300, seed=262)
+        g = genome.simulate_founders(panel, 0.0, 300, seed=262)
         res = gwas.run_gwas(g, np.random.default_rng(263).standard_normal(300))
         path = str(tmp_path / "sumstats.tsv")
         gwas.write_sumstats_tsv(path, res)

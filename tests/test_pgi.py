@@ -7,12 +7,8 @@ from gxelab.util import ConfigError
 
 def make_world(n_disc, n_hold, n_snps, h2, seed, block_size=1, rho=0.0):
     panel = genome.random_panel(n_snps, block_size, seed=seed, maf_range=(0.2, 0.5))
-    sizes = [block_size] * (n_snps // block_size)
-    if n_snps % block_size:
-        sizes.append(n_snps % block_size)
-    ld = genome.LdBlockModel(sizes, rho)
-    g_disc = genome.simulate_founders(panel, ld, n_disc, seed=seed + 1)
-    g_hold = genome.simulate_founders(panel, ld, n_hold, seed=seed + 2)
+    g_disc = genome.simulate_founders(panel, rho, n_disc, seed=seed + 1)
+    g_hold = genome.simulate_founders(panel, rho, n_hold, seed=seed + 2)
     g_hold = genome.GenotypeMatrix([f"h{i}" for i in range(n_hold)], panel, g_hold.planes)
     arch = ps.TraitArchitecture.random(panel, max(2, int(0.8 * n_snps)), target_h2=h2, seed=seed)
     y_disc = ps.simulate_trait(g_disc, arch, seed=seed + 3)
@@ -23,7 +19,7 @@ def make_world(n_disc, n_hold, n_snps, h2, seed, block_size=1, rho=0.0):
 class TestBuildPgi:
     def test_single_snp_identity(self):
         panel = genome.build_panel([1], np.array([0.3]))
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1], 0.0), 400, seed=301)
+        g = genome.simulate_founders(panel, 0.0, 400, seed=301)
         res = gwas.result_from_stats(panel, np.array([1.0]), np.array([0.1]), 400, "population")
         p = pgi_mod.build_pgi(res, g)
         assert np.array_equal(p.raw_values, g.dosages[:, 0].astype(float))
@@ -32,14 +28,14 @@ class TestBuildPgi:
 
     def test_zero_weights_fail_loudly(self):
         panel = genome.build_panel([2], np.array([0.3, 0.4]))
-        g = genome.simulate_founders(panel, genome.LdBlockModel([2], 0.0), 100, seed=302)
+        g = genome.simulate_founders(panel, 0.0, 100, seed=302)
         res = gwas.result_from_stats(panel, np.zeros(2), np.ones(2), 100, "population")
         with pytest.raises(ConfigError, match="zero variance"):
             pgi_mod.build_pgi(res, g)
 
     def test_allele_flip_counted_and_equivalent(self):
         panel = genome.build_panel([3], np.array([0.3, 0.4, 0.2]))
-        g = genome.simulate_founders(panel, genome.LdBlockModel([3], 0.0), 500, seed=303)
+        g = genome.simulate_founders(panel, 0.0, 500, seed=303)
         res = gwas.result_from_stats(panel, np.array([0.5, -0.2, 0.1]), np.full(3, 0.1), 500, "population")
         straight = pgi_mod.build_pgi(res, g)
         flipped = gwas.result_from_stats(panel, np.array([-0.5, -0.2, 0.1]), np.full(3, 0.1), 500, "population")
@@ -50,7 +46,7 @@ class TestBuildPgi:
 
     def test_unknown_snp_rejected(self):
         panel = genome.build_panel([2], np.array([0.3, 0.4]))
-        g = genome.simulate_founders(panel, genome.LdBlockModel([2], 0.0), 100, seed=304)
+        g = genome.simulate_founders(panel, 0.0, 100, seed=304)
         alien = genome.Panel(["weird0", "rs1"], [2, 1], [100, 2000], [0.3, 0.4], [5, 0])
         res = gwas.result_from_stats(alien, np.ones(2), np.ones(2), 100, "population")
         with pytest.raises(ConfigError, match="weird0"):
@@ -98,12 +94,11 @@ class TestIncrementalR2:
         for rep in range(10):
             r2s = []
             panel = genome.random_panel(80, 1, seed=340 + rep, maf_range=(0.2, 0.5))
-            ld = genome.LdBlockModel([1] * 80, 0.0)
             arch = ps.TraitArchitecture.random(panel, 64, target_h2=0.25, seed=340 + rep)
-            g_hold = genome.simulate_founders(panel, ld, 4000, seed=341 + 31 * rep)
+            g_hold = genome.simulate_founders(panel, 0.0, 4000, seed=341 + 31 * rep)
             y_hold = ps.simulate_trait(g_hold, arch, seed=342 + 31 * rep)
             for k, n_disc in enumerate((500, 1500, 4500)):
-                g_disc = genome.simulate_founders(panel, ld, n_disc, seed=343 + 31 * rep + k)
+                g_disc = genome.simulate_founders(panel, 0.0, n_disc, seed=343 + 31 * rep + k)
                 y_disc = ps.simulate_trait(g_disc, arch, seed=344 + 31 * rep + k)
                 res = gwas.run_gwas(g_disc, y_disc)
                 r2s.append(pgi_mod.incremental_r2(pgi_mod.build_pgi(res, g_hold), y_hold))

@@ -37,16 +37,14 @@ class TestGeneticValues:
 
 class TestSimulateTrait:
     def test_zero_heritability(self, panel200):
-        ld = genome.LdBlockModel([1] * 200, 0.0)
-        g = genome.simulate_founders(panel200, ld, 10000, seed=81)
+        g = genome.simulate_founders(panel200, 0.0, 10000, seed=81)
         arch = ps.TraitArchitecture.random(panel200, 100, target_h2=0.0, seed=81)
         y = ps.simulate_trait(g, arch, seed=82)
         gv = ps.genetic_values(g, arch)
         assert abs(np.corrcoef(y, gv)[0, 1]) < 0.03
 
     def test_target_heritability_quarter(self, panel200):
-        ld = genome.LdBlockModel([1] * 200, 0.0)
-        g = genome.simulate_founders(panel200, ld, 10000, seed=83)
+        g = genome.simulate_founders(panel200, 0.0, 10000, seed=83)
         arch = ps.TraitArchitecture.random(panel200, 100, target_h2=0.25, seed=83)
         y = ps.simulate_trait(g, arch, seed=84)
         gv = ps.genetic_values(g, arch)
@@ -55,15 +53,14 @@ class TestSimulateTrait:
 
     def test_noiseless_limit_rank_orders_by_dosage(self):
         panel = genome.build_panel([1], np.array([0.3]))
-        g = genome.simulate_founders(panel, genome.LdBlockModel([1], 0.0), 1000, seed=85)
+        g = genome.simulate_founders(panel, 0.0, 1000, seed=85)
         arch = ps.TraitArchitecture((panel.ids[0],), np.array([1.0]), target_h2=0.999)
         y = ps.simulate_trait(g, arch, seed=86)
         d = g.dosages[:, 0]
         assert y[d == 2].min() > y[d == 1].max() > y[d == 0].max()
 
     def test_standardization_invariant(self, panel200):
-        ld = genome.LdBlockModel([1] * 200, 0.0)
-        g = genome.simulate_founders(panel200, ld, 5000, seed=87)
+        g = genome.simulate_founders(panel200, 0.0, 5000, seed=87)
         arch = ps.TraitArchitecture.random(panel200, 50, target_h2=0.5, seed=87)
         y = ps.simulate_trait(g, arch, seed=88)
         assert abs(y.mean()) < 1e-9
@@ -76,8 +73,7 @@ class TestSimulateTrait:
 
 @pytest.fixture(scope="module")
 def trio_data(panel200):
-    ld = genome.LdBlockModel([1] * 200, 0.0)
-    parents, children, ped = make_trio_population(20000, panel200, ld, seed=91)
+    parents, children, ped = make_trio_population(20000, panel200, 0.0, seed=91)
     return parents, children, ped
 
 
@@ -114,8 +110,7 @@ class TestFamilyOutcome:
         assert fit.beta[1] == pytest.approx(0.3, abs=0.02)
 
     def test_sibling_spillover_biases_within_family_difference(self, panel200):
-        ld = genome.LdBlockModel([1] * 200, 0.0)
-        parents, children, ped = make_sibling_population(8000, panel200, ld, seed=94)
+        parents, children, ped = make_sibling_population(8000, panel200, 0.0, seed=94)
         arch = ps.TraitArchitecture.random(panel200, 200, target_h2=0.25, seed=94)
         nurture = ps.NurtureParams(delta=0.3, gamma=0.1)
         y = ps.simulate_family_outcome(children, parents, ped, arch, nurture, seed=96)
@@ -182,7 +177,7 @@ class TestScenarios:
         panel = genome.random_panel(30, 1, seed=3)
         n, seed = 40, np.random.SeedSequence(9, spawn_key=(2,))
         dosages = ps._trio_dosages(panel, n, seed)
-        founders = genome.simulate_founders(panel, genome.LdBlockModel([1] * 30, 0.0), 2 * n, seed)
+        founders = genome.simulate_founders(panel, 0.0, 2 * n, seed)
         founders = genome.GenotypeMatrix([f"xp{i}" for i in range(2 * n)], panel, founders.planes)
         ref_ped = genome.Pedigree([f"xc{i}" for i in range(n)], founders.ids[:n], founders.ids[n:],
                                   [f"xfam{i}" for i in range(n)])

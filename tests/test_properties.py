@@ -37,8 +37,7 @@ def test_reduced_form_equals_direct_outcome(f_x, f_e, f_g, f_xe, f_xg, f_ge, k_0
 @given(seed=st.integers(0, 10_000), n_fam=st.integers(2, 12), maf=st.floats(0.05, 0.5))
 def test_transmitted_alleles_always_come_from_parents(seed, n_fam, maf):
     panel = genome.build_panel([3, 2], np.full(5, maf))
-    ld = genome.LdBlockModel([3, 2], 0.5)
-    parents = genome.simulate_founders(panel, ld, 2 * n_fam, seed)
+    parents = genome.simulate_founders(panel, 0.5, 2 * n_fam, seed)
     ped = genome.Pedigree(
         [f"c{i}" for i in range(n_fam)],
         parents.ids[:n_fam], parents.ids[n_fam:],

@@ -32,12 +32,15 @@ def test_no_stream_is_drawn_twice(tmp_path, drawn_keys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"n": 30, "n_snps": 65, "design": "trios", "block_size": 5, "rho": 0.5, "h2": 0.3}))
     assert cli.main(["simulate", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "sim")]) == 0
+    n_simulate = len(drawn_keys)
     base = phenosim.ScenarioSpec(g_regime="trio_pgi_family_controls", e_regime="exogenous", eta_m=0.2, eta_f=0.2)
     biaslab.run_table(base, reps=2, seed=5, sizes=phenosim.CohortSizes(n_discovery=20, n_analysis=200, n_snps=20))
     keys = [key(ss) for ss in drawn_keys]
     repeated = {k for k in keys if keys.count(k) > 1}
     assert not repeated
-    assert len(keys) > 9 * 2 * 4  # every replicate draws at least its panel, outcome and two cohorts
+    # each replicate of each cell draws exactly its scenario, scenario panel, analysis-cohort founders and
+    # transmission (plim mode draws no discovery cohort)
+    assert len(keys) - n_simulate == 9 * 2 * 4
 
 
 def test_every_spawn_key_is_a_chain_of_stream_groups(tmp_path, drawn_keys):
@@ -66,7 +69,7 @@ def test_trait_effects_are_not_founder_latent_draws(drawn_keys):
     panel = genome.random_panel(500, 10, seed=5)
     n = 100
     drawn_keys.clear()
-    genome.simulate_founders(panel, genome.LdBlockModel([10] * 50, 0.8), n, seed=5)
+    genome.simulate_founders(panel, 0.8, n, seed=5)
     block_streams = list(drawn_keys)
     assert len(block_streams) == 50
     effects = phenosim.TraitArchitecture.random(panel, 200, 0.4, seed=5).effects
