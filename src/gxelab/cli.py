@@ -2,9 +2,13 @@
 
 Every subcommand reads a JSON config (validated against a closed schema;
 unknown keys are rejected with their path), optionally overridden by the
-global flags --seed/--threads/--out, writes its artifacts atomically into
-the output directory, and finishes with a manifest.json recording the
-effective config, its hash, package versions and a sha256 per artifact.
+global flags --seed/--threads/--out, and writes its artifacts into a hidden
+.staging-* directory inside the output directory. main commits them only when
+the command succeeds: it deletes the old manifest.json, moves each artifact
+into place and then writes the new manifest.json, which records the effective
+config, its hash, package versions and a sha256 per artifact. A command
+therefore commits all of its outputs or none; a killed process can leave a
+.staging-* directory behind but never a manifest that disagrees with the files.
 Reruns of the same config produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error, 3 estimation error, 4 simulation error.
@@ -17,7 +21,9 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 import types
 
 import numpy as np
@@ -149,7 +155,7 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, config: dict, seed, threads: int, files: list[str]) -> None:
+def _write_manifest(out_dir: str, command: str, config: dict, seed, threads: int, outputs: dict[str, str]) -> None:
     canonical = json.dumps({"command": command, "config": config, "seed": seed}, sort_keys=True)
     manifest = {
         "command": command,
@@ -162,16 +168,16 @@ def _write_manifest(out_dir: str, command: str, config: dict, seed, threads: int
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "outputs": {os.path.basename(p): _sha256(p) for p in sorted(files)},
+        "outputs": outputs,
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations: each returns the list of files written
+# Subcommand implementations: each writes its artifacts into `out`
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
+def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> None:
     for key in ("n_snps", "block_size"):
         if cfg[key] < 1:
             raise ConfigError(f"config key simulate.{key} must be >= 1, got {cfg[key]}")
@@ -179,22 +185,15 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
     design = cfg["design"]
     if design not in ("founders", "trios", "sibling-pairs"):
         raise ConfigError(f"unknown design {design!r}")
-    # drawn before the first file is written, so a bad rho or n leaves the output directory empty
     n_founders = cfg["n"] if design == "founders" else 2 * cfg["n"]
     founders = genome.simulate_founders(panel, cfg["rho"], n_founders, seed, threads)
-    files = [os.path.join(out, "panel.tsv")]
-    genome.write_panel_tsv(files[0], panel)
+    arch = None if cfg["h2"] is None else phenosim.TraitArchitecture.random(
+        panel, cfg["n_causal"] or cfg["n_snps"], cfg["h2"], seed)
+    genome.write_panel_tsv(os.path.join(out, "panel.tsv"), panel)
 
     if design == "founders":
-        path = os.path.join(out, "genotypes.tsv")
-        genome.write_genotypes_tsv(path, founders)
-        files.append(path)
-        if cfg["h2"] is not None:
-            arch = phenosim.TraitArchitecture.random(panel, cfg["n_causal"] or cfg["n_snps"], cfg["h2"], seed)
-            y = phenosim.simulate_trait(founders, arch, seed)
-            p = os.path.join(out, "phenotype.tsv")
-            write_tsv(p, ["iid", "Y"], zip(founders.ids, map(float, y)))
-            files.append(p)
+        genome.write_genotypes_tsv(os.path.join(out, "genotypes.tsv"), founders)
+        people = founders
     else:
         n_fam = cfg["n"]
         mothers, fathers = founders.ids[:n_fam], founders.ids[n_fam:]
@@ -202,22 +201,15 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
         fam = [i for i in range(n_fam) for _ in kids]
         ped = genome.Pedigree([f"c{i}{k}" for i in range(n_fam) for k in kids], [mothers[i] for i in fam],
                               [fathers[i] for i in fam], [f"fam{i}" for i in fam], design=design)
-        children = genome.transmit(founders, ped, seed)
-        for name, g in (("children.tsv", children), ("parents.tsv", founders)):
-            path = os.path.join(out, name)
-            genome.write_genotypes_tsv(path, g)
-            files.append(path)
-        ped_path = os.path.join(out, "pedigree.tsv")
-        genome.write_pedigree_tsv(ped_path, ped)
-        files.append(ped_path)
-        if cfg["h2"] is not None:
-            arch = phenosim.TraitArchitecture.random(panel, cfg["n_causal"] or cfg["n_snps"], cfg["h2"], seed)
-            nurture = phenosim.NurtureParams(cfg["delta"], cfg["eta_m"], cfg["eta_f"], cfg["w"], cfg["gamma"])
-            y = phenosim.simulate_family_outcome(children, founders, ped, arch, nurture, seed)
-            p = os.path.join(out, "phenotype.tsv")
-            write_tsv(p, ["iid", "Y"], zip(children.ids, map(float, y)))
-            files.append(p)
-    return files
+        people = genome.transmit(founders, ped, seed)
+        genome.write_genotypes_tsv(os.path.join(out, "children.tsv"), people)
+        genome.write_genotypes_tsv(os.path.join(out, "parents.tsv"), founders)
+        genome.write_pedigree_tsv(os.path.join(out, "pedigree.tsv"), ped)
+        nurture = phenosim.NurtureParams(cfg["delta"], cfg["eta_m"], cfg["eta_f"], cfg["w"], cfg["gamma"])
+    if arch is not None:
+        y = (phenosim.simulate_trait(people, arch, seed) if design == "founders"
+             else phenosim.simulate_family_outcome(people, founders, ped, arch, nurture, seed))
+        write_tsv(os.path.join(out, "phenotype.tsv"), ["iid", "Y"], zip(people.ids, map(float, y)))
 
 
 def _load_phenotype(path: str, ids: list[str]) -> np.ndarray:
@@ -231,7 +223,7 @@ def _load_phenotype(path: str, ids: list[str]) -> np.ndarray:
         raise ConfigError(f"{path}: phenotype file is missing individual {e.args[0]!r}") from None
 
 
-def _cmd_gwas(cfg: dict, seed, threads: int, out: str) -> list[str]:
+def _cmd_gwas(cfg: dict, seed, threads: int, out: str) -> None:
     panel = genome.read_panel_tsv(cfg["panel"])
     g = genome.read_genotypes_tsv(cfg["genotypes"], panel)
     y = _load_phenotype(cfg["phenotype"], g.ids)
@@ -263,15 +255,12 @@ def _cmd_gwas(cfg: dict, seed, threads: int, out: str) -> list[str]:
         res = gwas_mod.run_sibling_gwas(g, ped, y, cfg["sibling_variant"])
     else:
         raise ConfigError(f"unknown GWAS design {design!r}")
-    sumstats = os.path.join(out, "sumstats.tsv")
-    gwas_mod.write_sumstats_tsv(sumstats, res)
-    manhattan = os.path.join(out, "manhattan.tsv")
-    write_tsv(manhattan, ["CHR", "POS", "NEGLOG10P"],
+    gwas_mod.write_sumstats_tsv(os.path.join(out, "sumstats.tsv"), res)
+    write_tsv(os.path.join(out, "manhattan.tsv"), ["CHR", "POS", "NEGLOG10P"],
               ((c, p, fmt_float(v)) for c, p, v in gwas_mod.manhattan_export(res)))
-    return [sumstats, manhattan]
 
 
-def _cmd_pgi(cfg: dict, seed, threads: int, out: str) -> list[str]:
+def _cmd_pgi(cfg: dict, seed, threads: int, out: str) -> None:
     panel = genome.read_panel_tsv(cfg["panel"])
     g = genome.read_genotypes_tsv(cfg["genotypes"], panel)
     res = gwas_mod.read_sumstats_tsv(cfg["sumstats"])
@@ -282,12 +271,10 @@ def _cmd_pgi(cfg: dict, seed, threads: int, out: str) -> list[str]:
     else:
         raise ConfigError(f"unknown selection rule {cfg['selection']!r}")
     index = pgi_mod.build_pgi(res, g, selection=selection)
-    path = os.path.join(out, "pgi.tsv")
-    write_tsv(path, ["iid", "pgi"], zip(g.ids, map(float, index.values)))
-    return [path]
+    write_tsv(os.path.join(out, "pgi.tsv"), ["iid", "pgi"], zip(g.ids, map(float, index.values)))
 
 
-def _cmd_gxe(cfg: dict, seed, threads: int, out: str) -> list[str]:
+def _cmd_gxe(cfg: dict, seed, threads: int, out: str) -> None:
     with _data_table(cfg["data"]) as data:
         spec = gxe_mod.GxeModelSpec(
             terms=tuple(cfg["terms"]), controls=tuple(cfg["controls"]),
@@ -295,55 +282,43 @@ def _cmd_gxe(cfg: dict, seed, threads: int, out: str) -> list[str]:
             se=cfg["se"], cluster_on=cfg["cluster_on"],
         )
         fit = gxe_mod.fit_gxe(data, spec)
-    path = os.path.join(out, "gxe_fit.json")
-    atomic_write_text(path, fit.to_json() + "\n")
-    return [path]
+    atomic_write_text(os.path.join(out, "gxe_fit.json"), fit.to_json() + "\n")
 
 
-def _cmd_rdd(cfg: dict, seed, threads: int, out: str) -> list[str]:
+def _cmd_rdd(cfg: dict, seed, threads: int, out: str) -> None:
     with _data_table(cfg["data"]) as data:
         spec = gxe_mod.RddSpec(bandwidth=cfg["bandwidth"], covariates=tuple(cfg["covariates"]),
                                pcs=tuple(cfg["pcs"]))
         fit = gxe_mod.fit_rdd_gxe(data, spec, model=cfg["model"])
         sample = gxe_mod.rdd_sample(data, spec)
-    fit_path = os.path.join(out, "rdd_fit.json")
-    atomic_write_text(fit_path, fit.to_json() + "\n")
+    atomic_write_text(os.path.join(out, "rdd_fit.json"), fit.to_json() + "\n")
     rows = gxe_mod.slope_plot_data(sample, bins=cfg["slope_bins"])
-    slope_path = os.path.join(out, "slope_plot.tsv")
-    write_tsv(slope_path, ["arm", "bin_center", "mean_Y", "count"], rows)
-    return [fit_path, slope_path]
+    write_tsv(os.path.join(out, "slope_plot.tsv"), ["arm", "bin_center", "mean_Y", "count"], rows)
 
 
-def _cmd_power(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
+def _cmd_power(cfg: dict, seed: int, threads: int, out: str) -> None:
     spec = inference.PowerSpec(beta_g=cfg["beta_g"], beta_e=cfg["beta_e"], beta_x=0.0,
                                n=cfg["n"], treated_share=cfg["treated_share"],
                                alpha=cfg["alpha"], reps=cfg["reps"])
     grid = np.array([float(b) for b in cfg["beta_x_grid"]])
     curve = inference.power_curve(spec, grid, seed, threads)
-    path = os.path.join(out, "power.tsv")
-    write_tsv(path, ["beta_x", "n", "power", "ci_lo", "ci_hi"],
+    write_tsv(os.path.join(out, "power.tsv"), ["beta_x", "n", "power", "ci_lo", "ci_hi"],
               ((fmt_float(b), cfg["n"], fmt_float(p), fmt_float(lo), fmt_float(hi))
                for b, p, lo, hi in zip(curve.beta_x, curve.power, curve.ci_lo, curve.ci_hi)))
-    files = [path]
     if cfg["mde"]:
         value = curve.mde(target_power=cfg["target_power"])
-        mde_path = os.path.join(out, "mde.json")
-        write_json(mde_path, {"mde": value, "target_power": cfg["target_power"], "n": cfg["n"]})
-        files.append(mde_path)
-    return files
+        write_json(os.path.join(out, "mde.json"), {"mde": value, "target_power": cfg["target_power"], "n": cfg["n"]})
 
 
-def _cmd_permute(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
+def _cmd_permute(cfg: dict, seed: int, threads: int, out: str) -> None:
     with _data_table(cfg["data"]) as data:
         spec = gxe_mod.GxeModelSpec(terms=tuple(cfg["terms"]), controls=tuple(cfg["controls"]),
                                     control_interactions=cfg["control_interactions"])
         res = inference.permutation_test(data, spec, n_perm=cfg["n_perm"], seed=seed,
                                          joint=cfg["joint"], threads=threads)
-    null_path = os.path.join(out, "permutation_null.tsv")
-    write_tsv(null_path, ["draw", "coef", "t"],
+    write_tsv(os.path.join(out, "permutation_null.tsv"), ["draw", "coef", "t"],
               ((i, fmt_float(c), fmt_float(t)) for i, (c, t) in enumerate(zip(res.null_coefs, res.null_ts))))
-    summary_path = os.path.join(out, "permutation.json")
-    write_json(summary_path, {
+    write_json(os.path.join(out, "permutation.json"), {
         "observed_coef": res.observed_coef,
         "observed_t": res.observed_t,
         "coef_percentile": res.coef_percentile,
@@ -353,10 +328,9 @@ def _cmd_permute(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
         "outside_95_t": res.outside_envelope(95, "t"),
         "n_perm": cfg["n_perm"],
     })
-    return [null_path, summary_path]
 
 
-def _cmd_bias_table(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
+def _cmd_bias_table(cfg: dict, seed: int, threads: int, out: str) -> None:
     base = phenosim.ScenarioSpec(
         g_regime="trio_pgi_family_controls", e_regime="exogenous",
         beta_g=cfg["beta_g"], beta_e=cfg["beta_e"], beta_x=cfg["beta_x"],
@@ -367,12 +341,9 @@ def _cmd_bias_table(cfg: dict, seed: int, threads: int, out: str) -> list[str]:
     sizes = phenosim.CohortSizes(n_discovery=64, n_analysis=cfg["n_analysis"], n_snps=cfg["n_snps"])
     table = biaslab.run_table(base, reps=cfg["reps"], seed=seed, sizes=sizes,
                               discovery=cfg["discovery"], threads=threads)
-    json_path = os.path.join(out, "bias_table.json")
-    write_json(json_path, {"cells": table.as_dict(), "sign_matrix": table.sign_matrix()})
-    tsv_path = os.path.join(out, "bias_table.tsv")
+    write_json(os.path.join(out, "bias_table.json"), {"cells": table.as_dict(), "sign_matrix": table.sign_matrix()})
     rows = table.to_tsv_rows()
-    write_tsv(tsv_path, rows[0], rows[1:])
-    return [json_path, tsv_path]
+    write_tsv(os.path.join(out, "bias_table.tsv"), rows[0], rows[1:])
 
 
 COMMANDS = {
@@ -424,8 +395,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in SEED_REQUIRED and seed is None:
             raise ConfigError(f"{args.command} is stochastic: a seed is required (--seed or config)")
         os.makedirs(out, exist_ok=True)
-        files = COMMANDS[args.command](cfg, seed, threads, out)
-        _write_manifest(out, args.command, cfg, seed, threads, files)
+        staging = tempfile.mkdtemp(dir=out, prefix=".staging-")
+        try:
+            COMMANDS[args.command](cfg, seed, threads, staging)
+            outputs = {name: _sha256(os.path.join(staging, name)) for name in sorted(os.listdir(staging))}
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out, "manifest.json"))
+            for name in outputs:
+                os.replace(os.path.join(staging, name), os.path.join(out, name))
+            _write_manifest(out, args.command, cfg, seed, threads, outputs)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
         return 0
     except (ConfigError, PedigreeError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as e:
         print(f"config error: {e}", file=sys.stderr)

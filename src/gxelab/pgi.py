@@ -143,11 +143,10 @@ def oriv_estimate(
     base = np.ones((n, 1)) if controls is None else np.column_stack([np.ones(n), controls])
     ols_fit = ols(y, np.column_stack([base, a]))
     lam = float(np.corrcoef(a, b)[0, 1])
-    first_stage = ols(endog, np.column_stack([instr[:, None], np.ones(2 * n)[:, None], exog]), se="classical").beta[0]
     return OrivFit(
         beta_iv=float(fit.beta[0]),
         se=float(fit.se[0]),
-        first_stage=float(first_stage),
+        first_stage=fit.first_stage,
         first_stage_f=fit.first_stage_f,
         ols_beta=float(ols_fit.beta[-1]),
         attenuation=lam,

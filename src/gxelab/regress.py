@@ -93,9 +93,7 @@ def sandwich(S: np.ndarray, resid: np.ndarray, bread: np.ndarray, clusters: np.n
     else:
         _, inv = np.unique(clusters, return_inverse=True)
         n_g = inv.max() + 1
-        summed = np.zeros((n_g, k))
-        np.add.at(summed, inv, scores)
-        scores = summed
+        scores = np.stack([np.bincount(inv, weights=scores[:, j]) for j in range(k)], axis=1)
         factor = (n_g / (n_g - 1)) * ((n - 1) / (n - k))
     return bread @ (scores.T @ scores) @ bread.T * factor
 
@@ -211,6 +209,7 @@ class TslsFit:
     beta: np.ndarray
     cov: np.ndarray
     names: list[str]
+    first_stage: float
     first_stage_f: float
     n: int
 
@@ -230,7 +229,7 @@ def tsls(
 
     Covariance is the IV sandwich, cluster-robust when clusters are given
     (CR1 factor), HC1 otherwise. Also reports the first-stage F of the
-    instrument (HC1 Wald on the partialled instrument).
+    instrument (HC1 Wald on the partialled instrument) and its coefficient.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -245,4 +244,4 @@ def tsls(
     beta = np.linalg.solve(zx, Z.T @ y)
     cov = sandwich(Z, y - X @ beta, np.linalg.inv(zx), clusters)
     f_stat = float((fs.beta[0] / fs.se[0]) ** 2)
-    return TslsFit(beta=beta, cov=cov, names=names, first_stage_f=f_stat, n=n)
+    return TslsFit(beta=beta, cov=cov, names=names, first_stage=float(fs.beta[0]), first_stage_f=f_stat, n=n)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,9 +62,10 @@ VARIANT_CONFIG = {"gwas-trio": {"design": "trio"}, "gxe-iid-control": {"controls
                   "permute-iid-control": {"controls": ["iid"]}, "rdd-iid-covariate": {"covariates": ["iid"]}}
 
 
-def run_on_files(tmp_path, command, files, **config):
+def run_on_files(tmp_path, command, files, out=None, **config):
     """Exit code of `command` run at seed 1 on the given file texts and config
-    values; a variant such as "gwas-trio" adds its VARIANT_CONFIG values."""
+    values, into `out` (default tmp_path / "o"); a variant such as "gwas-trio"
+    adds its VARIANT_CONFIG values."""
     base = command.partition("-")[0]
     payload = dict(VARIANT_CONFIG.get(command, {}))
     for name in COMMAND_INPUTS.get(command, COMMAND_INPUTS[base]):
@@ -71,7 +73,45 @@ def run_on_files(tmp_path, command, files, **config):
         path.write_text(files[name])
         payload[name] = str(path)
     cfg = write_config(tmp_path, f"{command}.json", {**payload, **config})
-    return run([base, "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")])
+    return run([base, "--config", cfg, "--seed", 1, "--out", out or tmp_path / "o"])
+
+
+# Small valid configs of the commands that read no data file (seed 1)
+VALID_CONFIGS = {"simulate": {"n": 12, "n_snps": 6, "h2": 0.5},
+                 "power": {"beta_e": 0.5, "n": 60, "beta_x_grid": [0.2], "reps": 100},
+                 "bias-table": {"reps": 2, "n_analysis": 30, "n_snps": 10}}
+
+
+def snapshot(out):
+    """{name: bytes} of the files in `out`; a directory there (a .staging-*) maps to None."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in Path(out).iterdir()}
+
+
+def prefill(tmp_path, command):
+    """Runs a small valid `command` into tmp_path / "o", with its inputs in
+    tmp_path / "valid", and returns the snapshot of tmp_path / "o"; a variant
+    such as "gwas-trio" runs its base command on VALID_FILES."""
+    inputs = tmp_path / "valid"
+    inputs.mkdir()
+    with warnings.catch_warnings():  # rdd on VALID_FILES warns of its 6 running-variable clusters
+        warnings.simplefilter("ignore", UserWarning)
+        if command in VALID_CONFIGS:
+            cfg = write_config(inputs, "valid.json", VALID_CONFIGS[command])
+            assert run([command, "--config", cfg, "--seed", 1, "--out", tmp_path / "o"]) == 0
+        else:
+            assert run_on_files(inputs, command.partition("-")[0], VALID_FILES, out=tmp_path / "o") == 0
+    before = snapshot(tmp_path / "o")
+    assert "manifest.json" in before
+    return before
+
+
+@contextlib.contextmanager
+def fails_cleanly(tmp_path, command):
+    """Yields tmp_path / "o", which holds a valid run of `command`; the failing
+    run inside must change no name or byte there."""
+    before = prefill(tmp_path, command)
+    yield tmp_path / "o"
+    assert snapshot(tmp_path / "o") == before
 
 
 # Manifest checksums of three small seeded simulate runs. A change that moves
@@ -297,46 +337,54 @@ class TestEstimationCommands:
 class TestErrorPaths:
     def test_impossible_scenario_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli.biaslab, "run_cell", lambda *args, **kw: calls.append(args))
         cfg = write_config(tmp_path, "bias.json", {"corr_e_estar": 2, "reps": 2, "n_analysis": 30, "n_snps": 10})
-        assert run(["bias-table", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "bias-table") as out:
+            monkeypatch.setattr(cli.biaslab, "run_cell", lambda *args, **kw: calls.append(args))
+            assert run(["bias-table", "--config", cfg, "--seed", 1, "--out", out]) == 2
         assert "a_parent^2 + corr_e_estar^2 must be <= 1" in capsys.readouterr().err
         assert calls == []  # rejected before any cell runs
 
     def test_failed_replicates_name_the_first_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bias.json", {"reps": 2, "n_analysis": 3, "n_snps": 2})
-        assert run(["bias-table", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 4
+        with fails_cleanly(tmp_path, "bias-table") as out:
+            assert run(["bias-table", "--config", cfg, "--seed", 1, "--out", out]) == 4
         err = capsys.readouterr().err
         assert "2/2 replicates failed; the first with EstimationError: design has 3 rows for 6 columns" in err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"n": 100, "wat": 1})
-        assert run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "simulate") as out:
+            assert run(["simulate", "--config", cfg, "--seed", 1, "--out", out]) == 2
         assert "simulate.wat" in capsys.readouterr().err
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"n_snps": 10})
-        assert run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "simulate") as out:
+            assert run(["simulate", "--config", cfg, "--seed", 1, "--out", out]) == 2
         assert "simulate.n" in capsys.readouterr().err
 
     def test_missing_seed_for_stochastic(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sim.json", {"n": 50})
-        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "simulate") as out:
+            assert run(["simulate", "--config", cfg, "--out", out]) == 2
         assert "seed" in capsys.readouterr().err
 
     def test_wrong_type_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"n": "many"})
-        assert run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "simulate") as out:
+            assert run(["simulate", "--config", cfg, "--seed", 1, "--out", out]) == 2
 
     @pytest.mark.parametrize("key", ["seed", "threads"])
     def test_non_integer_meta_key_rejected(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path, "sim.json", {"n": 50, "seed": 1, key: "two"})
-        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "simulate") as out:
+            assert run(["simulate", "--config", cfg, "--out", out]) == 2
         assert "'two'" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         cfg = write_config(tmp_path, "gxe.json", {"data": str(tmp_path / "nope.tsv")})
-        assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "gxe") as out:
+            assert run(["gxe", "--config", cfg, "--out", out]) == 2
 
     @pytest.mark.parametrize("beta_e, n, message", [
         ("1" + "0" * 400, "100", "power.beta_e"),
@@ -346,22 +394,27 @@ class TestErrorPaths:
     def test_number_beyond_machine_range_rejected(self, tmp_path, capsys, beta_e, n, message):
         cfg = tmp_path / "power.json"
         cfg.write_text(f'{{"beta_e": {beta_e}, "n": {n}, "beta_x_grid": [0.1]}}')
-        assert run(["power", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "power") as out:
+            assert run(["power", "--config", cfg, "--seed", 1, "--out", out]) == 2
         assert message in capsys.readouterr().err
 
     def test_input_path_that_is_a_directory_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "gxe.json", {"data": str(tmp_path)})
-        assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert run(["gxe", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "gxe") as out:
+            assert run(["gxe", "--config", cfg, "--out", out]) == 2
+            assert run(["gxe", "--config", str(tmp_path), "--out", out]) == 2
 
     def test_output_io_failure_is_not_a_config_error(self, tmp_path, monkeypatch):
         def disk_full(*args):
             raise OSError(errno.ENOSPC, "No space left on device")
 
+        prefill(tmp_path, "simulate")
         monkeypatch.setattr(cli, "_write_manifest", disk_full)
         cfg = write_config(tmp_path, "sim.json", {"n": 20, "n_snps": 4})
         with pytest.raises(OSError, match="No space left"):
             run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")])
+        left = os.listdir(tmp_path / "o")  # the new artifacts, with no manifest vouching for them
+        assert "manifest.json" not in left and not [n for n in left if n.startswith(".staging-")]
 
     def test_estimation_error_exit_code(self, tmp_path):
         rng = np.random.default_rng(47)
@@ -372,7 +425,8 @@ class TestErrorPaths:
         write_tsv(str(data), ["iid", "Y", "G", "E", "Gcopy"],
                   ((f"i{i}", float(G[i]), float(G[i]), float(E[i]), float(G[i])) for i in range(n)))
         cfg = write_config(tmp_path, "gxe.json", {"data": str(data), "controls": ["Gcopy"]})
-        assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        with fails_cleanly(tmp_path, "gxe") as out:
+            assert run(["gxe", "--config", cfg, "--out", out]) == 3
 
     @pytest.mark.parametrize("command, key, text, code, message", [
         ("gxe", "data", "", 2, "is empty"),
@@ -429,7 +483,8 @@ class TestErrorPaths:
             "permute_missing_column", "rdd_missing_column", "rdd_fractional_month", "rdd_inconsistent_treatment",
             "gxe_non_numeric_control", "permute_non_numeric_control", "rdd_non_numeric_covariate"])
     def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
-        assert run_on_files(tmp_path, command, {**VALID_FILES, key: text}) == code
+        with fails_cleanly(tmp_path, command):
+            assert run_on_files(tmp_path, command, {**VALID_FILES, key: text}) == code
         err = capsys.readouterr().err
         assert message in err
         assert code == 3 or f"{key}.tsv" in err  # a config error names its file
@@ -441,14 +496,16 @@ class TestErrorPaths:
         ("gxe", {"terms": ["GxE"]}, "GxE requires both G and E main effects"),
     ], ids=["n_perm", "rdd_model", "gxe_terms"])
     def test_config_value_error_names_no_data_file(self, tmp_path, capsys, command, config, message):
-        assert run_on_files(tmp_path, command, VALID_FILES, **config) == 2
+        with fails_cleanly(tmp_path, command):
+            assert run_on_files(tmp_path, command, VALID_FILES, **config) == 2
         err = capsys.readouterr().err
         assert f"config error: {message}" in err and "data.tsv" not in err
 
     @pytest.mark.parametrize("digit", ["\uff12", "\u0662"], ids=["fullwidth", "arabic_indic"])
     def test_unicode_digit_genotype_cell_exits_2(self, tmp_path, capsys, digit):
         text = VALID_FILES["genotypes"].replace("i1\t2\t1", f"i1\t{digit}\t1")
-        assert run_on_files(tmp_path, "gwas", {**VALID_FILES, "genotypes": text}) == 2
+        with fails_cleanly(tmp_path, "gwas"):
+            assert run_on_files(tmp_path, "gwas", {**VALID_FILES, "genotypes": text}) == 2
         err = capsys.readouterr().err
         assert f"column 'rs0' of {tmp_path / 'genotypes.tsv'} holds '{digit}', not a dosage" in err
         assert "Traceback" not in err
@@ -456,7 +513,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("key, value", [("n_snps", -3), ("n_snps", 0), ("block_size", 0), ("block_size", -2)])
     def test_simulate_rejects_non_positive_sizes(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, "sim.json", {"n": 20, "n_snps": 10, key: value})
-        assert run(["simulate", "--config", cfg, "--seed", 1, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "simulate") as out:
+            assert run(["simulate", "--config", cfg, "--seed", 1, "--out", out]) == 2
         err = capsys.readouterr().err
         assert f"simulate.{key}" in err and "Traceback" not in err
 
@@ -467,7 +525,8 @@ class TestErrorPaths:
     ], ids=["negative_seed", "n_causal_above_n_snps", "negative_n_causal"])
     def test_simulate_rejects_invalid_seed_and_n_causal(self, tmp_path, capsys, config, message):
         cfg = write_config(tmp_path, "sim.json", config)
-        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        with fails_cleanly(tmp_path, "simulate") as out:
+            assert run(["simulate", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
@@ -484,6 +543,24 @@ class TestErrorPaths:
         assert message in err and "Traceback" not in err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("command, config, files, code, message", [
+        ("power", {"beta_e": 0.5, "n": 20, "beta_x_grid": [0.1], "reps": 100, "mde": True}, {}, 4,
+         "target power 0.8 unreachable"),
+        ("simulate", {"n": 20, "n_snps": 10, "design": "trios", "h2": 1.0}, {}, 2, "target_h2 1.0 outside [0, 1)"),
+        ("rdd", {}, {"data": "iid\tY\tG\tE\tMoB\n" + "".join(  # every treated index beyond +3
+            f"i{i}\t{(i * 11) % 7 - 3}\t{(i * 7) % 5 - 2 + 6 * (i % 6 >= 3)}\t{int(i % 6 >= 3)}\t{i % 6 - 3}\n"
+            for i in range(24))}, 2, "slope plot needs two arms"),
+    ], ids=["power_mde_unreachable", "simulate_trio_h2_one", "rdd_arm_trimmed_away"])
+    def test_failure_after_a_first_artifact_commits_nothing(self, tmp_path, capsys, command, config, files, code,
+                                                           message):
+        with fails_cleanly(tmp_path, command) as out:
+            if files:
+                assert run_on_files(tmp_path, command, {**VALID_FILES, **files}, **config) == code
+            else:
+                cfg = write_config(tmp_path, "late.json", config)
+                assert run([command, "--config", cfg, "--seed", 1, "--out", out]) == code
+        assert message in capsys.readouterr().err
+
     def test_gxe_reads_only_the_columns_its_design_uses(self, tmp_path, capsys):
         rng = np.random.default_rng(49)
         E = (rng.random(200) < 0.5).astype(float)
@@ -497,7 +574,8 @@ class TestErrorPaths:
             assert set(json.load(f)["coefficients"]) == {"intercept", "E", "ctrl:C"}
         cfg = write_config(tmp_path, "ctrlx.json", {"data": str(data), "terms": ["E"], "controls": ["C"],
                                                     "control_interactions": True})
-        assert run(["gxe", "--config", cfg, "--out", str(tmp_path / "ctrlx")]) == 2
+        with fails_cleanly(tmp_path, "gxe") as out:
+            assert run(["gxe", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "column 'G'" in err and "Traceback" not in err
 
@@ -540,10 +618,12 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(data):
     if command == "bias-table":  # keep the defaults' minutes-long table out of reach
         payload = {"reps": 2, "n_analysis": 30, "n_snps": 10, **payload}
     with tempfile.TemporaryDirectory() as tmp:
+        before = prefill(Path(tmp), command)
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(payload))
         code, err = exit_code_and_stderr(run, [command, "--config", cfg, "--out", Path(tmp) / "o"]
                                          + data.draw(st.sampled_from([[], ["--seed", 1]])))
+        assert code == 0 or snapshot(Path(tmp) / "o") == before
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
 
@@ -558,6 +638,8 @@ def test_fuzzed_data_files_end_in_a_documented_exit_code(data):
     mutated = valid[:cut] + data.draw(FUZZ_TEXT)[:6] + valid[cut + drop:]  # a near-valid file
     text = data.draw(st.one_of(st.just(mutated), FUZZ_TEXT))
     with tempfile.TemporaryDirectory() as tmp:
+        before = prefill(Path(tmp), command)
         code, err = exit_code_and_stderr(run_on_files, Path(tmp), command, {**VALID_FILES, name: text})
+        assert code == 0 or snapshot(Path(tmp) / "o") == before
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
