@@ -28,8 +28,7 @@ from .gxe import GxeModelSpec, gxe_design, rge_check
 from .pgi import incremental_r2
 from .phenosim import CohortSizes, ScenarioDataset, ScenarioSpec, simulate_scenario, treated_indicator
 from .regress import batched_ols, ols
-from .util import (CalibrationError, ConfigError, EstimationError, PedigreeError, Seed, SimulationError, Stream,
-                   child_rng, indexed_map, substream)
+from .util import ConfigError, EstimationError, Seed, SimulationError, Stream, child_rng, indexed_map, substream
 
 DEFAULT_SIZES = CohortSizes(n_discovery=64, n_analysis=2000, n_snps=120)
 E_COLUMNS = ("exogenous", "predetermined", "endogenous_correlated")
@@ -130,8 +129,7 @@ def _cell_design(ds: ScenarioDataset, index: np.ndarray) -> tuple[list[str], np.
     return names, np.column_stack([*cols, ds.analysis.y])
 
 
-_REPLICATE_ERRORS = (ConfigError, PedigreeError, EstimationError, SimulationError, CalibrationError,
-                    np.linalg.LinAlgError)
+_REPLICATE_ERRORS = (ConfigError, EstimationError, SimulationError, np.linalg.LinAlgError)
 
 
 def _run_replicates(reps: int, threads: int, draw: Callable[[int], dict]) -> list[dict]:

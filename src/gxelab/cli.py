@@ -4,8 +4,9 @@ Every subcommand reads a JSON config (validated against a closed schema;
 unknown keys are rejected with their path), optionally overridden by the
 global flags --seed/--threads/--out, and writes its artifacts into a hidden
 .staging-* directory inside the output directory. main commits them only when
-the command succeeds: it deletes the old manifest.json, moves each artifact
-into place and then writes the new manifest.json, which records the effective
+the command succeeds: it deletes the old manifest.json and the files it listed
+that this run does not write (plain file names in the output directory only),
+moves each artifact into place and then writes the new manifest.json, which records the effective
 config, its hash, package versions and a sha256 per artifact. A command
 therefore commits all of its outputs or none; a killed process can leave a
 .staging-* directory behind but never a manifest that disagrees with the files.
@@ -30,9 +31,8 @@ import numpy as np
 import scipy
 
 from . import __version__, biaslab, genome, gwas as gwas_mod, gxe as gxe_mod, inference, pgi as pgi_mod, phenosim
-from .structural import ModelDomainError, ModelError, SolverError
-from .util import (CalibrationError, ConfigError, DataError, EstimationError, PedigreeError,
-                   SimulationError, atomic_write_text, fmt_float, parse_column, read_tsv, write_json, write_tsv)
+from .util import (ConfigError, DataError, EstimationError, SimulationError, atomic_write_text, fmt_float,
+                   parse_column, read_tsv, write_json, write_tsv)
 
 EXIT_CONFIG, EXIT_ESTIMATION, EXIT_SIMULATION = 2, 3, 4
 
@@ -153,6 +153,16 @@ def _sha256(path: str) -> str:
         for block in iter(lambda: f.read(65536), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _listed_outputs(out_dir: str) -> set[str]:
+    """The plain file names but manifest.json that out_dir's manifest lists; none if it is not JSON."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json")) as f:
+            names = json.load(f)["outputs"]
+        return {n for n in names if isinstance(n, str) and n == os.path.basename(n)} - {"manifest.json", ".."}
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return set()
 
 
 def _write_manifest(out_dir: str, command: str, config: dict, seed, threads: int, outputs: dict[str, str]) -> None:
@@ -399,21 +409,25 @@ def main(argv: list[str] | None = None) -> int:
         try:
             COMMANDS[args.command](cfg, seed, threads, staging)
             outputs = {name: _sha256(os.path.join(staging, name)) for name in sorted(os.listdir(staging))}
+            stale = _listed_outputs(out) - set(outputs)
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out, "manifest.json"))
+            for path in (os.path.join(out, name) for name in sorted(stale)):
+                if os.path.isfile(path):
+                    os.remove(path)
             for name in outputs:
                 os.replace(os.path.join(staging, name), os.path.join(out, name))
             _write_manifest(out, args.command, cfg, seed, threads, outputs)
         finally:
             shutil.rmtree(staging, ignore_errors=True)
         return 0
-    except (ConfigError, PedigreeError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as e:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except EstimationError as e:
         print(f"estimation error: {e}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except (SimulationError, CalibrationError, ModelError, ModelDomainError, SolverError) as e:
+    except SimulationError as e:
         print(f"simulation error: {e}", file=sys.stderr)
         return EXIT_SIMULATION
 

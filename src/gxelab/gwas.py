@@ -22,7 +22,7 @@ from .regress import P_FLOOR, RANK_RTOL, batched_ols_hc1, checked_qr, pvalue_fro
 from .util import ConfigError, EstimationError, fmt_float, indexed_map, parse_column, read_tsv, write_tsv
 
 GENOME_WIDE_SIG = 5e-8
-CHUNK = 4096
+CHUNK = 512  # SNP columns per residualization block, small enough to stay in cache
 
 
 @dataclass
@@ -214,8 +214,6 @@ def meta_analyze(results: list[GwasResult]) -> GwasResult:
 @dataclass
 class LeadSnpSet:
     leads: list[tuple[str, int]]  # (snp id, locus id)
-    p_threshold: float
-    r2_threshold: float
 
     @property
     def snp_ids(self) -> list[str]:
@@ -249,8 +247,7 @@ def clump(
         if ok:
             accepted.append(int(j))
     accepted.sort()
-    return LeadSnpSet(leads=[(g.panel.ids[j], int(block[j])) for j in accepted],
-                      p_threshold=p_thresh, r2_threshold=r2_thresh)
+    return LeadSnpSet(leads=[(g.panel.ids[j], int(block[j])) for j in accepted])
 
 
 def manhattan_export(result: GwasResult) -> list[tuple[int, int, float]]:

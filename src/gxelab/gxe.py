@@ -6,20 +6,20 @@ always demeaned, so main effects stay interpretable at the sample mean).
 fit_rdd_gxe is the month-of-birth discontinuity design on the columns Y, G
 and MoB within rdd_sample's bandwidth window: integer running variable with
 the cutoff month at 0, treatment E = born at or after the cutoff, standard
-errors clustered on the running variable.
+errors clustered on the running variable. Both return the OlsFit that
+regress.ols builds, read by term name and checked positive semidefinite.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .regress import ols, pvalue_from_z
-from .util import ConfigError, DataError, EstimationError, fmt_float
+from .regress import OlsFit, ols
+from .util import ConfigError, DataError, EstimationError
 
 TERM_MENU = ("G", "E", "GxE", "G2", "E2", "G3", "E3", "G2E", "GE2")
 
@@ -42,43 +42,6 @@ class GxeModelSpec:
             raise ConfigError("cluster SEs need a cluster variable")
         if self.se not in ("hc1", "cluster"):
             raise ConfigError(f"unknown se mode {self.se!r}")
-
-
-@dataclass
-class GxeFit:
-    coefficients: dict[str, float]
-    cov: np.ndarray
-    names: list[str]
-    se_mode: str
-    n: int
-    r2: float
-    n_clusters: int | None = None
-
-    def __post_init__(self):
-        asym = np.max(np.abs(self.cov - self.cov.T))
-        if asym > 1e-10:
-            raise EstimationError(f"covariance asymmetric by {asym:.2e}")
-        eigs = np.linalg.eigvalsh(self.cov)
-        if eigs.min() < -1e-10 * max(eigs.max(), 1.0):
-            raise EstimationError("covariance is not positive semidefinite")
-
-    def coef(self, term: str) -> float:
-        return self.coefficients[term]
-
-    def se(self, term: str) -> float:
-        i = self.names.index(term)
-        return float(np.sqrt(max(self.cov[i, i], 0.0)))
-
-    def pvalue(self, term: str) -> float:
-        return float(pvalue_from_z(self.coef(term) / self.se(term)))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "r2": self.r2, "se_mode": self.se_mode,
-            "n_clusters": self.n_clusters,
-            "coefficients": {k: float(fmt_float(v)) for k, v in self.coefficients.items()},
-            "se": {k: float(fmt_float(self.se(k))) for k in self.names},
-        }, indent=2, sort_keys=True)
 
 
 def _numeric(data: dict[str, np.ndarray], name: str) -> np.ndarray:
@@ -121,18 +84,7 @@ def gxe_design(G: np.ndarray, E: np.ndarray, spec: GxeModelSpec,
     return names, cols
 
 
-def _fit(Y: np.ndarray, names: list[str], cols: list[np.ndarray], se: str,
-         clusters: np.ndarray | None = None) -> GxeFit:
-    """OLS of Y on the design columns, its covariance symmetrized."""
-    fit = ols(Y, np.column_stack(cols), names=names, se=se, clusters=clusters)
-    return GxeFit(
-        coefficients=dict(zip(names, map(float, fit.beta))),
-        cov=0.5 * (fit.cov + fit.cov.T),
-        names=names, se_mode=se, n=Y.shape[0], r2=fit.r2, n_clusters=fit.n_clusters,
-    )
-
-
-def fit_gxe(data: dict[str, np.ndarray], spec: GxeModelSpec) -> GxeFit:
+def fit_gxe(data: dict[str, np.ndarray], spec: GxeModelSpec) -> OlsFit:
     """OLS of Y on the requested interaction basis plus controls."""
     # a term name holds each factor it multiplies (GxE, G2E, ...); control
     # interactions multiply by both G and E
@@ -149,7 +101,7 @@ def fit_gxe(data: dict[str, np.ndarray], spec: GxeModelSpec) -> GxeFit:
         if spec.cluster_on not in data:
             raise DataError(f"cluster column {spec.cluster_on!r} missing from data")
         clusters = np.asarray(data[spec.cluster_on])
-    return _fit(Y, names, cols, spec.se, clusters)
+    return ols(Y, np.column_stack(cols), names, spec.se, clusters)
 
 
 @dataclass(frozen=True)
@@ -183,7 +135,7 @@ def rdd_sample(data: dict[str, np.ndarray], spec: RddSpec) -> dict[str, np.ndarr
     return {**sample, "E": E, "MoB": mob[keep]}
 
 
-def fit_rdd_gxe(data: dict[str, np.ndarray], spec: RddSpec, model: str = "main_effects") -> GxeFit:
+def fit_rdd_gxe(data: dict[str, np.ndarray], spec: RddSpec, model: str = "main_effects") -> OlsFit:
     """Month-of-birth discontinuity fit on rdd_sample's rows.
 
     main_effects: Y on G, E, MoB, MoBxE plus demeaned covariates/PCs and
@@ -216,7 +168,7 @@ def fit_rdd_gxe(data: dict[str, np.ndarray], spec: RddSpec, model: str = "main_e
             cols.append(v * G)
         names.append(f"ctrlxE:{c}")
         cols.append(v * E)
-    return _fit(Y, names, cols, "cluster", mob)
+    return ols(Y, np.column_stack(cols), names, "cluster", mob)
 
 
 def slope_plot_data(data: dict[str, np.ndarray], bins: int = 10) -> list[tuple[float, float, float, int]]:

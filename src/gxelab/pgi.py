@@ -31,7 +31,6 @@ class Pgi:
     values: np.ndarray           # standardized on the analysis sample
     mean: float
     sd: float
-    provenance: str
     n_flipped: int = 0
 
 
@@ -50,10 +49,8 @@ def build_pgi(
     cols = g.panel.columns(weights.snp_ids, "summary statistics SNPs")
     if isinstance(selection, LeadSnpSet):
         keep = np.isin(np.asarray(weights.snp_ids, dtype=str), np.asarray(selection.snp_ids, dtype=str))
-        provenance = f"{weights.design}:lead_snps(p<{selection.p_threshold:g})"
     elif selection == "all_snps":
         keep = np.ones(len(weights.snp_ids), dtype=bool)
-        provenance = f"{weights.design}:all_snps"
     else:
         raise ConfigError(f"unknown selection rule {selection!r}")
 
@@ -66,7 +63,7 @@ def build_pgi(
         raise ConfigError("polygenic index has zero variance on this sample")
     mean = raw.mean()
     return Pgi(snp_ids=list(compress(weights.snp_ids, keep)), weights=w, raw_values=raw, values=(raw - mean) / sd,
-               mean=float(mean), sd=float(sd), provenance=provenance, n_flipped=int(flip.sum()))
+               mean=float(mean), sd=float(sd), n_flipped=int(flip.sum()))
 
 
 def incremental_r2(pgi: Pgi | np.ndarray, y: np.ndarray, controls: np.ndarray | None = None) -> float:

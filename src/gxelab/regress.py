@@ -5,24 +5,26 @@ the rank check, the coefficients by a triangular solve and the bread
 (X'X)^-1 = R^-1 R^-T. One sandwich turns a bread and the scores into HC1 or
 CR1 covariances for both OLS (scores from X) and just-identified IV (scores
 from the instruments Z, bread (Z'X)^-1); classical covariances are also
-available. batched_ols_hc1 fits many small designs at once with HC1 SEs: it
-takes the design as a list of columns, each broadcastable to the (R, n)
-outcome array, so columns shared by every fit are stored once. Its sibling
-batched_ols gives coefficients only, for stacked designs that share no
-column, from one QR of each [X, y] under checked_qr's rank rule. p-values use
-the two-sided normal approximation and are floored at 1e-320 before taking
-logs downstream.
+available. ols returns an OlsFit: coefficients, SEs and p-values read by
+column name, a JSON writer, and a covariance checked positive semidefinite.
+batched_ols_hc1 fits many small designs at once with HC1 SEs: it takes the
+design as a list of columns, each broadcastable to the (R, n) outcome array,
+so columns shared by every fit are stored once. Its sibling batched_ols gives
+coefficients only, for stacked designs that share no column, from one QR of
+each [X, y] under checked_qr's rank rule. p-values use the two-sided normal
+approximation and are floored at 1e-320 before taking logs downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 from scipy.linalg import solve_triangular
 
-from .util import EstimationError
+from .util import EstimationError, fmt_float
 
 P_FLOOR = 1e-320
 RANK_RTOL = 1e-10
@@ -41,22 +43,31 @@ class OlsFit:
     residuals: np.ndarray
     r2: float
     n: int
-    k: int
-    names: list[str] = field(default_factory=list)
+    names: list[str]
     se_mode: str = "hc1"
     n_clusters: int | None = None
 
-    @property
-    def se(self) -> np.ndarray:
-        return np.sqrt(np.maximum(np.diag(self.cov), 0.0))
+    def __post_init__(self):
+        eigs = np.linalg.eigvalsh(self.cov)
+        if eigs.min() < -1e-10 * max(eigs.max(), 1.0):
+            raise EstimationError("covariance is not positive semidefinite")
 
-    @property
-    def z(self) -> np.ndarray:
-        return self.beta / self.se
+    def coef(self, term: str) -> float:
+        return float(self.beta[self.names.index(term)])
 
-    @property
-    def p(self) -> np.ndarray:
-        return np.asarray(pvalue_from_z(self.z))
+    def se(self, term: str) -> float:
+        i = self.names.index(term)
+        return float(np.sqrt(max(self.cov[i, i], 0.0)))
+
+    def pvalue(self, term: str) -> float:
+        return float(pvalue_from_z(self.coef(term) / self.se(term)))
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "n": self.n, "r2": self.r2, "se_mode": self.se_mode, "n_clusters": self.n_clusters,
+            "coefficients": {k: float(fmt_float(self.coef(k))) for k in self.names},
+            "se": {k: float(fmt_float(self.se(k))) for k in self.names},
+        }, indent=2, sort_keys=True)
 
 
 def _dependent(r: np.ndarray) -> np.ndarray:
@@ -128,7 +139,7 @@ def ols(
         raise EstimationError(f"unknown se mode {se!r}")
     tss = np.sum((y - y.mean()) ** 2)
     r2 = 1.0 - (resid @ resid) / tss if tss > 0 else 0.0
-    return OlsFit(beta=beta, cov=cov, residuals=resid, r2=float(r2), n=n, k=k,
+    return OlsFit(beta=beta, cov=cov, residuals=resid, r2=float(r2), n=n,
                   names=list(names) if names else [f"x{i}" for i in range(k)],
                   se_mode=se, n_clusters=n_clusters)
 
@@ -243,5 +254,5 @@ def tsls(
     zx = Z.T @ X
     beta = np.linalg.solve(zx, Z.T @ y)
     cov = sandwich(Z, y - X @ beta, np.linalg.inv(zx), clusters)
-    f_stat = float((fs.beta[0] / fs.se[0]) ** 2)
+    f_stat = float((fs.beta[0] / fs.se("instrument")) ** 2)
     return TslsFit(beta=beta, cov=cov, names=names, first_stage=float(fs.beta[0]), first_stage_f=f_stat, n=n)

@@ -33,7 +33,7 @@ class DataError(ConfigError):
     """A ConfigError about an input table's rows or columns; the CLI prefixes the table's path."""
 
 
-class PedigreeError(ValueError):
+class PedigreeError(ConfigError):
     """Unresolvable parent/child relations."""
 
 
@@ -45,7 +45,7 @@ class SimulationError(RuntimeError):
     """A simulation contract was violated (rejection cap etc.)."""
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(SimulationError):
     """A target moment could not be matched (degenerate inputs, unreachable)."""
 
 

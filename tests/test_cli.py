@@ -590,6 +590,40 @@ class TestErrorPaths:
         assert not os.path.exists("cfgout")
 
 
+class TestStaleOutputs:
+    """A run removes the files that the old manifest lists and it does not write."""
+
+    def test_simulate_without_trait_drops_the_old_phenotype(self, tmp_path):
+        out = str(tmp_path / "out")
+        for seed, payload in ((1, {"n": 12, "n_snps": 6, "h2": 0.5}), (2, {"n": 12, "n_snps": 6})):
+            cfg = write_config(tmp_path, f"sim{seed}.json", payload)
+            assert run(["simulate", "--config", cfg, "--seed", seed, "--out", out]) == 0
+        assert sorted(manifest(out)["outputs"]) == ["genotypes.tsv", "panel.tsv"]
+        assert sorted(os.listdir(out)) == ["genotypes.tsv", "manifest.json", "panel.tsv"]
+
+    def test_power_without_mde_drops_the_old_mde(self, tmp_path):
+        out = str(tmp_path / "out")
+        for mde in (True, False):
+            cfg = write_config(tmp_path, "power.json", {"beta_e": 0.9, "n": 400, "beta_x_grid": [0.0, 0.3],
+                                                        "reps": 100, "mde": mde})
+            assert run(["power", "--config", cfg, "--seed", 3, "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "power.tsv"]
+
+    def test_only_plain_names_inside_out_are_removed(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        listed = ["../x", "sub/y", "..", "stale.tsv"]
+        for path in (tmp_path / "x", out / "sub" / "y", out / "stale.tsv"):
+            path.write_text("old\n")
+        (out / "manifest.json").write_text(json.dumps({"outputs": {name: "0" * 64 for name in listed}}))
+        data = tmp_path / "data.tsv"
+        make_gxe_data(data, n=200, seed=5)
+        cfg = write_config(tmp_path, "gxe.json", {"data": str(data)})
+        assert run(["gxe", "--config", cfg, "--out", out]) == 0
+        assert (tmp_path / "x").read_text() == (out / "sub" / "y").read_text() == "old\n"
+        assert sorted(os.listdir(out)) == ["gxe_fit.json", "manifest.json", "sub"]
+
+
 # ---------------------------------------------------------------------------
 # Fuzzed inputs: any config or data file ends in exit 0, 2, 3 or 4
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def assert_dead_and_rest_match(res, dead, design_of):
         y, cols = design_of(j)
         ref = ols(y, np.column_stack([np.ones(len(y))] + cols))
         assert res.beta[j] == pytest.approx(ref.beta[1], rel=1e-10)
-        assert res.se[j] == pytest.approx(ref.se[1], rel=1e-10)
+        assert res.se[j] == pytest.approx(ref.se("x1"), rel=1e-10)
 
 
 @pytest.fixture(scope="module")

@@ -96,7 +96,7 @@ def assert_batched_matches_ols(Y, cols):
         X = np.column_stack([np.broadcast_to(c, Y.shape)[r] for c in cols])
         ref = ols(Y[r], X)
         np.testing.assert_allclose(beta[r], ref.beta, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(se[r], ref.se, rtol=1e-10)
+        np.testing.assert_allclose(se[r], [ref.se(t) for t in ref.names], rtol=1e-10)
 
 
 class TestBatchedOlsHc1:
