@@ -4,10 +4,10 @@ Every subcommand reads a JSON config (validated against a closed schema;
 unknown keys are rejected with their path), optionally overridden by the
 global flags --seed/--threads/--out, and writes its artifacts into a hidden
 .staging-* directory inside the output directory. main commits them only when
-the command succeeds: it deletes the old manifest.json and the files it listed
-that this run does not write (plain file names in the output directory only),
-moves each artifact into place and then writes the new manifest.json, which records the effective
-config, its hash, package versions and a sha256 per artifact. A command
+the command succeeds: it deletes the old manifest.json and each plain file
+name it listed that this run does not write, moves each artifact into place
+and then writes the new manifest.json, which records the effective config,
+its hash, package versions and a sha256 per artifact. A command
 therefore commits all of its outputs or none; a killed process can leave a
 .staging-* directory behind but never a manifest that disagrees with the files.
 Reruns of the same config produce byte-identical artifacts.
