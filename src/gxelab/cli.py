@@ -159,9 +159,9 @@ def _listed_outputs(out_dir: str) -> set[str]:
     """The plain file names but manifest.json that out_dir's manifest lists; none if it is not JSON."""
     try:
         with open(os.path.join(out_dir, "manifest.json")) as f:
-            names = json.load(f)["outputs"]
-        return {n for n in names if isinstance(n, str) and n == os.path.basename(n)} - {"manifest.json", ".."}
-    except (FileNotFoundError, ValueError, KeyError, TypeError):
+            names = json.load(f)["outputs"].keys()
+        return {n for n in names if n == os.path.basename(n)} - {"manifest.json", ".."}
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
         return set()
 
 
