@@ -156,7 +156,7 @@ def _sha256(path: str) -> str:
 
 
 def _listed_outputs(out_dir: str) -> set[str]:
-    """The plain file names but manifest.json that out_dir's manifest lists; none if it is not JSON."""
+    """The plain file names but manifest.json that out_dir's manifest lists; none if it is missing or not JSON."""
     try:
         with open(os.path.join(out_dir, "manifest.json")) as f:
             names = json.load(f)["outputs"].keys()
