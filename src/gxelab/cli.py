@@ -31,8 +31,8 @@ import numpy as np
 import scipy
 
 from . import __version__, biaslab, genome, gwas as gwas_mod, gxe as gxe_mod, inference, pgi as pgi_mod, phenosim
-from .util import (ConfigError, DataError, EstimationError, SimulationError, atomic_write_text, fmt_float,
-                   parse_column, read_tsv, write_json, write_tsv)
+from .util import (ConfigError, DataError, EstimationError, PedigreeError, SimulationError, atomic_write_text,
+                   fmt_float, parse_column, read_tsv, write_json, write_tsv)
 
 EXIT_CONFIG, EXIT_ESTIMATION, EXIT_SIMULATION = 2, 3, 4
 
@@ -245,24 +245,24 @@ def _cmd_gwas(cfg: dict, seed, threads: int, out: str) -> None:
             controls = genome.principal_components(g, cfg["n_pcs"])
             names = [f"pc{k}" for k in range(1, cfg["n_pcs"] + 1)]
         res = gwas_mod.run_gwas(g, y, controls=controls, control_names=names, threads=threads)
-    elif design == "trio":
-        for key in ("mothers", "fathers", "pedigree"):
+    elif design in ("trio", "sibling"):
+        for key in ("mothers", "fathers", "pedigree") if design == "trio" else ("pedigree",):
             if not cfg[key]:
-                raise ConfigError(f"trio design requires config key gwas.{key}")
-        gm = genome.read_genotypes_tsv(cfg["mothers"], panel)
-        gf = genome.read_genotypes_tsv(cfg["fathers"], panel)
-        shared = sorted(set(gm.ids) & set(gf.ids))
-        if shared:
-            raise ConfigError(f"individual id {shared[0]!r} is in both {cfg['mothers']} and {cfg['fathers']}")
-        parents = genome.GenotypeMatrix(gm.ids + gf.ids, panel,
-                                        np.concatenate([gm.planes, gf.planes], axis=1))
-        ped = genome.read_pedigree_tsv(cfg["pedigree"])
-        res = gwas_mod.run_trio_gwas(g, parents, ped, y)
-    elif design == "sibling":
-        if not cfg["pedigree"]:
-            raise ConfigError("sibling design requires config key gwas.pedigree")
-        ped = genome.read_pedigree_tsv(cfg["pedigree"], design="sibling-pairs")
-        res = gwas_mod.run_sibling_gwas(g, ped, y, cfg["sibling_variant"])
+                raise ConfigError(f"{design} design requires config key gwas.{key}")
+        if design == "trio":
+            gm = genome.read_genotypes_tsv(cfg["mothers"], panel)
+            gf = genome.read_genotypes_tsv(cfg["fathers"], panel)
+            shared = sorted(set(gm.ids) & set(gf.ids))
+            if shared:
+                raise ConfigError(f"individual id {shared[0]!r} is in both {cfg['mothers']} and {cfg['fathers']}")
+            parents = genome.GenotypeMatrix(gm.ids + gf.ids, panel,
+                                            np.concatenate([gm.planes, gf.planes], axis=1))
+        ped = genome.read_pedigree_tsv(cfg["pedigree"], design="trios" if design == "trio" else "sibling-pairs")
+        try:
+            res = (gwas_mod.run_trio_gwas(g, parents, ped, y) if design == "trio"
+                   else gwas_mod.run_sibling_gwas(g, ped, y, cfg["sibling_variant"]))
+        except PedigreeError as e:  # a pedigree child absent from the genotype file
+            raise PedigreeError(f"{cfg['pedigree']}: {e}") from None
     else:
         raise ConfigError(f"unknown GWAS design {design!r}")
     gwas_mod.write_sumstats_tsv(os.path.join(out, "sumstats.tsv"), res)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .regress import RANK_RTOL
 from .util import (CalibrationError, ConfigError, PedigreeError, Seed, Stream, check_widths, child_rng, fmt_float,
@@ -249,7 +249,7 @@ def founder_planes(panel: Panel, rho: float, n: int, seed: Seed, threads: int = 
             planes[:, i:i + step] = (u < panel.maf).reshape(-1, 2, len(panel)).transpose(1, 0, 2)
         return planes
 
-    thresholds = stats.norm.ppf(panel.maf)
+    thresholds = ndtri(panel.maf)
 
     def sim_block(b: int) -> np.ndarray:
         start, stop = panel.starts[b], panel.stops[b]

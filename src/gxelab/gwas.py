@@ -1,13 +1,13 @@
 """Per-SNP association engines.
 
-run_gwas residualizes the outcome and every SNP column on the controls once
-(Frisch-Waugh), so the per-SNP loop is O(n) regardless of the control count;
-the sibling fixed-effects variant shares its per-SNP slope formula with the
-family means as the controls. The trio and sibling mean-control designs fit
-one small regression per SNP through regress.batched_ols_hc1. All standard
-errors are HC1; p-values are two-sided normal, floored at 1e-320. A SNP with
-no usable variation (a singular per-SNP design) is reported with beta 0,
-se 1e300 and p 1 instead of stopping the panel.
+Every design fits CHUNK SNP columns at a time in one loop (_per_snp). run_gwas
+and the sibling fixed-effects variant take one Frisch-Waugh step per chunk
+(_fwl), against the controls' projection or the family means; the trio and
+sibling mean-control designs fit one small regression per SNP
+(regress.batched_ols_hc1). Family designs match pedigree children to genotype
+rows by id; y follows the genotype rows. Standard errors are HC1, p-values
+two-sided normal floored at 1e-320. A SNP with no usable variation (a singular
+per-SNP design) gets beta 0, se 1e300 and p 1 instead of stopping the panel.
 """
 
 from __future__ import annotations
@@ -69,14 +69,25 @@ def result_from_stats(panel: Panel, beta, se, n, design, n_dropped=0) -> GwasRes
                       n=np.full(len(panel), int(n)), design=design, n_dropped=n_dropped, **_finite_stats(beta, se))
 
 
-def _slope_hc1(X: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slope of y on each column of X and its HC1 standard error, for y and X
-    already residualized on the k - 1 other regressors (Frisch-Waugh)."""
-    n = X.shape[0]
+def _per_snp(n_snps: int, fit, threads: int = 1) -> tuple[np.ndarray, ...]:
+    """fit(lo, hi) on each CHUNK of SNP columns (one empty chunk for no SNPs), its arrays stacked in SNP order."""
+    starts = range(0, max(n_snps, 1), CHUNK)
+    parts = indexed_map(lambda c: fit(starts[c], min(starts[c] + CHUNK, n_snps)), len(starts), threads)
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _fwl(x: np.ndarray, fitted, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slope of y on each dosage column of x less fitted(x), and its HC1 standard
+    error, for y already residualized on the k - 1 other regressors (Frisch-Waugh)."""
+    n = x.shape[0]
     if n <= k:
         raise EstimationError(f"{n} observations for {k} regressors: the HC1 correction needs more observations")
+    X = x.astype(float)
+    raw_ss = np.einsum("nj,nj->j", X, X)
+    X -= fitted(X)
     sxx = np.einsum("nj,nj->j", X, X)
-    sxx[sxx == 0] = np.nan  # a column with no variation left: NaN marks it dead without 0/0
+    # checked_qr's rank rule (a constant SNP leaves rounding residue, not zeros); NaN marks the SNP dead
+    sxx[sxx <= RANK_RTOL**2 * raw_ss] = np.nan
     b = (X.T @ y) / sxx
     resid = y[:, None] - X * b
     meat = np.einsum("nj,nj->j", X * X, resid * resid)
@@ -106,22 +117,7 @@ def run_gwas(
     k = C.shape[1] + 1
     q, _ = checked_qr(C, labels)
     y_r = y - q @ (q.T @ y)
-
-    J = g.n_snps
-    beta = np.empty(J)
-    se = np.empty(J)
-    chunks = [(s, min(s + CHUNK, J)) for s in range(0, J, CHUNK)]
-
-    def work(ci: int):
-        lo, hi = chunks[ci]
-        X = g.dosages[:, lo:hi].astype(float)
-        raw_ss = np.einsum("nj,nj->j", X, X)
-        X -= q @ (q.T @ X)
-        # checked_qr's rank rule: a constant SNP leaves rounding residue, not zeros
-        X[:, np.einsum("nj,nj->j", X, X) <= RANK_RTOL**2 * raw_ss] = 0.0
-        beta[lo:hi], se[lo:hi] = _slope_hc1(X, y_r, k)
-
-    indexed_map(work, len(chunks), threads)
+    beta, se = _per_snp(g.n_snps, lambda lo, hi: _fwl(g.dosages[:, lo:hi], lambda X: q @ (q.T @ X), y_r, k), threads)
     return result_from_stats(g.panel, beta, se, n, "population")
 
 
@@ -131,26 +127,28 @@ def run_trio_gwas(
     pedigree: Pedigree,
     y: np.ndarray,
 ) -> GwasResult:
-    """Per SNP: y on [1, x_child, x_mother, x_father]. The child coefficient
-    estimates the direct effect. Children with unresolvable parents are
-    dropped and counted."""
-    y = np.asarray(y, dtype=float)
+    """Per SNP: y on [1, x_child, x_mother, x_father], y following the rows of
+    children. The child coefficient estimates the direct effect. Children with
+    unresolvable parents are dropped and counted."""
     known = set(parents.ids)
-    keep = [i for i in range(len(pedigree.child_ids))
-            if pedigree.mother_ids[i] in known and pedigree.father_ids[i] in known]
-    n_dropped = len(pedigree.child_ids) - len(keep)
-    if not keep:
+    trios = [(c, m, f) for c, m, f in zip(pedigree.child_ids, pedigree.mother_ids, pedigree.father_ids)
+             if m in known and f in known]
+    if not trios:
         raise ConfigError("no complete trios")
-    mi = parents.index_of([pedigree.mother_ids[i] for i in keep])
-    fi = parents.index_of([pedigree.father_ids[i] for i in keep])
-    ci = children.index_of([pedigree.child_ids[i] for i in keep])
-    y = y[keep]
-    cols = [np.ones(len(keep))] + [np.ascontiguousarray(g.dosages[i].T, dtype=float)
-                                   for g, i in ((children, ci), (parents, mi), (parents, fi))]
-    beta, se = batched_ols_hc1(np.broadcast_to(y, cols[1].shape), cols)
-    res = result_from_stats(children.panel, beta[:, 1], se[:, 1], len(keep), "trio", n_dropped)
-    res.parent_beta = beta[:, 2:].copy()
-    return res
+    # genotype-row order, so the pedigree's row order changes nothing
+    trios = [trios[i] for i in np.argsort(children.index_of([c for c, _, _ in trios]))]
+    ci, mi, fi = (g.index_of(ids) for g, ids in zip((children, parents, parents), zip(*trios)))
+    y = np.asarray(y, dtype=float)[ci]
+
+    def fit(lo: int, hi: int):
+        cols = [np.ones(len(trios))] + [np.ascontiguousarray(g.dosages[i, lo:hi].T, dtype=float)
+                                        for g, i in ((children, ci), (parents, mi), (parents, fi))]
+        beta, se = batched_ols_hc1(np.broadcast_to(y, cols[1].shape), cols)
+        return beta[:, 1], se[:, 1], beta[:, 2:]
+
+    beta, se, parent_beta = _per_snp(children.n_snps, fit)
+    n_dropped = len(pedigree.child_ids) - len(trios)
+    return replace(result_from_stats(children.panel, beta, se, len(trios), "trio", n_dropped), parent_beta=parent_beta)
 
 
 def run_sibling_gwas(
@@ -159,35 +157,37 @@ def run_sibling_gwas(
     y: np.ndarray,
     variant: str = "family_fixed_effects",
 ) -> GwasResult:
-    """Within-family association: either demeaned OLS (family fixed effects)
-    or OLS with the family-mean genotype as a control. Point estimates of the
-    two variants agree to numerical precision; singletons are excluded."""
+    """Within-family association, y following the rows of siblings: either
+    demeaned OLS (family fixed effects) or OLS with the family-mean genotype as
+    a control. Point estimates of the two variants agree to numerical
+    precision; singletons are excluded."""
     if variant not in ("family_fixed_effects", "mean_sibling_control"):
         raise ConfigError(f"unknown sibling variant {variant!r}")
-    y = np.asarray(y, dtype=float)
-    fams, inv, counts = np.unique(pedigree.family_ids, return_inverse=True, return_counts=True)
+    rows = siblings.index_of(pedigree.child_ids)
+    order = np.argsort(rows)  # genotype-row order, so the pedigree's row order changes nothing
+    _, inv, counts = np.unique(np.asarray(pedigree.family_ids)[order], return_inverse=True, return_counts=True)
     keep = counts[inv] >= 2
-    n_dropped = int((~keep).sum())
-    inv = inv[keep]
-    y = y[keep]
-    x = siblings.dosages[keep].astype(float)
-    n = y.shape[0]
-    _, inv = np.unique(inv, return_inverse=True)
-    n_fam = inv.max() + 1
+    rows = rows[order][keep]
+    y = np.asarray(y, dtype=float)[rows]
+    n = len(rows)
+    _, inv, fam_n = np.unique(inv[keep], return_inverse=True, return_counts=True)
+    by_family, starts = np.argsort(inv), np.cumsum(fam_n) - fam_n
+    y_within = y - (np.bincount(inv, weights=y) / fam_n)[inv]
 
-    fam_sum_x = np.zeros((n_fam, x.shape[1]))
-    np.add.at(fam_sum_x, inv, x)
-    fam_n = np.bincount(inv).astype(float)
-    fam_mean_x = fam_sum_x / fam_n[:, None]
-    fam_mean_y = np.bincount(inv, weights=y) / fam_n
+    def fam_mean(X: np.ndarray) -> np.ndarray:  # dosages are integers: exact family sums in any order
+        return (np.add.reduceat(X[by_family], starts) / fam_n[:, None])[inv]
 
-    if variant == "family_fixed_effects":
-        beta, se = _slope_hc1(x - fam_mean_x[inv], y - fam_mean_y[inv], n_fam + 1)
-    else:
-        cols = [np.ones(n), np.ascontiguousarray(x.T), np.ascontiguousarray(fam_mean_x[inv].T)]
-        beta_full, se_full = batched_ols_hc1(np.broadcast_to(y, cols[1].shape), cols)
-        beta, se = beta_full[:, 1], se_full[:, 1]
-    return result_from_stats(siblings.panel, beta, se, n, f"sibling_{variant}", n_dropped)
+    def fit(lo: int, hi: int):
+        x = siblings.dosages[rows, lo:hi]
+        if variant == "family_fixed_effects":
+            return _fwl(x, fam_mean, y_within, len(fam_n) + 1)
+        X = x.astype(float)
+        beta, se = batched_ols_hc1(np.broadcast_to(y, (hi - lo, n)),
+                                   [np.ones(n), np.ascontiguousarray(X.T), np.ascontiguousarray(fam_mean(X).T)])
+        return beta[:, 1], se[:, 1]
+
+    beta, se = _per_snp(siblings.n_snps, fit)
+    return result_from_stats(siblings.panel, beta, se, n, f"sibling_{variant}", int((~keep).sum()))
 
 
 def meta_analyze(results: list[GwasResult]) -> GwasResult:

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .regress import OlsFit, ols
 from .util import ConfigError, DataError, EstimationError
@@ -211,5 +211,5 @@ def rge_check(g: np.ndarray, env: np.ndarray) -> tuple[float, float, float]:
     r = float(np.corrcoef(g, env)[0, 1])
     se = (1.0 - r * r) / np.sqrt(n - 1)
     t = r * np.sqrt((n - 2) / max(1.0 - r * r, 1e-12))
-    p = float(2 * stats.t.sf(abs(t), df=n - 2))
+    p = float(2 * stdtr(n - 2, -abs(t)))
     return r, float(se), p

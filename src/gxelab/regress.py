@@ -21,8 +21,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.special import chdtrc, ndtr
 
 from .util import EstimationError, fmt_float
 
@@ -32,7 +32,7 @@ RANK_RTOL = 1e-10
 
 def pvalue_from_z(z: np.ndarray | float) -> np.ndarray | float:
     """Two-sided normal p-value, floored to avoid underflow to 0."""
-    p = 2.0 * stats.norm.sf(np.abs(z))
+    p = 2.0 * ndtr(-np.abs(z))
     return np.maximum(p, P_FLOOR)
 
 
@@ -211,7 +211,7 @@ def breusch_pagan(resid: np.ndarray, Z: np.ndarray) -> tuple[float, float]:
     X = np.column_stack([np.ones(n), Z])
     fit = ols(resid**2, X, se="classical")
     stat = n * fit.r2
-    p = float(stats.chi2.sf(stat, Z.shape[1]))
+    p = float(chdtrc(Z.shape[1], stat))
     return float(stat), p
 
 

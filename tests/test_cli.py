@@ -3,6 +3,8 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -55,10 +57,11 @@ VALID_FILES = {
 }
 COMMAND_INPUTS = {"gxe": ["data"], "rdd": ["data"], "permute": ["data"], "gwas": ["genotypes", "panel", "phenotype"],
                   "gwas-trio": ["genotypes", "panel", "phenotype", "mothers", "fathers", "pedigree"],
+                  "gwas-sibling": ["genotypes", "panel", "phenotype", "pedigree"],
                   "pgi": ["sumstats", "genotypes", "panel"]}
 # Config values of command variants "command-variant", which read the files of
 # "command" unless COMMAND_INPUTS lists their own
-VARIANT_CONFIG = {"gwas-trio": {"design": "trio"}, "gxe-iid-control": {"controls": ["iid"]},
+VARIANT_CONFIG = {"gwas-trio": {"design": "trio"}, "gwas-sibling": {"design": "sibling"}, "gxe-iid-control": {"controls": ["iid"]},
                   "permute-iid-control": {"controls": ["iid"]}, "rdd-iid-covariate": {"covariates": ["iid"]}}
 
 
@@ -464,6 +467,9 @@ class TestErrorPaths:
         ("pgi", "sumstats", "SNP\tCHR\tBP\tEA\tBETA\tSE\tP\tN\n"
          "rs0\t1\t1000\tminor\t0.1\t0.1\t0.3173105079\t3\n", 2, "summary statistics header must be"),
         ("gwas-trio", "pedigree", "child\tmum\tfather\tfamily\ni0\tm0\tf0\tfam0\n", 2, "pedigree file header must be"),
+        ("gwas-trio", "pedigree", VALID_FILES["pedigree"] + "i3\tm0\tf1\tfam3\n", 2, "unknown individual id 'i3'"),
+        ("gwas-sibling", "pedigree", "child\tmother\tfather\tfamily\ni0\tm0\tf0\tfam0\ni1\tm0\tf0\tfam0\n"
+         "i3\tm1\tf1\tfam1\ni4\tm1\tf1\tfam1\n", 2, "unknown individual id 'i3'"),
         ("gwas", "phenotype", "iid\tZ\ni0\t0.5\ni1\t-1.0\ni2\t0.2\n", 2, "needs iid and Y columns"),
         ("gwas", "phenotype", "iid\tY\ni0\t0.5\ni1\t-1.0\n", 2, "missing individual 'i2'"),
         ("gxe", "data", "iid\tY\tG\ni0\t1.0\t0.5\ni1\t2.0\t-0.5\n", 2, "missing column 'E'"),
@@ -479,8 +485,8 @@ class TestErrorPaths:
             "genotype_header_only", "parent_in_both_files", "genotype_two_digit", "genotype_empty_cell",
             "genotype_header_mismatch", "gwas_two_individuals", "panel_repeated_id", "panel_duplicate_site",
             "panel_block_not_contiguous", "panel_header", "sumstats_repeated_snp", "sumstats_header",
-            "pedigree_header", "phenotype_columns", "phenotype_missing_individual", "gxe_missing_column",
-            "permute_missing_column", "rdd_missing_column", "rdd_fractional_month", "rdd_inconsistent_treatment",
+            "pedigree_header", "trio_child_not_genotyped", "sibling_family_not_genotyped", "phenotype_columns",
+            "phenotype_missing_individual", "gxe_missing_column", "permute_missing_column", "rdd_missing_column", "rdd_fractional_month", "rdd_inconsistent_treatment",
             "gxe_non_numeric_control", "permute_non_numeric_control", "rdd_non_numeric_covariate"])
     def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
         with fails_cleanly(tmp_path, command):
@@ -677,3 +683,11 @@ def test_fuzzed_data_files_end_in_a_documented_exit_code(data):
         assert code == 0 or snapshot(Path(tmp) / "o") == before
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """Importing scipy.stats costs a process over half a second and about 40 MiB;
+    gxelab's distribution functions come from scipy.special."""
+    code = "import sys, gxelab.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

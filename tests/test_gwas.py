@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,19 @@ def assert_dead_and_rest_match(res, dead, design_of):
         ref = ols(y, np.column_stack([np.ones(len(y))] + cols))
         assert res.beta[j] == pytest.approx(ref.beta[1], rel=1e-10)
         assert res.se[j] == pytest.approx(ref.se("x1"), rel=1e-10)
+
+
+def shuffled(ped, seed):
+    """ped with its rows in a seeded random order; each row keeps its ids."""
+    idx = np.random.default_rng(seed).permutation(len(ped.child_ids))
+    cols = (ped.child_ids, ped.mother_ids, ped.father_ids, ped.family_ids)
+    return genome.Pedigree(*([col[i] for i in idx] for col in cols), design=ped.design)
+
+
+def assert_same_stats(a, b):
+    for field in ("beta", "se", "p", "n", "parent_beta"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.n_dropped == b.n_dropped
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +187,12 @@ class TestTrioGwas:
         assert_dead_and_rest_match(res, 2, lambda j: (
             y, [children.dosages[:, j].astype(float), d[mothers, j], d[fathers, j]]))
 
+    def test_pedigree_rows_matched_by_id(self, small_panel, small_ld):
+        parents, children, ped = make_trio_population(60, small_panel, small_ld, seed=245)
+        y = np.random.default_rng(246).standard_normal(60)
+        assert_same_stats(gwas.run_trio_gwas(children, parents, shuffled(ped, 247), y),
+                          gwas.run_trio_gwas(children, parents, ped, y))
+
 
 @pytest.fixture(scope="module")
 def sibling_world():
@@ -228,6 +248,74 @@ class TestSiblingGwas:
         x = children.dosages.astype(float)
         fam_mean = 0.5 * (x[0::2] + x[1::2]).repeat(2, axis=0)
         assert_dead_and_rest_match(res, 2, lambda j: (y, [x[:, j], fam_mean[:, j]]))
+
+    @pytest.mark.parametrize("variant", ["family_fixed_effects", "mean_sibling_control"])
+    def test_pedigree_rows_matched_by_id(self, small_panel, small_ld, variant):
+        parents, children, ped = make_sibling_population(40, small_panel, small_ld, seed=248)
+        y = np.random.default_rng(249).standard_normal(80)
+        assert_same_stats(gwas.run_sibling_gwas(children, shuffled(ped, 250), y, variant),
+                          gwas.run_sibling_gwas(children, ped, y, variant))
+
+    def test_genotyped_families_outside_pedigree_left_out(self, small_panel, small_ld):
+        parents, children, ped = make_sibling_population(40, small_panel, small_ld, seed=251)
+        y = np.random.default_rng(252).standard_normal(80)
+        cols = (ped.child_ids, ped.mother_ids, ped.father_ids, ped.family_ids)
+        first30 = genome.Pedigree(*(col[:60] for col in cols), design="sibling-pairs")
+        assert_same_stats(gwas.run_sibling_gwas(children, first30, y),
+                          gwas.run_sibling_gwas(children.subset(first30.child_ids), first30, y[:60]))
+
+
+def four_designs(panel, seed):
+    """Population (two controls, two threads), trio and both sibling GWAS on
+    small seeded cohorts over panel."""
+    rng = np.random.default_rng(seed)
+    g = genome.simulate_founders(panel, 0.5, 120, seed)
+    parents, children, trio_ped = make_trio_population(60, panel, 0.5, seed + 1)
+    _, siblings, sib_ped = make_sibling_population(40, panel, 0.5, seed + 2)
+    y_pop, y_trio, y_sib = rng.standard_normal(120), rng.standard_normal(60), rng.standard_normal(80)
+    return [gwas.run_gwas(g, y_pop, controls=rng.standard_normal((120, 2)), threads=2),
+            gwas.run_trio_gwas(children, parents, trio_ped, y_trio),
+            gwas.run_sibling_gwas(siblings, sib_ped, y_sib, "family_fixed_effects"),
+            gwas.run_sibling_gwas(siblings, sib_ped, y_sib, "mean_sibling_control")]
+
+
+class TestOneLoop:
+    """Every design fits gwas.CHUNK SNP columns at a time."""
+
+    def test_chunk_width_changes_nothing(self, monkeypatch):
+        panel = genome.build_panel([5] * 6, 0.3)  # 30 SNPs: four chunks of 7 and one of 2
+        pop, trio, fe, mc = four_designs(panel, 253)
+        monkeypatch.setattr(gwas, "CHUNK", 7)
+        pop7, trio7, fe7, mc7 = four_designs(panel, 253)
+        assert_same_stats(trio7, trio)
+        assert_same_stats(mc7, mc)
+        # The Frisch-Waugh slope's X'y is one BLAS gemv per chunk, and OpenBLAS sums
+        # the columns past a chunk's last full block of 4 in another order: a width
+        # of 7 moves those in the last bit
+        for a, b in ((pop, pop7), (fe, fe7)):
+            assert np.allclose(b.beta, a.beta, rtol=1e-12, atol=0) and np.allclose(b.se, a.se, rtol=1e-12, atol=0)
+            assert np.array_equal(b.n, a.n) and b.n_dropped == a.n_dropped
+
+    @pytest.mark.parametrize("design", ["trio", "family_fixed_effects", "mean_sibling_control"])
+    def test_peak_memory_below_one_float_copy(self, design):
+        n_snps = 8 * gwas.CHUNK
+        panel = genome.build_panel([8] * (n_snps // 8), 0.3)
+        if design == "trio":
+            parents, children, ped = make_trio_population(250, panel, 0.0, seed=256)
+            run = lambda y: gwas.run_trio_gwas(children, parents, ped, y)  # noqa: E731
+        else:
+            parents, children, ped = make_sibling_population(250, panel, 0.0, seed=256)
+            run = lambda y: gwas.run_sibling_gwas(children, ped, y, design)  # noqa: E731
+        parents.dosages, children.dosages  # the int8 dosage blocks are inputs, built before tracing
+        n = children.n_individuals
+        y = np.random.default_rng(257).standard_normal(n)
+        tracemalloc.start()
+        try:
+            run(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n_snps * 8  # one float64 copy of the analysed block
 
 
 class TestMetaAnalysis:
