@@ -300,18 +300,17 @@ class TestOneLoop:
     def test_peak_memory_below_one_float_copy(self, design):
         n_snps = 8 * gwas.CHUNK
         panel = genome.build_panel([8] * (n_snps // 8), 0.3)
-        if design == "trio":
-            parents, children, ped = make_trio_population(250, panel, 0.0, seed=256)
-            run = lambda y: gwas.run_trio_gwas(children, parents, ped, y)  # noqa: E731
-        else:
-            parents, children, ped = make_sibling_population(250, panel, 0.0, seed=256)
-            run = lambda y: gwas.run_sibling_gwas(children, ped, y, design)  # noqa: E731
+        population = make_trio_population if design == "trio" else make_sibling_population
+        parents, children, ped = population(250, panel, 0.0, seed=256)
         parents.dosages, children.dosages  # the int8 dosage blocks are inputs, built before tracing
         n = children.n_individuals
         y = np.random.default_rng(257).standard_normal(n)
         tracemalloc.start()
         try:
-            run(y)
+            if design == "trio":
+                gwas.run_trio_gwas(children, parents, ped, y)
+            else:
+                gwas.run_sibling_gwas(children, ped, y, design)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
