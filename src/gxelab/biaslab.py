@@ -3,9 +3,9 @@
 Each cell runs the full pipeline per replicate: simulate a scenario dataset,
 build the analysis cohort's index for the cell's index regime, standardize it
 per member (child, plus parents when the regime controls for family), and
-build the interaction design. The designs of all of a cell's replicates are
-then fit together, one coefficient-only batched QR (regress.batched_ols),
-and the mean estimates are compared with the generating values.
+build and fit the interaction design (regress.ols_beta, coefficients only),
+all inside the replicate's draw, so a replicate keeps no design once it is
+fit. The mean estimates are compared with the generating values.
 
 The index defaults to the probability limit of the design's per-SNP
 estimand (an infinite discovery cohort), a combination of the cohort's
@@ -27,7 +27,7 @@ from .gwas import run_gwas, run_trio_gwas
 from .gxe import GxeModelSpec, gxe_design, rge_check
 from .pgi import incremental_r2
 from .phenosim import CohortSizes, ScenarioDataset, ScenarioSpec, simulate_scenario, treated_indicator
-from .regress import batched_ols, ols
+from .regress import ols_beta
 from .util import ConfigError, EstimationError, Seed, SimulationError, Stream, child_rng, indexed_map, substream
 
 DEFAULT_SIZES = CohortSizes(n_discovery=64, n_analysis=2000, n_snps=120)
@@ -115,9 +115,9 @@ def finite_index(ds: ScenarioDataset) -> np.ndarray:
 
 
 def _cell_design(ds: ScenarioDataset, index: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The cell's G×E design, outcome last, from the analysis cohort's index
-    values (3n,) standardized per member as build_pgi does: the child's as G,
-    the parents' as controls when the regime controls for family."""
+    """The cell's G×E design from the analysis cohort's index values (3n,)
+    standardized per member as build_pgi does: the child's as G, the parents'
+    as controls when the regime controls for family."""
     family = ds.spec.g_regime in ("trio_pgi_family_controls", "regular_pgi_family_controls")
     raw = index.reshape(3, -1)[:3 if family else 1]
     sd = raw.std(axis=1, keepdims=True)
@@ -126,7 +126,11 @@ def _cell_design(ds: ScenarioDataset, index: np.ndarray) -> tuple[list[str], np.
     pgi = (raw - raw.mean(axis=1, keepdims=True)) / sd
     controls = dict(zip(("pgi_m", "pgi_f"), pgi[1:]))
     names, cols = gxe_design(pgi[0], ds.analysis.e, GxeModelSpec(controls=tuple(controls)), controls)
-    return names, np.column_stack([*cols, ds.analysis.y])
+    return names, np.column_stack(cols)
+
+
+def _fit(names: list[str], X: np.ndarray, y: np.ndarray) -> dict[str, float]:
+    return dict(zip(names, map(float, ols_beta(y, X, names))))
 
 
 _REPLICATE_ERRORS = (ConfigError, EstimationError, SimulationError, np.linalg.LinAlgError)
@@ -134,41 +138,21 @@ _REPLICATE_ERRORS = (ConfigError, EstimationError, SimulationError, np.linalg.Li
 
 def _run_replicates(reps: int, threads: int, draw: Callable[[int], dict]) -> list[dict]:
     """draw(r) for every replicate r, in replicate order; draw keys its draws
-    by r under its own replicate stream. The (names, [X, y]) designs it returns
-    under one key (as _cell_design builds them) are fit together by one batched
-    QR, and each is replaced by its coefficients by name; a fit the batch
-    leaves NaN is refit alone by ols, which raises checked_qr's error.
-
-    A replicate that raises a simulation or estimation error, in draw or in
-    a fit, counts as failed and is left out; more than 1% failures (at least
-    2) raise SimulationError, naming the first failed replicate's error. Any
-    other exception is a bug and propagates.
+    by r under its own replicate stream. A replicate that raises a simulation
+    or estimation error counts as failed and is left out; more than 1%
+    failures (at least 2) raise SimulationError, naming the first failed
+    replicate's error. Any other exception is a bug and propagates.
     """
     if reps < 2:
         raise ConfigError(f"reps must be >= 2 for a Monte Carlo SE, got {reps}")
-    rows: list[dict | Exception | None] = [None] * reps
 
-    def work(r: int):
+    def work(r: int) -> dict | Exception:
         try:
-            rows[r] = draw(r)
+            return draw(r)
         except _REPLICATE_ERRORS as e:
-            rows[r] = e  # counted against the failure cap
+            return e  # counted against the failure cap
 
-    indexed_map(work, reps, threads)
-    first = next((row for row in rows if isinstance(row, dict)), {})
-    for key in [k for k, v in first.items() if isinstance(v, tuple)]:
-        live = [r for r, row in enumerate(rows) if isinstance(row, dict)]
-        if not live:
-            break
-        XY = np.stack([rows[r][key][1] for r in live])
-        for r, xy, beta in zip(live, XY, batched_ols(XY)):
-            names = rows[r][key][0]
-            try:
-                if np.isnan(beta).any():
-                    beta = ols(xy[:, -1], xy[:, :-1], names).beta
-                rows[r][key] = dict(zip(names, map(float, beta)))
-            except _REPLICATE_ERRORS as e:
-                rows[r] = e
+    rows = indexed_map(work, reps, threads)
     ok = [r for r in rows if not isinstance(r, Exception)]
     n_failed = reps - len(ok)
     if n_failed > max(1, int(0.01 * reps)):
@@ -202,9 +186,9 @@ def run_cell(
 
     def draw(r: int) -> dict:
         ds = simulate_scenario(spec, sizes, substream(seed, Stream.CELL_REPLICATE, r))
-        return {"fit": _cell_design(ds, index(ds))}
+        return _fit(*_cell_design(ds, index(ds)), ds.analysis.y)
 
-    return _bias_report(spec, [row["fit"] for row in _run_replicates(reps, threads, draw)], reps)
+    return _bias_report(spec, _run_replicates(reps, threads, draw), reps)
 
 
 @dataclass
@@ -289,9 +273,9 @@ def noisy_environment_experiment(
         y = beta_g * G + beta_e * e_true + beta_x * G * e_true + rng.standard_normal(n)
         e_obs = e_true + rng.standard_normal(n) * np.sqrt(noise_var)
         names, cols = gxe_design(G, e_obs, GxeModelSpec())
-        return {"fit": (names, np.column_stack([*cols, y]))}
+        return _fit(names, np.column_stack(cols), y)
 
-    ok = [row["fit"] for row in _run_replicates(reps, 1, draw)]
+    ok = _run_replicates(reps, 1, draw)
     return float(np.mean([r["E"] for r in ok])), float(np.mean([r["GxE"] for r in ok]))
 
 
@@ -324,12 +308,13 @@ def gwas_selection_experiment(
     def draw(r: int) -> dict:
         ds = simulate_scenario(spec, sizes, substream(seed, Stream.SELECTION_REPLICATE, r))
         ana = ds.analysis
-        fit = _cell_design(ds, plim_index(ds))
-        child = fit[1][:, fit[0].index("G")]
+        names, X = _cell_design(ds, plim_index(ds))
+        child = X[:, names.index("G")]
         treated = treated_indicator(ana.e)
         r2 = {arm: incremental_r2(child[treated == arm], ana.y[treated == arm]) for arm in (0, 1)}
         corr, _, p = rge_check(child, ana.e)
-        return {"remedy": _cell_design(ds, balanced_plim_index(ds)), "fit": fit, "r2_treated": r2[1],
+        remedy = _fit(*_cell_design(ds, balanced_plim_index(ds)), ana.y)  # fit first: its error is the one counted
+        return {"remedy": remedy, "fit": _fit(names, X, ana.y), "r2_treated": r2[1],
                 "r2_control": r2[0], "rge_corr": corr, "rge_sig": p < 0.05}
 
     ok = _run_replicates(reps, threads, draw)

@@ -259,8 +259,8 @@ def _cmd_gwas(cfg: dict, seed, threads: int, out: str) -> None:
                                             np.concatenate([gm.planes, gf.planes], axis=1))
         ped = genome.read_pedigree_tsv(cfg["pedigree"], design="trios" if design == "trio" else "sibling-pairs")
         try:
-            res = (gwas_mod.run_trio_gwas(g, parents, ped, y) if design == "trio"
-                   else gwas_mod.run_sibling_gwas(g, ped, y, cfg["sibling_variant"]))
+            res = (gwas_mod.run_trio_gwas(g, parents, ped, y, threads) if design == "trio"
+                   else gwas_mod.run_sibling_gwas(g, ped, y, cfg["sibling_variant"], threads))
         except PedigreeError as e:  # a pedigree child absent from the genotype file
             raise PedigreeError(f"{cfg['pedigree']}: {e}") from None
     else:

@@ -1,13 +1,14 @@
 """Per-SNP association engines.
 
-Every design fits CHUNK SNP columns at a time in one loop (_per_snp). run_gwas
-and the sibling fixed-effects variant take one Frisch-Waugh step per chunk
-(_fwl), against the controls' projection or the family means; the trio and
-sibling mean-control designs fit one small regression per SNP
-(regress.batched_ols_hc1). Family designs match pedigree children to genotype
-rows by id; y follows the genotype rows. Standard errors are HC1, p-values
-two-sided normal floored at 1e-320. A SNP with no usable variation (a singular
-per-SNP design) gets beta 0, se 1e300 and p 1 instead of stopping the panel.
+Every design fits CHUNK SNP columns at a time in one loop (util.chunk_map) on
+its threads. run_gwas and the sibling fixed-effects variant take one
+Frisch-Waugh step per chunk (_fwl), against the controls' projection or the
+family means; the trio and sibling mean-control designs fit one small
+regression per SNP (regress.batched_ols_hc1). Family designs match pedigree
+children to genotype rows by id; y has one value per genotype row, in their
+order. Standard errors are HC1, p-values two-sided normal floored at 1e-320.
+A SNP with no usable variation (a singular per-SNP design) gets beta 0, se
+1e300 and p 1 instead of stopping the panel.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .genome import GenotypeMatrix, Panel, Pedigree
 from .regress import P_FLOOR, RANK_RTOL, batched_ols_hc1, checked_qr, pvalue_from_z
-from .util import ConfigError, EstimationError, fmt_float, indexed_map, parse_column, read_tsv, write_tsv
+from .util import ConfigError, EstimationError, chunk_map, fmt_float, parse_column, read_tsv, write_tsv
 
 GENOME_WIDE_SIG = 5e-8
 CHUNK = 512  # SNP columns per residualization block, small enough to stay in cache
@@ -69,13 +70,6 @@ def result_from_stats(panel: Panel, beta, se, n, design, n_dropped=0) -> GwasRes
                       n=np.full(len(panel), int(n)), design=design, n_dropped=n_dropped, **_finite_stats(beta, se))
 
 
-def _per_snp(n_snps: int, fit, threads: int = 1) -> tuple[np.ndarray, ...]:
-    """fit(lo, hi) on each CHUNK of SNP columns (one empty chunk for no SNPs), its arrays stacked in SNP order."""
-    starts = range(0, max(n_snps, 1), CHUNK)
-    parts = indexed_map(lambda c: fit(starts[c], min(starts[c] + CHUNK, n_snps)), len(starts), threads)
-    return tuple(map(np.concatenate, zip(*parts)))
-
-
 def _fwl(x: np.ndarray, fitted, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Slope of y on each dosage column of x less fitted(x), and its HC1 standard
     error, for y already residualized on the k - 1 other regressors (Frisch-Waugh)."""
@@ -94,6 +88,13 @@ def _fwl(x: np.ndarray, fitted, y: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     return b, np.sqrt(meat / sxx**2 * (n / (n - k)))
 
 
+def _outcome(y: np.ndarray, g: GenotypeMatrix) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape[0] != g.n_individuals:
+        raise ConfigError("outcome length does not match genotypes")
+    return y
+
+
 def run_gwas(
     g: GenotypeMatrix,
     y: np.ndarray,
@@ -102,10 +103,8 @@ def run_gwas(
     threads: int = 1,
 ) -> GwasResult:
     """One OLS of y on [1, SNP_j, controls] per SNP, HC1 standard errors."""
-    y = np.asarray(y, dtype=float)
+    y = _outcome(y, g)
     n = g.n_individuals
-    if y.shape[0] != n:
-        raise ConfigError("outcome length does not match genotypes")
     C = np.ones((n, 1))
     labels = ["intercept"]
     if controls is not None:
@@ -117,7 +116,8 @@ def run_gwas(
     k = C.shape[1] + 1
     q, _ = checked_qr(C, labels)
     y_r = y - q @ (q.T @ y)
-    beta, se = _per_snp(g.n_snps, lambda lo, hi: _fwl(g.dosages[:, lo:hi], lambda X: q @ (q.T @ X), y_r, k), threads)
+    beta, se = chunk_map(lambda _, lo, hi: _fwl(g.dosages[:, lo:hi], lambda X: q @ (q.T @ X), y_r, k), g.n_snps, CHUNK,
+                         threads)
     return result_from_stats(g.panel, beta, se, n, "population")
 
 
@@ -126,10 +126,12 @@ def run_trio_gwas(
     parents: GenotypeMatrix,
     pedigree: Pedigree,
     y: np.ndarray,
+    threads: int = 1,
 ) -> GwasResult:
     """Per SNP: y on [1, x_child, x_mother, x_father], y following the rows of
     children. The child coefficient estimates the direct effect. Children with
     unresolvable parents are dropped and counted."""
+    y = _outcome(y, children)
     known = set(parents.ids)
     trios = [(c, m, f) for c, m, f in zip(pedigree.child_ids, pedigree.mother_ids, pedigree.father_ids)
              if m in known and f in known]
@@ -138,15 +140,15 @@ def run_trio_gwas(
     # genotype-row order, so the pedigree's row order changes nothing
     trios = [trios[i] for i in np.argsort(children.index_of([c for c, _, _ in trios]))]
     ci, mi, fi = (g.index_of(ids) for g, ids in zip((children, parents, parents), zip(*trios)))
-    y = np.asarray(y, dtype=float)[ci]
+    y = y[ci]
 
-    def fit(lo: int, hi: int):
+    def fit(_, lo: int, hi: int):
         cols = [np.ones(len(trios))] + [np.ascontiguousarray(g.dosages[i, lo:hi].T, dtype=float)
                                         for g, i in ((children, ci), (parents, mi), (parents, fi))]
         beta, se = batched_ols_hc1(np.broadcast_to(y, cols[1].shape), cols)
         return beta[:, 1], se[:, 1], beta[:, 2:]
 
-    beta, se, parent_beta = _per_snp(children.n_snps, fit)
+    beta, se, parent_beta = chunk_map(fit, children.n_snps, CHUNK, threads)
     n_dropped = len(pedigree.child_ids) - len(trios)
     return replace(result_from_stats(children.panel, beta, se, len(trios), "trio", n_dropped), parent_beta=parent_beta)
 
@@ -156,6 +158,7 @@ def run_sibling_gwas(
     pedigree: Pedigree,
     y: np.ndarray,
     variant: str = "family_fixed_effects",
+    threads: int = 1,
 ) -> GwasResult:
     """Within-family association, y following the rows of siblings: either
     demeaned OLS (family fixed effects) or OLS with the family-mean genotype as
@@ -163,12 +166,13 @@ def run_sibling_gwas(
     precision; singletons are excluded."""
     if variant not in ("family_fixed_effects", "mean_sibling_control"):
         raise ConfigError(f"unknown sibling variant {variant!r}")
+    y = _outcome(y, siblings)
     rows = siblings.index_of(pedigree.child_ids)
     order = np.argsort(rows)  # genotype-row order, so the pedigree's row order changes nothing
     _, inv, counts = np.unique(np.asarray(pedigree.family_ids)[order], return_inverse=True, return_counts=True)
     keep = counts[inv] >= 2
     rows = rows[order][keep]
-    y = np.asarray(y, dtype=float)[rows]
+    y = y[rows]
     n = len(rows)
     _, inv, fam_n = np.unique(inv[keep], return_inverse=True, return_counts=True)
     by_family, starts = np.argsort(inv), np.cumsum(fam_n) - fam_n
@@ -177,7 +181,7 @@ def run_sibling_gwas(
     def fam_mean(X: np.ndarray) -> np.ndarray:  # dosages are integers: exact family sums in any order
         return (np.add.reduceat(X[by_family], starts) / fam_n[:, None])[inv]
 
-    def fit(lo: int, hi: int):
+    def fit(_, lo: int, hi: int):
         x = siblings.dosages[rows, lo:hi]
         if variant == "family_fixed_effects":
             return _fwl(x, fam_mean, y_within, len(fam_n) + 1)
@@ -186,7 +190,7 @@ def run_sibling_gwas(
                                    [np.ones(n), np.ascontiguousarray(X.T), np.ascontiguousarray(fam_mean(X).T)])
         return beta[:, 1], se[:, 1]
 
-    beta, se = _per_snp(siblings.n_snps, fit)
+    beta, se = chunk_map(fit, siblings.n_snps, CHUNK, threads)
     return result_from_stats(siblings.panel, beta, se, n, f"sibling_{variant}", int((~keep).sum()))
 
 

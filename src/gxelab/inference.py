@@ -16,9 +16,9 @@ few replicates' worth.
 
 Both the power draw and the permutation test build their designs with
 gxe.gxe_design, with G and E stacked as (R, n) arrays, and fit a chunk of
-replicates in one regress.batched_ols_hc1 call; chunk c draws from the
-stream (POWER or PERMUTATION, c), so results do not depend on the thread
-count.
+POWER_CHUNK replicates in one regress.batched_ols_hc1 call. The chunks run
+through util.chunk_map, and chunk c draws from the stream (POWER or
+PERMUTATION, c), so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .gxe import GxeModelSpec, fit_gxe, gxe_design
 from .regress import batched_ols_hc1, pvalue_from_z
-from .util import CalibrationError, ConfigError, Seed, Stream, child_rng, indexed_map
+from .util import CalibrationError, ConfigError, Seed, Stream, child_rng, chunk_map
 
 POWER_CHUNK = 256  # replicates per batched fit, for power draws and permutations alike
 
@@ -88,18 +88,11 @@ class PowerCurve:
         return 0.5 * (lo + hi)
 
 
-def _chunked_fits(reps: int, seed: Seed, stream: Stream, threads: int, fit) -> tuple[np.ndarray, np.ndarray]:
-    """fit(rng, size) -> (a, b) over chunks of POWER_CHUNK replicates, chunk c
-    drawing from child_rng(seed, stream, c); the chunks' a and b concatenated."""
-    sizes = [min(POWER_CHUNK, reps - lo) for lo in range(0, reps, POWER_CHUNK)]
-    parts = indexed_map(lambda c: fit(child_rng(seed, stream, c), sizes[c]), len(sizes), threads)
-    return np.concatenate([a for a, _ in parts]), np.concatenate([b for _, b in parts])
-
-
 def _interaction_draw(spec: PowerSpec, seed: Seed, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per replicate, u and se such that the interaction estimate at any
     beta_x is beta_x + u with HC1 standard error se: the fit of eps alone."""
-    def fit(rng: np.random.Generator, size: int):
+    def fit(c: int, lo: int, hi: int):
+        rng, size = child_rng(seed, Stream.POWER, c), hi - lo
         G = rng.standard_normal((size, spec.n))
         E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
         eps = rng.standard_normal((size, spec.n))
@@ -108,7 +101,7 @@ def _interaction_draw(spec: PowerSpec, seed: Seed, threads: int = 1) -> tuple[np
         j = names.index("GxE")
         return beta[:, j], se[:, j]
 
-    return _chunked_fits(spec.reps, seed, Stream.POWER, threads, fit)
+    return chunk_map(fit, spec.reps, POWER_CHUNK, threads)
 
 
 def _power(draw: tuple[np.ndarray, np.ndarray], beta_x: float, alpha: float) -> float:
@@ -203,7 +196,8 @@ def permutation_test(
     G = np.asarray(data["G"], dtype=float)
     E = np.asarray(data["E"], dtype=float)
 
-    def fit(rng: np.random.Generator, size: int):
+    def fit(c: int, lo: int, hi: int):
+        rng, size = child_rng(seed, Stream.PERMUTATION, c), hi - lo
         Gp = np.empty((size, n))
         Ep = np.empty((size, n))
         for r in range(size):
@@ -215,7 +209,7 @@ def permutation_test(
         j = names.index("GxE")
         return beta[:, j], beta[:, j] / se[:, j]
 
-    null_coefs, null_ts = _chunked_fits(n_perm, seed, Stream.PERMUTATION, threads, fit)
+    null_coefs, null_ts = chunk_map(fit, n_perm, POWER_CHUNK, threads)
 
     envelopes, t_envelopes = {}, {}
     for level in (90, 95):

@@ -9,10 +9,10 @@ available. ols returns an OlsFit: coefficients, SEs and p-values read by
 column name, a JSON writer, and a covariance checked positive semidefinite.
 batched_ols_hc1 fits many small designs at once with HC1 SEs: it takes the
 design as a list of columns, each broadcastable to the (R, n) outcome array,
-so columns shared by every fit are stored once. Its sibling batched_ols gives
-coefficients only, for stacked designs that share no column, from one QR of
-each [X, y] under checked_qr's rank rule. p-values use the two-sided normal
-approximation and are floored at 1e-320 before taking logs downstream.
+so columns shared by every fit are stored once. ols_beta gives one fit's
+coefficients only, from one QR of [X, y] under checked_qr's checks and
+messages. p-values use the two-sided normal approximation and are floored at
+1e-320 before taking logs downstream.
 """
 
 from __future__ import annotations
@@ -70,27 +70,34 @@ class OlsFit:
         }, indent=2, sort_keys=True)
 
 
-def _dependent(r: np.ndarray) -> np.ndarray:
-    """The rank rule on R factors (..., k, k): columns with |diag R| <= RANK_RTOL * its max."""
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    return diag <= RANK_RTOL * diag.max(axis=-1, keepdims=True)
-
-
-def checked_qr(X: np.ndarray, names: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of a full-rank design.
-
-    Raises EstimationError naming the columns when X has no more rows than
-    columns, or naming the dependent ones when |diag R| <= RANK_RTOL * max.
-    """
-    n, k = X.shape
+def _checked(A: np.ndarray, k: int, names: list[str] | None, mode: str):
+    """np.linalg.qr(A, mode) for A whose first k columns are the design.
+    EstimationError names those columns when A has no more rows than k, and
+    the dependent ones, |diag R| <= RANK_RTOL * its max, otherwise."""
+    n = A.shape[0]
     labels = list(names) if names else [f"x{i}" for i in range(k)]
     if n <= k:
         raise EstimationError(f"design has {n} rows for {k} columns {labels}")
-    q, r = np.linalg.qr(X)
-    bad = np.nonzero(_dependent(r))[0]
+    qr = np.linalg.qr(A, mode=mode)
+    diag = np.abs(np.diagonal(qr if mode == "r" else qr[1])[:k])
+    bad = np.nonzero(diag <= RANK_RTOL * diag.max())[0]
     if bad.size:
         raise EstimationError(f"design matrix is rank deficient; dependent columns: {[labels[i] for i in bad]}")
-    return q, r
+    return qr
+
+
+def checked_qr(X: np.ndarray, names: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR (Q, R) of a full-rank design, under _checked's checks."""
+    return _checked(X, X.shape[1], names, "reduced")
+
+
+def ols_beta(y: np.ndarray, X: np.ndarray, names: list[str] | None = None) -> np.ndarray:
+    """OLS coefficients alone, under checked_qr's checks and messages. One
+    Householder QR of [X, y] gives X's R factor and Q'y in its last column,
+    so no Q and no covariance are formed."""
+    k = X.shape[1]
+    r = _checked(np.column_stack([X, y]), k, names, "r")
+    return np.linalg.solve(r[:k, :k], r[:k, k])
 
 
 def sandwich(S: np.ndarray, resid: np.ndarray, bread: np.ndarray, clusters: np.ndarray | None = None) -> np.ndarray:
@@ -185,22 +192,6 @@ def batched_ols_hc1(Y: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
     beta[singular] = np.nan
     var[singular] = np.nan
     return beta, np.sqrt(var)
-
-
-def batched_ols(XY: np.ndarray) -> np.ndarray:
-    """Coefficients of many OLS fits at once. XY: (R, n, k + 1), each fit's
-    design with its outcome as the last column. One Householder QR of each
-    [X, y] gives X's R factor, read by checked_qr's rank rule, and Q'y in its
-    last column, so no sandwich and no Q are formed. Returns beta (R, k); a fit
-    with no more rows than columns or a dependent column gets NaN.
-    """
-    R, n, k = XY.shape[0], XY.shape[1], XY.shape[2] - 1
-    beta = np.full((R, k), np.nan)
-    if n > k and R:
-        r = np.linalg.qr(XY, mode="r")
-        ok = ~_dependent(r[:, :k, :k]).any(axis=1)
-        beta[ok] = np.linalg.solve(r[ok, :k, :k], r[ok, :k, k:])[:, :, 0]
-    return beta
 
 
 def breusch_pagan(resid: np.ndarray, Z: np.ndarray) -> tuple[float, float]:

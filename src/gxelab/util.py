@@ -1,4 +1,4 @@
-"""Shared plumbing: random streams, deterministic parallel maps, file IO.
+"""Shared plumbing: random streams, deterministic parallel maps (indexed_map, chunk_map), file IO.
 
 Random streams follow one key rule. Every generator is child_rng(seed, stream,
 *index): a numpy SeedSequence whose entropy is the master seed and whose spawn
@@ -110,6 +110,15 @@ def indexed_map(fn: Callable[[int], object], n_units: int, threads: int = 1) -> 
         return [fn(i) for i in range(n_units)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_units)))
+
+
+def chunk_map(fit: Callable[[int, int, int], tuple], n: int, chunk: int, threads: int = 1) -> tuple[np.ndarray, ...]:
+    """fit(c, lo, hi) on each chunk c = range(lo, hi) of range(n), chunk wide
+    (one empty chunk when n is 0), run by indexed_map; the chunks' arrays
+    concatenated in order, one per array that fit returns."""
+    starts = range(0, max(n, 1), chunk)
+    parts = indexed_map(lambda c: fit(c, starts[c], min(starts[c] + chunk, n)), len(starts), threads)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def fmt_float(x: float) -> str:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,17 @@ class TestRunCell:
         b = bl.run_cell(base_spec(), reps=40, seed=607, sizes=small, threads=4)
         assert a.g.mean_estimate == b.g.mean_estimate
         assert a.gxe.mc_se == b.gxe.mc_se
+
+    def test_peak_memory_of_a_cell(self):
+        # each replicate's design is fit inside its draw, so no cell keeps its
+        # replicates' (n_analysis x 7) designs; 200 of them are 21 MiB
+        tracemalloc.start()
+        try:
+            bl.run_cell(base_spec(), reps=200, seed=613, sizes=SIZES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_finite_discovery_mode_runs(self):
         sizes = CohortSizes(n_discovery=3000, n_analysis=1200, n_snps=60)
@@ -234,4 +247,13 @@ class TestPinnedResults:
                     "dependent columns: ['E', 'GxE']")
         with pytest.raises(SimulationError) as info:
             bl.run_cell(spec, reps=4, seed=1403, sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20))
+        assert str(info.value) == expected
+
+    def test_singular_design_failure_thread_invariant(self):
+        spec = ScenarioSpec(g_regime="regular_pgi_family_controls", e_regime="exogenous", treated_share=0.0)
+        expected = ("4/4 replicates failed; the first with EstimationError: design matrix is rank deficient; "
+                    "dependent columns: ['E', 'GxE']")
+        with pytest.raises(SimulationError) as info:
+            bl.run_cell(spec, reps=4, seed=1403, sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20),
+                        threads=2)
         assert str(info.value) == expected

@@ -187,6 +187,13 @@ class TestTrioGwas:
         assert_dead_and_rest_match(res, 2, lambda j: (
             y, [children.dosages[:, j].astype(float), d[mothers, j], d[fathers, j]]))
 
+    @pytest.mark.parametrize("n_y", [29, 40])
+    def test_outcome_length_checked(self, small_panel, small_ld, n_y):
+        parents, children, ped = make_trio_population(30, small_panel, small_ld, seed=258)
+        y = np.random.default_rng(259).standard_normal(n_y)
+        with pytest.raises(ConfigError, match="^outcome length does not match genotypes$"):
+            gwas.run_trio_gwas(children, parents, ped, y)
+
     def test_pedigree_rows_matched_by_id(self, small_panel, small_ld):
         parents, children, ped = make_trio_population(60, small_panel, small_ld, seed=245)
         y = np.random.default_rng(246).standard_normal(60)
@@ -256,6 +263,14 @@ class TestSiblingGwas:
         assert_same_stats(gwas.run_sibling_gwas(children, shuffled(ped, 250), y, variant),
                           gwas.run_sibling_gwas(children, ped, y, variant))
 
+    @pytest.mark.parametrize("variant", ["family_fixed_effects", "mean_sibling_control"])
+    @pytest.mark.parametrize("n_y", [79, 90])
+    def test_outcome_length_checked(self, small_panel, small_ld, variant, n_y):
+        parents, children, ped = make_sibling_population(40, small_panel, small_ld, seed=260)
+        y = np.random.default_rng(261).standard_normal(n_y)
+        with pytest.raises(ConfigError, match="^outcome length does not match genotypes$"):
+            gwas.run_sibling_gwas(children, ped, y, variant)
+
     def test_genotyped_families_outside_pedigree_left_out(self, small_panel, small_ld):
         parents, children, ped = make_sibling_population(40, small_panel, small_ld, seed=251)
         y = np.random.default_rng(252).standard_normal(80)
@@ -295,6 +310,20 @@ class TestOneLoop:
         for a, b in ((pop, pop7), (fe, fe7)):
             assert np.allclose(b.beta, a.beta, rtol=1e-12, atol=0) and np.allclose(b.se, a.se, rtol=1e-12, atol=0)
             assert np.array_equal(b.n, a.n) and b.n_dropped == a.n_dropped
+
+    @pytest.mark.parametrize("design", ["trio", "family_fixed_effects", "mean_sibling_control"])
+    def test_family_designs_thread_invariant(self, monkeypatch, design):
+        monkeypatch.setattr(gwas, "CHUNK", 8)
+        panel = genome.build_panel([5] * 6, 0.3)  # 30 SNPs: four chunks
+        parents, children, trio_ped = make_trio_population(60, panel, 0.5, 262)
+        _, siblings, sib_ped = make_sibling_population(40, panel, 0.5, 263)
+
+        def run(threads):
+            if design == "trio":
+                return gwas.run_trio_gwas(children, parents, trio_ped, np.arange(60.0) % 7, threads)
+            return gwas.run_sibling_gwas(siblings, sib_ped, np.arange(80.0) % 7, design, threads)
+
+        assert_same_stats(run(2), run(1))
 
     @pytest.mark.parametrize("design", ["trio", "family_fixed_effects", "mean_sibling_control"])
     def test_peak_memory_below_one_float_copy(self, design):

@@ -1,12 +1,12 @@
 """Reference checks for the OLS/IV engine: every covariance is compared with
 the sandwich written out from the normal equations, and the batched kernel
-with one ols fit per replicate."""
+with one ols fit per replicate, as is the coefficient-only ols_beta."""
 
 import numpy as np
 import pytest
 
 from gxelab.gxe import GxeModelSpec, gxe_design
-from gxelab.regress import batched_ols_hc1, ols, tsls
+from gxelab.regress import batched_ols_hc1, checked_qr, ols, ols_beta, tsls
 from gxelab.util import EstimationError
 
 
@@ -61,6 +61,39 @@ class TestOls:
         y, X, _ = heteroskedastic_data()
         with pytest.raises(EstimationError, match=f"{n} rows for 3 columns.*'intercept', 'x', 'e'"):
             ols(y[:n], X[:n], names=["intercept", "x", "e"])
+
+
+class TestOlsBeta:
+    def test_matches_ols(self):
+        y, X, _ = heteroskedastic_data()
+        np.testing.assert_allclose(ols_beta(y, X), ols(y, X).beta, rtol=1e-12, atol=0)
+
+    def test_matches_ols_on_a_bias_lab_design(self):
+        rng = np.random.default_rng(7)
+        n = 2000
+        controls = {"pgi_m": rng.standard_normal(n), "pgi_f": rng.standard_normal(n)}
+        G, E = rng.standard_normal(n), (rng.random(n) < 0.5).astype(float)
+        names, cols = gxe_design(G, E, GxeModelSpec(controls=tuple(controls)), controls)
+        X = np.column_stack(cols)
+        y = X @ np.linspace(0.1, 0.7, X.shape[1]) + rng.standard_normal(n)
+        np.testing.assert_allclose(ols_beta(y, X, names), ols(y, X, names).beta, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["too_few_rows", "dependent_column"])
+    def test_raises_checked_qr_message(self, case):
+        y, X, _ = heteroskedastic_data()
+        names = ["intercept", "x", "e"]
+        if case == "too_few_rows":
+            y, X = y[:3], X[:3]
+            expected = "design has 3 rows for 3 columns ['intercept', 'x', 'e']"
+        else:
+            X = np.column_stack([X, 2 * X[:, 1]])
+            names.append("twice_x")
+            expected = "design matrix is rank deficient; dependent columns: ['twice_x']"
+        with pytest.raises(EstimationError) as ref:
+            checked_qr(X, names)
+        with pytest.raises(EstimationError) as info:
+            ols_beta(y, X, names)
+        assert str(info.value) == str(ref.value) == expected
 
 
 class TestTsls:
