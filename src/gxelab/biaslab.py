@@ -313,7 +313,7 @@ def gwas_selection_experiment(
         treated = treated_indicator(ana.e)
         r2 = {arm: incremental_r2(child[treated == arm], ana.y[treated == arm]) for arm in (0, 1)}
         corr, _, p = rge_check(child, ana.e)
-        remedy = _fit(*_cell_design(ds, balanced_plim_index(ds)), ana.y)  # fit first: its error is the one counted
+        remedy = _fit(*_cell_design(ds, balanced_plim_index(ds)), ana.y)  # when both fits fail, this error counts
         return {"remedy": remedy, "fit": _fit(names, X, ana.y), "r2_treated": r2[1],
                 "r2_control": r2[0], "rge_corr": corr, "rge_sig": p < 0.05}
 

@@ -73,8 +73,8 @@ class TestRunCell:
         assert a.gxe.mc_se == b.gxe.mc_se
 
     def test_peak_memory_of_a_cell(self):
-        # each replicate's design is fit inside its draw, so no cell keeps its
-        # replicates' (n_analysis x 7) designs; 200 of them are 21 MiB
+        # each replicate's design is fit inside its draw, so a cell keeps none of
+        # its replicates' (n_analysis x 7) [X, y] blocks; 200 of them are 21 MiB
         tracemalloc.start()
         try:
             bl.run_cell(base_spec(), reps=200, seed=613, sizes=SIZES)
