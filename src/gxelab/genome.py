@@ -38,7 +38,7 @@ from scipy.special import ndtri
 
 from .regress import RANK_RTOL
 from .util import (CalibrationError, ConfigError, PedigreeError, Seed, Stream, check_widths, child_rng, fmt_float,
-                   indexed_map, parse_column, read_lines, read_tsv, write_tsv)
+                   indexed_map, parse_column, raw_bytes, read_lines, read_tsv, write_tsv)
 
 DOSAGE_CELLS = frozenset("012")
 TAB_ZERO = ord("\t") << 8 | ord("0")
@@ -226,12 +226,19 @@ class Pedigree:
                     stack.append((cur, iter(parents[cur])))
 
 
+def allele_thresholds(maf: np.ndarray) -> np.ndarray:
+    """uint16 thr = max(round(maf * 2**16), 1): a 16-bit uniform is below thr with probability thr / 2**16,
+    within 2**-17 of a maf in [2**-17, 0.5]; a smaller maf becomes 2**-16, so no SNP lacks its allele."""
+    return np.maximum(np.rint(maf * 2**16), 1).astype(np.uint16)
+
+
 def founder_planes(panel: Panel, rho: float, n: int, seed: Seed, threads: int = 1) -> np.ndarray:
     """Founder strand planes (2, n, J) uint8: Bernoulli(maf) marginals, AR(1)-threshold LD
     of within-block correlation rho in the panel's blocks.
 
     Each block draws from its own stream (FOUNDERS, block), so results do not
-    depend on scheduling.
+    depend on scheduling. With rho = 0 an allele is 1 where a 16-bit uniform from
+    the raw PCG64 words (util.raw_bytes) is below allele_thresholds(maf).
     """
     if not 0.0 <= rho < 1.0:
         raise ConfigError(f"rho {rho} outside [0, 1)")
@@ -239,15 +246,13 @@ def founder_planes(panel: Panel, rho: float, n: int, seed: Seed, threads: int = 
         raise ConfigError("n must be >= 1")
 
     if rho == 0.0:
-        # SNPs are independent: one Bernoulli(maf) stream of uniforms for the whole
-        # panel, drawn in row chunks (random fills in C order, so chunking keeps the alleles)
-        rng = child_rng(seed, Stream.FOUNDERS, 0)
-        planes = np.empty((2, n, len(panel)), dtype=np.uint8)
-        step = max(1, 2**20 // (2 * len(panel)))  # individuals per chunk of about 2**20 uniforms (8 MiB)
-        for i in range(0, n, step):
-            u = rng.random((2 * min(step, n - i), len(panel)))
-            planes[:, i:i + step] = (u < panel.maf).reshape(-1, 2, len(panel)).transpose(1, 0, 2)
-        return planes
+        # SNPs are independent: 16-bit uniforms in plane order; chunks of 4m rows take whole words, as one draw would
+        rng, thr = child_rng(seed, Stream.FOUNDERS, 0), allele_thresholds(panel.maf)
+        rows = np.empty((2 * n, len(panel)), dtype=np.uint8)
+        step = 4 * max(1, 2**20 // len(panel))  # rows per chunk of about 2**22 uniforms (8 MiB)
+        for chunk in np.split(rows, range(step, 2 * n, step)):
+            np.less(raw_bytes(rng, 2 * chunk.size).view("<u2").reshape(chunk.shape), thr, out=chunk.view(bool))
+        return rows.reshape(2, n, len(panel))
 
     thresholds = ndtri(panel.maf)
 
@@ -270,13 +275,14 @@ def simulate_founders(panel: Panel, rho: float, n: int, seed: Seed, threads: int
 
 
 def transmit_planes(parents: np.ndarray, panel: Panel, seed: Seed) -> np.ndarray:
-    """Mendelian transmission: child planes (2, n, J) from parents (2, 2, n, J),
-    the strand planes of each child's mother (parents[:, 0]) and father
-    (parents[:, 1]). One gamete per parent, whole haplotypes per LD block: with
-    c = 1 where a block's strand 1 is chosen, each child strand is s0 ^ (c & (s0 ^ s1))."""
+    """Mendelian transmission: child planes (2, n, J) from parents (2, 2, n, J), the strand planes of each
+    child's mother (parents[:, 0]) and father (parents[:, 1]). One gamete per parent, whole haplotypes per LD
+    block: with c = 1 where a block's strand 1 is chosen, each child strand is s0 ^ (c & (s0 ^ s1)). The
+    choices c (2, n, n_blocks) are the bits of raw PCG64 words (util.raw_bytes), least significant first."""
     n_blocks = len(panel.block_sizes)
-    choice = child_rng(seed, Stream.TRANSMISSION).integers(0, 2, size=(parents.shape[2], n_blocks, 2), dtype=np.uint8)
-    c = choice.transpose(2, 0, 1)
+    bits = 2 * parents.shape[2] * n_blocks
+    c = np.unpackbits(raw_bytes(child_rng(seed, Stream.TRANSMISSION), -(-bits // 8)), count=bits, bitorder="little")
+    c = c.reshape(2, parents.shape[2], n_blocks)
     if n_blocks < len(panel):  # one choice per block, repeated over its SNPs
         c = np.take(c, np.repeat(np.arange(n_blocks), panel.block_sizes), axis=2)
     s0, s1 = parents

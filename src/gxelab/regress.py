@@ -48,6 +48,8 @@ class OlsFit:
     n_clusters: int | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.cov).all():
+            raise EstimationError("covariance is not finite")
         eigs = np.linalg.eigvalsh(self.cov)
         if eigs.min() < -1e-10 * max(eigs.max(), 1.0):
             raise EstimationError("covariance is not positive semidefinite")

@@ -100,6 +100,12 @@ def child_rng(seed: Seed, stream: Stream, *index: int) -> np.random.Generator:
     return np.random.default_rng(substream(seed, stream, *index))
 
 
+def raw_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uint8 bytes from the next ceil(n / 8) raw 64-bit words of rng's bit generator,
+    each word read little-endian, so the bytes do not depend on the platform."""
+    return rng.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+
+
 def indexed_map(fn: Callable[[int], object], n_units: int, threads: int = 1) -> list:
     """Run fn(i) for i in range(n_units), results in index order.
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from gxelab import biaslab as bl
 from gxelab.phenosim import CohortSizes, ScenarioSpec
@@ -92,12 +93,22 @@ class TestRunCell:
 
 class TestRunTable:
     def test_zero_confounds_every_cell_unbiased(self):
+        """With every confound off, each cell's G and E estimates are unbiased,
+        checked at a family-wise rate. The verdict's rule |bias| < 3 MC SE is a
+        two-sided test of size alpha = 2 (1 - Phi(3)) ~ 0.0027 per coefficient.
+        Applied to the table's 18 coefficients (9 cells x G, E) it fails about
+        5% of seeds when every null holds. Bonferroni at the verdict's own rate
+        gives each coefficient the two-sided size alpha / 18, so the bound is
+        |bias| < Phi^-1(1 - alpha / 36) MC SE ~ 3.79 MC SE. The verdict's
+        precision rule, MC SE <= 0.02, is kept as it is."""
         clean = base_spec(eta_m=0.0, eta_f=0.0, beta_estar=0.0, w=0.0)
         sizes = CohortSizes(n_discovery=64, n_analysis=1500, n_snps=80)
         table = bl.run_table(clean, reps=60, seed=611, sizes=sizes)
-        for (_, _), rep in table.cells.items():
-            assert rep.g.verdict == "unbiased"
-            assert rep.e.verdict == "unbiased"
+        coefs = [c for rep in table.cells.values() for c in (rep.g, rep.e)]
+        z = ndtri(1 - 0.0027 / (2 * len(coefs)))
+        assert len(coefs) == 18 and z == pytest.approx(3.79, abs=0.005)
+        for c in coefs:
+            assert abs(c.bias) < z * c.mc_se and c.mc_se <= 0.02
 
     def test_exports(self):
         sizes = CohortSizes(n_discovery=64, n_analysis=600, n_snps=50)
@@ -178,41 +189,42 @@ class TestGwasSelection:
         assert diag.reduction_share > 0.40
 
 
-# Bias-lab results recorded before the replicate kernel moved to one dosage
-# block per cohort and one batched coefficient fit per cell: (mean, mc_se,
-# verdict) for G, E and GxE, then the failed count, per cell.
+# Bias-lab results, (mean, mc_se, verdict) for G, E and GxE, then the failed
+# count, per cell. First recorded before the replicate kernel moved to one
+# dosage block per cohort; re-recorded when independent-SNP founders and the
+# transmission choices moved to raw-word draws.
 PIN_BASE = ScenarioSpec(g_regime="trio_pgi_family_controls", e_regime="exogenous", eta_m=0.5, eta_f=0.5,
                         nurture_alignment=0.3)
 PIN_SIZES = CohortSizes(n_discovery=64, n_analysis=300, n_snps=40)
 PINNED_TABLES = {
     "plim": {
-        ("trio_pgi_family_controls", "exogenous"): ([(0.27676179130956763, 0.04069700117221568, "ambiguous"), (0.6291364665348885, 0.058705486373213295, "ambiguous"), (0.2108375312757097, 0.03584657673944769, "ambiguous")], 0),
-        ("trio_pgi_family_controls", "predetermined"): ([(0.2766637199907053, 0.02156033856009815, "ambiguous"), (0.7852993700722272, 0.03848596847552514, "up"), (0.13868147038479298, 0.03394984038140876, "ambiguous")], 0),
-        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.2551327906876862, 0.021620611437880136, "ambiguous"), (0.763369746830354, 0.03213715094249451, "up"), (0.1770349796180655, 0.03696816391004394, "ambiguous")], 0),
-        ("regular_pgi_family_controls", "exogenous"): ([(0.18597821793973812, 0.032833983247770065, "ambiguous"), (0.5773904239019352, 0.038806776758073196, "ambiguous"), (0.04776770604933726, 0.05748880231360465, "ambiguous")], 0),
-        ("regular_pgi_family_controls", "predetermined"): ([(0.23654799574085236, 0.03746322363557274, "ambiguous"), (0.7081472809923994, 0.019124795501849562, "up"), (0.15096957397667982, 0.024019984380183945, "ambiguous")], 0),
-        ("regular_pgi_family_controls", "endogenous_correlated"): ([(0.1550192374878848, 0.0352294893803682, "ambiguous"), (0.7860583717518516, 0.0371681109534154, "up"), (0.06030947648928935, 0.024791308859345176, "down")], 0),
-        ("regular_pgi_no_family", "exogenous"): ([(0.6462692105489566, 0.04287931580576824, "up"), (0.6115084086079469, 0.038843178327878765, "ambiguous"), (0.04762440185606723, 0.03807755541070469, "ambiguous")], 0),
-        ("regular_pgi_no_family", "predetermined"): ([(0.5792750504951402, 0.02817987142108492, "up"), (0.7727268479074643, 0.03620102794098127, "up"), (0.09551510862231237, 0.037638770857905304, "ambiguous")], 0),
-        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.6081919207800568, 0.007887438325366166, "up"), (0.7503610071683546, 0.01771591569717787, "up"), (0.11585469646312817, 0.03874279362081531, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "exogenous"): ([(0.33239271559508926, 0.08307200005707148, "ambiguous"), (0.6029293391066022, 0.08061509133444024, "ambiguous"), (0.19399770271962494, 0.0777768373182208, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "predetermined"): ([(0.24106399969569636, 0.017766518406007133, "unbiased"), (0.7402999190880942, 0.02931689788800524, "up"), (0.1464591975541879, 0.030447022303845137, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.17631391601200389, 0.05467011936771121, "ambiguous"), (0.7500340314467829, 0.03635055077145426, "up"), (0.21231446679848687, 0.024599531293737934, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "exogenous"): ([(0.2348237262073565, 0.04679742033422062, "ambiguous"), (0.5908077566141255, 0.04330291621967909, "ambiguous"), (0.12861501875718234, 0.029001207205298248, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "predetermined"): ([(0.1789082730260262, 0.04116198235335965, "ambiguous"), (0.7224546474345973, 0.023212542437472446, "up"), (0.09299507850882355, 0.009111065147762156, "down")], 0),
+        ("regular_pgi_family_controls", "endogenous_correlated"): ([(0.12275761533486633, 0.044607191558049916, "down"), (0.7683097067831213, 0.0405473539163715, "up"), (0.11865237242265995, 0.021453058197252985, "ambiguous")], 0),
+        ("regular_pgi_no_family", "exogenous"): ([(0.6902366346967774, 0.026814685829614573, "up"), (0.5992649773806243, 0.0604156287159368, "ambiguous"), (0.013530530257968026, 0.018953409608589704, "down")], 0),
+        ("regular_pgi_no_family", "predetermined"): ([(0.5780374893606786, 0.02150875269917176, "up"), (0.7861438927717247, 0.028420344461161928, "up"), (0.12126915773548948, 0.029295777970603735, "ambiguous")], 0),
+        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.6434838749673316, 0.024779461354772922, "up"), (0.7359321832439892, 0.022369719855452837, "up"), (0.08058413372844693, 0.01715326024786643, "down")], 0),
     },
     "finite": {
-        ("trio_pgi_family_controls", "exogenous"): ([(0.08577120189385266, 0.038053859579011064, "down"), (0.6294589183599592, 0.062493405526233045, "ambiguous"), (0.10371164648454982, 0.042285114151442524, "ambiguous")], 0),
-        ("trio_pgi_family_controls", "predetermined"): ([(0.0860370397436299, 0.034998235318618835, "down"), (0.8698716906343082, 0.04292545604664431, "up"), (0.06066133678955399, 0.01998740339113312, "down")], 0),
-        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.029313139382469655, 0.031825916203933886, "down"), (0.7511993136917213, 0.032867636033538865, "up"), (0.016397995610309298, 0.02189711731855976, "down")], 0),
-        ("regular_pgi_family_controls", "exogenous"): ([(0.06254757640468782, 0.048218967332554374, "down"), (0.574006670425303, 0.04737499454592933, "ambiguous"), (0.022351749883292943, 0.039933753313201294, "down")], 0),
-        ("regular_pgi_family_controls", "predetermined"): ([(0.10749283097743427, 0.048509161209009805, "down"), (0.8135501759716995, 0.03729608398578568, "up"), (0.06687603428782118, 0.02792692498139974, "ambiguous")], 0),
-        ("regular_pgi_family_controls", "endogenous_correlated"): ([(0.006295817468685014, 0.04261924102229554, "down"), (0.8026440819192345, 0.030705426679912412, "up"), (0.026214202243287157, 0.03453028733799985, "down")], 0),
-        ("regular_pgi_no_family", "exogenous"): ([(0.34811518534339586, 0.07550715978496159, "ambiguous"), (0.5910188768294535, 0.04757489148644402, "ambiguous"), (0.09142026372102859, 0.06783721423741634, "ambiguous")], 0),
-        ("regular_pgi_no_family", "predetermined"): ([(0.26798999349092817, 0.03497460163036898, "ambiguous"), (0.8306232138207438, 0.0294122447501643, "up"), (0.0511877828658433, 0.03810131863398998, "ambiguous")], 0),
-        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.2984739648354699, 0.04974229217892898, "ambiguous"), (0.7717231007023743, 0.021704011694635907, "up"), (0.07462930514450496, 0.0351964340104419, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "exogenous"): ([(0.10318011830177974, 0.06957653138120792, "ambiguous"), (0.6006109015646239, 0.07843949415233976, "ambiguous"), (0.117189854857586, 0.11214502747208176, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "predetermined"): ([(0.061881055586920704, 0.025967041319861196, "down"), (0.8478582278468495, 0.026384159813221977, "up"), (-0.0021637632349698344, 0.059288154317310396, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.0684287951949671, 0.0466820170355156, "down"), (0.7344446858265631, 0.0435447973406889, "up"), (0.09496414862225859, 0.03996868618736307, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "exogenous"): ([(0.13956877739912746, 0.05548975787898844, "ambiguous"), (0.6420351464288309, 0.05145101995303988, "ambiguous"), (0.03022272027453223, 0.0347015307684738, "down")], 0),
+        ("regular_pgi_family_controls", "predetermined"): ([(0.17177085946262857, 0.05741484683878028, "ambiguous"), (0.7921597448930342, 0.01819501145806196, "up"), (0.0294985693866147, 0.028321283524581867, "down")], 0),
+        ("regular_pgi_family_controls", "endogenous_correlated"): ([(0.052129101881321, 0.031038829617208996, "down"), (0.7725249864802092, 0.027986900376682937, "up"), (0.11999353232294167, 0.027360833396967033, "ambiguous")], 0),
+        ("regular_pgi_no_family", "exogenous"): ([(0.37577858201298814, 0.05895046984388195, "ambiguous"), (0.584752390316024, 0.07784634796038367, "ambiguous"), (-0.02153775777658291, 0.06920521215143943, "ambiguous")], 0),
+        ("regular_pgi_no_family", "predetermined"): ([(0.2734982802158642, 0.038926803722248854, "ambiguous"), (0.8448444530400688, 0.035587974752786355, "up"), (0.10020517653031234, 0.024775440757125126, "ambiguous")], 0),
+        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.36868212686671287, 0.014913759862914908, "up"), (0.7389383518669068, 0.025495669974569174, "up"), (0.011690998198972286, 0.03559440411920157, "down")], 0),
     },
 }
-PINNED_SELECTION = ([(0.258914217789128, 0.034688854998070034, "ambiguous"), (0.7069769999066686, 0.05739992486733717, "ambiguous"), (-0.02845367463281567, 0.04804384994174433, "ambiguous")], 0)
-PINNED_DIAGNOSTICS = dict(fitted_gxe=-0.02845367463281567, fitted_gxe_mc_se=0.04804384994174433,
-                          r2_treated=0.06010570391697817, r2_control=0.07008682562953793,
-                          rge_corr=0.0029702317950870694, rge_significant_share=0.16666666666666666,
-                          remedy_gxe=-0.04464613294160791, reduction_share=-0.5690814461664453)
+PINNED_SELECTION = ([(0.29569959658454853, 0.027357540349069075, "ambiguous"), (0.713038488928828, 0.05514215368499934, "ambiguous"), (-0.04162836088294987, 0.03974767790424966, "ambiguous")], 0)
+PINNED_DIAGNOSTICS = dict(fitted_gxe=-0.04162836088294987, fitted_gxe_mc_se=0.03974767790424966,
+                          r2_treated=0.0678669664731958, r2_control=0.08595895325658354,
+                          rge_corr=-0.03233033494945425, rge_significant_share=0.0,
+                          remedy_gxe=-0.04995741887949321, reduction_share=-0.20008133445279985)
 
 
 def assert_pinned(rep, pinned):

@@ -128,19 +128,19 @@ PINNED_SIMULATE = {
     }),
     "trios": ({"n": 60, "n_snps": 20, "design": "trios", "block_size": 5, "rho": 0.3, "h2": 0.3,
                "delta": 0.3, "eta_m": 0.2, "eta_f": 0.1}, 6, {
-        "children.tsv": "abbe7e3919c0c75a0549ec06e5cf54d2e4b258ed3f87c9529816b717e009d2e0",
+        "children.tsv": "6ede3b02e516d551511ffd0cf12ac8c1fecaa76be59225bbdfdfb8787884ca9b",
         "panel.tsv": "21d1c9651816372fe317ca61a451da1d505de03143176cfbe283d8d980020429",
         "parents.tsv": "a6b014c92fe1b7b2a4d087eccce4fd218849fdb7ac2aa1ee01a03704b08f82ab",
         "pedigree.tsv": "fe05d590369a4d31ff38cd69416feef00c0c466110836dba31146eacbf6b248b",
-        "phenotype.tsv": "ab84568266822a5bd52350ea7f2f61cf46e0b0bc6975ef4b6dd6ee3b2e2fd434",
+        "phenotype.tsv": "ea73889ea87b42754632235953a794b9f38bd5867089044907ebc2b674814359",
     }),
     "sibling-pairs": ({"n": 40, "n_snps": 20, "design": "sibling-pairs", "block_size": 4, "rho": 0.4, "h2": 0.3,
                        "delta": 0.3, "gamma": 0.25}, 7, {
-        "children.tsv": "ea450523d89228d978627c92b8d4768ba92ea83f24b9c258765e1c1331a0f141",
+        "children.tsv": "a49b998addb6e8435d0c4f46dffb74c5fc5ecc9aea048b40e5bde2ea4f45cc19",
         "panel.tsv": "5931321934538b44064dc8ed533aa316988d40a22792673893a0cacfec70929d",
         "parents.tsv": "a28e61074a1e3669df5980cbe14f88734d3378482e3c1217a8087cf4baff8a9a",
         "pedigree.tsv": "2bc59d8366ce654ef6a567d58b38f16ed253fb490be587915a1b1c0532752cf0",
-        "phenotype.tsv": "b823ecb5578b79de9c3850708d9565d09451c821d0e60a66372ac8e77b6228a7",
+        "phenotype.tsv": "f2be64803f286d3b75d65ba2f32df585d9cc2e3bc3468ae10d0ddae444ec2b8b",
     }),
 }
 
@@ -683,6 +683,20 @@ def test_fuzzed_data_files_end_in_a_documented_exit_code(data):
         assert code == 0 or snapshot(Path(tmp) / "o") == before
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+def test_overflowing_outcome_exits_3(tmp_path, capsys):
+    """A data file the fuzzed test above found: one Y of 0.8999999999e199 overflows
+    the residual sum of squares, so the covariance is not finite. That is an
+    estimation error (exit 3), not an eigensolver traceback."""
+    text = VALID_FILES["data"].replace("i0\t-2.1\t", "i0\t0.8999999999e199\t")
+    assert text != VALID_FILES["data"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with fails_cleanly(tmp_path, "gxe"):
+            assert run_on_files(tmp_path, "gxe", {**VALID_FILES, "data": text}) == 3
+    err = capsys.readouterr().err
+    assert "covariance is not finite" in err and "Traceback" not in err
 
 
 def test_cli_import_leaves_out_scipy_stats():

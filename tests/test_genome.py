@@ -90,13 +90,27 @@ class TestSimulateFounders:
         assert not np.array_equal(a.planes, c.planes)
 
     def test_chunked_independent_draw_equals_one_shot_draw(self):
-        n, j = 2000, 800  # 2**20 // (2 * 800) = 655 individuals per chunk: four chunks, the last ragged
-        assert n > 3 * (2**20 // (2 * j))
+        # 4 * (2**20 // 801) = 5236 rows per chunk: 12002 rows are three chunks, the last ragged (1530 rows),
+        # and 12002 * 801 uniforms use half of the last 64-bit word
+        n, j = 6001, 801
+        assert 2 * n > 2 * 5236 and (2 * n * j) % 4 == 2
         panel = genome.random_panel(j, 1, seed=5)
         planes = genome.founder_planes(panel, 0.0, n, seed=17)
-        one_shot = child_rng(17, Stream.FOUNDERS, 0).random((2 * n, j)) < panel.maf
+        # one shot: every 16-bit uniform in plane order from the little-endian raw words
+        words = child_rng(17, Stream.FOUNDERS, 0).bit_generator.random_raw(-(-2 * n * j // 4))
+        u = words.astype("<u8").view("<u2")[:2 * n * j].reshape(2, n, j)
         assert planes.dtype == np.uint8
-        assert np.array_equal(planes, one_shot.reshape(n, 2, j).transpose(1, 0, 2))
+        assert np.array_equal(planes, u < genome.allele_thresholds(panel.maf))
+
+    def test_allele_thresholds_within_half_a_step_of_maf(self):
+        maf = np.concatenate([[1e-9, 2.0**-17, 2.0**-16, 0.25, 0.5 - 2.0**-17, 0.5],
+                              np.random.default_rng(9).uniform(0, 0.5, 100_000)])
+        maf = maf[maf > 0]
+        thr = genome.allele_thresholds(maf)
+        assert thr.dtype == np.uint16 and thr.min() >= 1
+        above_floor = maf >= 2.0**-17  # a smaller maf is raised to one step, 2**-16
+        assert np.all(np.abs(thr[above_floor] / 2**16 - maf[above_floor]) <= 2.0**-17)
+        assert np.all(thr[~above_floor] == 1) and thr[maf == 0.5] == 2**15
 
 
 class TestTransmit:
@@ -158,11 +172,15 @@ class TestTransmit:
         planes = genome.founder_planes(panel, 0.5, 50, seed=31)
         idx = np.random.default_rng(32).integers(0, 50, (2, 70))
         child = genome.transmit_planes(planes[:, idx], panel, seed=33)
-        # the strand choice as np.where on the per-block choice array, drawn from the same stream
-        choice = child_rng(33, Stream.TRANSMISSION).integers(0, 2, size=(70, len(block_sizes), 2), dtype=np.uint8)
+        # the strand choice as np.where on the per-block choice array: bit i of the one-shot draw, counted from the
+        # least significant bit of the first little-endian raw word, is choice.flat[i]
+        n_bits = 2 * 70 * len(block_sizes)  # 840 or 1680 bits: the last word is part used
+        words = child_rng(33, Stream.TRANSMISSION).bit_generator.random_raw(-(-n_bits // 64))
+        bits = [int(w) >> b & 1 for w in words for b in range(64)]
+        choice = np.array(bits[:n_bits], dtype=np.uint8).reshape(2, 70, len(block_sizes))
         block_of_snp = np.repeat(np.arange(len(block_sizes)), block_sizes)
         s0, s1 = planes
-        oracle = np.stack([np.where(choice[:, block_of_snp, slot], s1[idx[slot]], s0[idx[slot]]) for slot in (0, 1)])
+        oracle = np.stack([np.where(choice[slot][:, block_of_snp], s1[idx[slot]], s0[idx[slot]]) for slot in (0, 1)])
         assert child.dtype == np.uint8 and np.array_equal(child, oracle)
 
     def test_missing_parent_rejected(self, small_panel, small_ld):
