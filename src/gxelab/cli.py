@@ -380,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    cfg: dict = {}
     try:
         raw: dict = {}
         if args.config:
@@ -430,6 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationError as e:
         print(f"simulation error: {e}", file=sys.stderr)
         return EXIT_SIMULATION
+    except MemoryError:
+        sizes = "".join(f", {key}={cfg[key]}" for key in ("n", "n_snps") if key in cfg)
+        print(f"config error: not enough memory for {args.command}{sizes}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.special import ndtri
 
 from .regress import RANK_RTOL
@@ -270,8 +271,10 @@ def founder_planes(panel: Panel, rho: float, n: int, seed: Seed, threads: int = 
 
 
 def simulate_founders(panel: Panel, rho: float, n: int, seed: Seed, threads: int = 1) -> GenotypeMatrix:
-    """founder_planes as a GenotypeMatrix with ids f0..f{n-1}."""
-    return GenotypeMatrix([f"f{i}" for i in range(n)], panel, founder_planes(panel, rho, n, seed, threads))
+    """founder_planes as a GenotypeMatrix with ids f0..f{n-1}; the planes come first, so an
+    oversized n fails in their allocation."""
+    planes = founder_planes(panel, rho, n, seed, threads)
+    return GenotypeMatrix([f"f{i}" for i in range(n)], panel, planes)
 
 
 def transmit_planes(parents: np.ndarray, panel: Panel, seed: Seed) -> np.ndarray:
@@ -369,27 +372,27 @@ def principal_components(g: GenotypeMatrix, k: int) -> np.ndarray:
     """Top-k eigenvectors of the Gram matrix of column-standardized dosages,
     ordered by descending eigenvalue, sign fixed so the largest-magnitude
     entry of each component is positive. Zero-variance SNPs are excluded
-    (with a warning). eigh runs on x x' when n <= J, else on x'x with the
-    components mapped back as x v: a tall panel's n x n Gram matrix need not
-    fit in memory. A k beyond the rank (k-th eigenvalue <= RANK_RTOL * the
-    largest) raises ConfigError."""
+    (with a warning). Only the top k eigenpairs of the smaller cross-product
+    are computed (LAPACK evr): x x' when n <= J, else x'x with the components
+    mapped back as x v, so a tall panel's n x n Gram matrix is never formed.
+    A k beyond the rank (k-th eigenvalue <= RANK_RTOL * the largest) raises ConfigError."""
     d = g.dosages
     mu = d.mean(axis=0)
     sd = d.std(axis=0)
     keep = sd > 0.0
     if not keep.all():
-        dropped = list(compress(g.panel.ids, ~keep))
-        warnings.warn(f"excluding {len(dropped)} zero-variance SNPs: {dropped[:10]}")
-    x = d[:, keep] - mu[keep]
-    x /= sd[keep]
-    n, j = x.shape
-    if not 0 < k <= min(n, j):
-        raise ConfigError(f"k={k} outside 1..min(n_individuals, n_snps)={min(n, j)}")
-    wide = n <= j
-    evals, evecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)
-    if evals[-k] <= RANK_RTOL * evals[-1]:
+        warnings.warn(f"excluding {(~keep).sum()} zero-variance SNPs: {list(compress(g.panel.ids, ~keep))[:10]}")
+        d, mu, sd = d[:, keep], mu[keep], sd[keep]
+    x = d - mu
+    x /= sd
+    if not 0 < k <= (m := min(x.shape)):
+        raise ConfigError(f"k={k} outside 1..min(n_individuals, n_snps)={m}")
+    wide = len(x) == m
+    evals, evecs = eigh(x @ x.T if wide else x.T @ x, subset_by_index=[m - k, m - 1], driver="evr",
+                        overwrite_a=True, check_finite=False)
+    if evals[0] <= RANK_RTOL * evals[-1]:
         raise ConfigError(f"k={k} exceeds the rank of the standardized genotypes")
-    u = np.ascontiguousarray(evecs[:, : -k - 1 : -1])
+    u = np.ascontiguousarray(evecs[:, ::-1])
     if not wide:
         u = x @ u
         u /= np.linalg.norm(u, axis=0)

@@ -129,25 +129,27 @@ def ols(
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     n, k = X.shape
-    q, r = checked_qr(X, names)
-    beta = solve_triangular(r, q.T @ y)
-    resid = y - X @ beta
-    r_inv = solve_triangular(r, np.eye(k))
-    bread = r_inv @ r_inv.T
-    n_clusters = None
-    if se == "cluster":
-        if clusters is None:
-            raise EstimationError("cluster SEs requested without a cluster variable")
-        cov = sandwich(X, resid, bread, clusters)
-        n_clusters = int(np.unique(clusters).size)
-    elif se == "classical":
-        cov = bread * (resid @ resid) / (n - k)
-    elif se == "hc1":
-        cov = sandwich(X, resid, bread)
-    else:
-        raise EstimationError(f"unknown se mode {se!r}")
-    tss = np.sum((y - y.mean()) ** 2)
-    r2 = 1.0 - (resid @ resid) / tss if tss > 0 else 0.0
+    # overflow shows as a non-finite covariance, which OlsFit rejects, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q, r = checked_qr(X, names)
+        beta = solve_triangular(r, q.T @ y)
+        resid = y - X @ beta
+        r_inv = solve_triangular(r, np.eye(k))
+        bread = r_inv @ r_inv.T
+        n_clusters = None
+        if se == "cluster":
+            if clusters is None:
+                raise EstimationError("cluster SEs requested without a cluster variable")
+            cov = sandwich(X, resid, bread, clusters)
+            n_clusters = int(np.unique(clusters).size)
+        elif se == "classical":
+            cov = bread * (resid @ resid) / (n - k)
+        elif se == "hc1":
+            cov = sandwich(X, resid, bread)
+        else:
+            raise EstimationError(f"unknown se mode {se!r}")
+        tss = np.sum((y - y.mean()) ** 2)
+        r2 = 1.0 - (resid @ resid) / tss if tss > 0 else 0.0
     return OlsFit(beta=beta, cov=cov, residuals=resid, r2=float(r2), n=n,
                   names=list(names) if names else [f"x{i}" for i in range(k)],
                   se_mode=se, n_clusters=n_clusters)

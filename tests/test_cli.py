@@ -692,11 +692,28 @@ def test_overflowing_outcome_exits_3(tmp_path, capsys):
     text = VALID_FILES["data"].replace("i0\t-2.1\t", "i0\t0.8999999999e199\t")
     assert text != VALID_FILES["data"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warnings do not reach the user
         with fails_cleanly(tmp_path, "gxe"):
             assert run_on_files(tmp_path, "gxe", {**VALID_FILES, "data": text}) == 3
     err = capsys.readouterr().err
     assert "covariance is not finite" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_oversized_simulate_exits_2(tmp_path, capsys, monkeypatch):
+    """A simulate whose founder planes do not fit in memory is a config error
+    naming the requested sizes. The allocation failure is stubbed, so the test
+    allocates nothing."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    with fails_cleanly(tmp_path, "simulate") as out:
+        capsys.readouterr()
+        monkeypatch.setattr(cli.genome, "founder_planes", out_of_memory)
+        cfg = write_config(tmp_path, "huge.json", {"n": 10**9, "n_snps": 5000})
+        assert run(["simulate", "--config", cfg, "--seed", 1, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: not enough memory for simulate, n=1000000000, n_snps=5000"]
 
 
 def test_cli_import_leaves_out_scipy_stats():

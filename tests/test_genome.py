@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gxelab import genome
+from gxelab import genome, gwas
 from gxelab.util import CalibrationError, ConfigError, PedigreeError, Stream, child_rng
 
 from conftest import make_sibling_population, make_trio_population
@@ -255,6 +255,40 @@ class TestPrincipalComponents:
         u = np.linalg.svd(x, full_matrices=False)[0][:, :5]
         u *= np.sign(u[np.argmax(np.abs(u), axis=0), range(5)])
         assert np.abs(genome.principal_components(g, 5) - u).max() < 1e-10
+
+    @staticmethod
+    def full_eigh_pcs(g, k):
+        """Reference: every eigenpair of the smaller cross-product from np.linalg.eigh, the top k kept."""
+        d = g.dosages
+        x = (d - d.mean(axis=0)) / d.std(axis=0)
+        wide = x.shape[0] <= x.shape[1]
+        u = np.linalg.eigh(x @ x.T if wide else x.T @ x)[1][:, : -k - 1 : -1]
+        if not wide:
+            u = x @ u / np.linalg.norm(x @ u, axis=0)
+        return u * np.sign(u[np.argmax(np.abs(u), axis=0), range(k)])
+
+    @pytest.fixture(scope="class")
+    def genomics_size(self):
+        """The genomics benchmark's founders: 1,000 x 2,000, blocks of 10, rho 0.8."""
+        return genome.simulate_founders(genome.random_panel(2000, 10, seed=51), 0.8, 1000, seed=52)
+
+    @pytest.mark.parametrize("n, j, k", [(1000, 2000, 10), (3000, 300, 10), (200, 30, 30)],
+                             ids=["wide", "tall", "tall_k_is_rank"])
+    def test_top_k_matches_full_eigh(self, genomics_size, n, j, k):
+        g = genomics_size if (n, j) == (1000, 2000) else genome.simulate_founders(
+            genome.random_panel(j, 10, seed=53), 0.8, n, seed=54)
+        u, v = genome.principal_components(g, k), self.full_eigh_pcs(g, k)
+        assert u.shape == (n, k)
+        assert np.abs(u - v).max() <= 1e-10
+        assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-10  # the spanned subspaces agree too
+
+    def test_top_k_leaves_gwas_unmoved(self, genomics_size):
+        g = genomics_size
+        y = np.random.default_rng(55).standard_normal(g.n_individuals) + g.dosages[:, ::100] @ np.full(20, 0.1)
+        new = gwas.run_gwas(g, y, genome.principal_components(g, 10))
+        ref = gwas.run_gwas(g, y, self.full_eigh_pcs(g, 10))
+        assert (np.abs(new.beta - ref.beta) / ref.se).max() <= 1e-9
+        assert (np.abs(new.se - ref.se) / ref.se).max() <= 1e-9
 
     def test_rank_one_pattern(self):
         panel = genome.build_panel([4], np.full(4, 0.5))
