@@ -1,12 +1,12 @@
 """Per-SNP association engines.
 
 Every design fits CHUNK SNP columns at a time in one loop (util.chunk_map) on
-its threads. run_gwas and the sibling fixed-effects variant take one
-Frisch-Waugh step per chunk (_fwl), against the controls' projection or the
-family means; the trio and sibling mean-control designs fit one small
-regression per SNP (regress.batched_ols_hc1). Family designs match pedigree
-children to genotype rows by id; y has one value per genotype row, in their
-order. Standard errors are HC1, p-values two-sided normal floored at 1e-320.
+its threads. run_gwas and both sibling variants take one Frisch-Waugh step
+per chunk (_fwl), against the controls' projection or the family means; the
+trio design fits one small regression per SNP (regress.batched_ols_hc1).
+Family designs match pedigree children to genotype rows by id; y has one
+value per genotype row, in their order. Standard errors are HC1 (the sibling
+designs count the family effects), p-values two-sided normal floored at 1e-320.
 A SNP with no usable variation (a singular per-SNP design) gets beta 0, se
 1e300 and p 1 instead of stopping the panel.
 """
@@ -145,8 +145,8 @@ def run_trio_gwas(
     def fit(_, lo: int, hi: int):
         cols = [np.ones(len(trios))] + [np.ascontiguousarray(g.dosages[i, lo:hi].T, dtype=float)
                                         for g, i in ((children, ci), (parents, mi), (parents, fi))]
-        beta, se = batched_ols_hc1(np.broadcast_to(y, cols[1].shape), cols)
-        return beta[:, 1], se[:, 1], beta[:, 2:]
+        beta, se = batched_ols_hc1(np.broadcast_to(y, cols[1].shape), cols, 1)
+        return beta[:, 1], se, beta[:, 2:]
 
     beta, se, parent_beta = chunk_map(fit, children.n_snps, CHUNK, threads)
     n_dropped = len(pedigree.child_ids) - len(trios)
@@ -160,10 +160,11 @@ def run_sibling_gwas(
     variant: str = "family_fixed_effects",
     threads: int = 1,
 ) -> GwasResult:
-    """Within-family association, y following the rows of siblings: either
-    demeaned OLS (family fixed effects) or OLS with the family-mean genotype as
-    a control. Point estimates of the two variants agree to numerical
-    precision; singletons are excluded."""
+    """Within-family association, y following the rows of siblings. Both
+    variants fit the one family fixed-effects kernel: by Frisch-Waugh, OLS with
+    the family-mean genotype as a control has the same slope. The SE is HC1
+    with the family effects counted, n/(n - families - 1), which for pairs
+    equals CR1 clustered on family. Singletons are excluded."""
     if variant not in ("family_fixed_effects", "mean_sibling_control"):
         raise ConfigError(f"unknown sibling variant {variant!r}")
     y = _outcome(y, siblings)
@@ -173,7 +174,6 @@ def run_sibling_gwas(
     keep = counts[inv] >= 2
     rows = rows[order][keep]
     y = y[rows]
-    n = len(rows)
     _, inv, fam_n = np.unique(inv[keep], return_inverse=True, return_counts=True)
     by_family, starts = np.argsort(inv), np.cumsum(fam_n) - fam_n
     y_within = y - (np.bincount(inv, weights=y) / fam_n)[inv]
@@ -181,17 +181,9 @@ def run_sibling_gwas(
     def fam_mean(X: np.ndarray) -> np.ndarray:  # dosages are integers: exact family sums in any order
         return (np.add.reduceat(X[by_family], starts) / fam_n[:, None])[inv]
 
-    def fit(_, lo: int, hi: int):
-        x = siblings.dosages[rows, lo:hi]
-        if variant == "family_fixed_effects":
-            return _fwl(x, fam_mean, y_within, len(fam_n) + 1)
-        X = x.astype(float)
-        beta, se = batched_ols_hc1(np.broadcast_to(y, (hi - lo, n)),
-                                   [np.ones(n), np.ascontiguousarray(X.T), np.ascontiguousarray(fam_mean(X).T)])
-        return beta[:, 1], se[:, 1]
-
-    beta, se = chunk_map(fit, siblings.n_snps, CHUNK, threads)
-    return result_from_stats(siblings.panel, beta, se, n, f"sibling_{variant}", int((~keep).sum()))
+    beta, se = chunk_map(lambda _, lo, hi: _fwl(siblings.dosages[rows, lo:hi], fam_mean, y_within, len(fam_n) + 1),
+                         siblings.n_snps, CHUNK, threads)
+    return result_from_stats(siblings.panel, beta, se, len(rows), f"sibling_{variant}", int((~keep).sum()))
 
 
 def meta_analyze(results: list[GwasResult]) -> GwasResult:

@@ -97,9 +97,9 @@ def _interaction_draw(spec: PowerSpec, seed: Seed, threads: int = 1) -> tuple[np
         E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
         eps = rng.standard_normal((size, spec.n))
         names, cols = gxe_design(G, E, GxeModelSpec())
-        beta, se = batched_ols_hc1(eps, cols)
         j = names.index("GxE")
-        return beta[:, j], se[:, j]
+        beta, se = batched_ols_hc1(eps, cols, j)
+        return beta[:, j], se
 
     return chunk_map(fit, spec.reps, POWER_CHUNK, threads)
 
@@ -205,9 +205,9 @@ def permutation_test(
             Gp[r] = G[perm]
             Ep[r] = E[perm] if joint else E[rng.permutation(n)]
         names, cols = gxe_design(Gp, Ep, fit_spec, data)
-        beta, se = batched_ols_hc1(np.broadcast_to(Y, (size, n)), cols)
         j = names.index("GxE")
-        return beta[:, j], beta[:, j] / se[:, j]
+        beta, se = batched_ols_hc1(np.broadcast_to(Y, (size, n)), cols, j)
+        return beta[:, j], beta[:, j] / se
 
     null_coefs, null_ts = chunk_map(fit, n_perm, POWER_CHUNK, threads)
 

@@ -7,12 +7,12 @@ CR1 covariances for both OLS (scores from X) and just-identified IV (scores
 from the instruments Z, bread (Z'X)^-1); classical covariances are also
 available. ols returns an OlsFit: coefficients, SEs and p-values read by
 column name, a JSON writer, and a covariance checked positive semidefinite.
-batched_ols_hc1 fits many small designs at once with HC1 SEs: it takes the
-design as a list of columns, each broadcastable to the (R, n) outcome array,
-so columns shared by every fit are stored once. ols_beta gives one fit's
-coefficients only, from one QR of [X, y] under checked_qr's checks and
-messages. p-values use the two-sided normal approximation and are floored at
-1e-320 before taking logs downstream.
+batched_ols_hc1 fits many small designs at once, with the HC1 SE of the one
+coefficient its caller reads; it takes the design as a list of columns, each
+broadcastable to the (R, n) outcome array, so columns shared by every fit are
+stored once. ols_beta gives one fit's coefficients only, from one QR of
+[X, y] under checked_qr's checks and messages. p-values use the two-sided
+normal approximation and are floored at 1e-320 before taking logs downstream.
 """
 
 from __future__ import annotations
@@ -159,18 +159,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...n,...n->...", a, b)
 
 
-def batched_ols_hc1(Y: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
-    """Many small OLS fits at once.
+def batched_ols_hc1(Y: np.ndarray, X, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Many small OLS fits at once, with the HC1 SE of one coefficient.
 
     Y: (R, n) outcomes. X: the k design columns, each broadcastable to (R, n),
     so a column shared by every fit is passed once as (n,). The normal
     equations are built pair by pair, one einsum per column pair; they are
     fine here because the designs are small (k <= ~13). Returns (beta (R, k),
-    se_hc1 (R, k)); a fit whose X'X is singular gets NaN in both.
+    se (R,)), se the HC1 standard error of coefficient j alone:
+    sqrt(sum_i a_i^2 e_i^2 * n/(n-k)) with a = X times row j of (X'X)^-1. A
+    fit whose X'X is singular gets NaN in both.
     """
     Y = np.asarray(Y, dtype=float)
     R, n = Y.shape
     k = len(X)
+    if n <= k:
+        raise EstimationError(f"{n} observations for {k} regressors: the HC1 correction needs more observations")
     xtx = np.empty((R, k, k))
     xty = np.empty((R, k))
     for a in range(k):
@@ -187,12 +191,8 @@ def batched_ols_hc1(Y: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
     xtx[singular] = np.eye(k)
     beta = np.linalg.solve(xtx, xty[:, :, None])[:, :, 0]
     resid2 = (Y - sum(X[a] * beta[:, a, None] for a in range(k))) ** 2
-    bread = np.linalg.inv(xtx)
-    meat = np.empty((R, k, k))
-    for a in range(k):
-        for b in range(a, k):
-            meat[:, a, b] = meat[:, b, a] = _dot(X[a] * X[b], resid2)
-    var = np.einsum("rkl,rlm,rmk->rk", bread, meat, bread) * (n / (n - k))
+    row = np.linalg.solve(xtx, np.eye(k)[j])
+    var = _dot(sum(X[a] * row[:, a, None] for a in range(k)) ** 2, resid2) * (n / (n - k))
     beta[singular] = np.nan
     var[singular] = np.nan
     return beta, np.sqrt(var)

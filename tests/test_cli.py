@@ -179,7 +179,7 @@ PINNED_ESTIMATION = {
         "slope_plot.tsv": "61ea082ac3f81bb22e124ea8f6f2dc86afbbf6546b98d5b871c80a210ca0198e",
     }),
     "permute": ("permute", {"n_perm": 100, "controls": ["c1", "c2"], "control_interactions": True}, 59, {
-        "permutation.json": "686c7e61081a32b3ce326c479fe50d61e1461db522762dc36a6e28ec4eb896b5",
+        "permutation.json": "02ffb02dcc0453c71793844f9b21c7fc84e2a1bcd5c8eb3d41882e0040185320",
         "permutation_null.tsv": "3e940792ebcc0e0e89ec4bb139913fbdf997895650361768f26f4eeb9c8bb2d8",
     }),
 }
@@ -431,6 +431,26 @@ class TestErrorPaths:
         with fails_cleanly(tmp_path, "gxe") as out:
             assert run(["gxe", "--config", cfg, "--out", out]) == 3
 
+    def test_four_trios_exit_3(self, tmp_path, capsys):
+        """Four complete trios leave HC1's n/(n - k) no degrees of freedom for
+        the trio design's four coefficients: an estimation error, not a
+        division by zero."""
+        sim = tmp_path / "sim"
+        cfg = write_config(tmp_path, "sim.json", {"n": 4, "design": "trios", "h2": 0.3})
+        assert run(["simulate", "--config", cfg, "--seed", 1, "--out", sim]) == 0
+        header, *rows = (sim / "parents.tsv").read_text().splitlines(keepends=True)
+        (tmp_path / "mothers.tsv").write_text(header + "".join(rows[:4]))  # the pedigree's f0-f3
+        (tmp_path / "fathers.tsv").write_text(header + "".join(rows[4:]))  # and f4-f7
+        cfg = write_config(tmp_path, "gwas.json", {
+            "genotypes": str(sim / "children.tsv"), "panel": str(sim / "panel.tsv"),
+            "phenotype": str(sim / "phenotype.tsv"), "pedigree": str(sim / "pedigree.tsv"), "design": "trio",
+            "mothers": str(tmp_path / "mothers.tsv"), "fathers": str(tmp_path / "fathers.tsv")})
+        with fails_cleanly(tmp_path, "gwas") as out:
+            capsys.readouterr()
+            assert run(["gwas", "--config", cfg, "--out", out]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "estimation error: 4 observations for 4 regressors: the HC1 correction needs more observations"]
+
     @pytest.mark.parametrize("command, key, text, code, message", [
         ("gxe", "data", "", 2, "is empty"),
         ("gxe", "data", "iid\tY\tG\tE\ni0\t1.0\tlow\t0\n", 2, "column 'G'"),
@@ -657,7 +677,8 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(data):
     payload = data.draw(st.dictionaries(keys, FUZZ_VALUES, max_size=6))
     if command == "bias-table":  # keep the defaults' minutes-long table out of reach
         payload = {"reps": 2, "n_analysis": 30, "n_snps": 10, **payload}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's warnings do not reach the user
         before = prefill(Path(tmp), command)
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(payload))
@@ -677,7 +698,8 @@ def test_fuzzed_data_files_end_in_a_documented_exit_code(data):
     cut, drop = data.draw(st.integers(0, len(valid))), data.draw(st.integers(0, 4))
     mutated = valid[:cut] + data.draw(FUZZ_TEXT)[:6] + valid[cut + drop:]  # a near-valid file
     text = data.draw(st.one_of(st.just(mutated), FUZZ_TEXT))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's warnings do not reach the user
         before = prefill(Path(tmp), command)
         code, err = exit_code_and_stderr(run_on_files, Path(tmp), command, {**VALID_FILES, name: text})
         assert code == 0 or snapshot(Path(tmp) / "o") == before

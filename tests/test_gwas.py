@@ -187,6 +187,14 @@ class TestTrioGwas:
         assert_dead_and_rest_match(res, 2, lambda j: (
             y, [children.dosages[:, j].astype(float), d[mothers, j], d[fathers, j]]))
 
+    @pytest.mark.parametrize("n_trios", [3, 4])
+    def test_too_few_trios_rejected(self, small_panel, small_ld, n_trios):
+        """Four coefficients need more than four trios for HC1's n/(n - k)."""
+        parents, children, ped = make_trio_population(n_trios, small_panel, small_ld, seed=264)
+        y = np.random.default_rng(265).standard_normal(n_trios)
+        with pytest.raises(EstimationError, match=f"^{n_trios} observations for 4 regressors"):
+            gwas.run_trio_gwas(children, parents, ped, y)
+
     @pytest.mark.parametrize("n_y", [29, 40])
     def test_outcome_length_checked(self, small_panel, small_ld, n_y):
         parents, children, ped = make_trio_population(30, small_panel, small_ld, seed=258)
@@ -221,6 +229,29 @@ class TestSiblingGwas:
         fe = gwas.run_sibling_gwas(children, ped, y, "family_fixed_effects")
         mc = gwas.run_sibling_gwas(children, ped, y, "mean_sibling_control")
         assert np.max(np.abs(fe.beta - mc.beta)) < 1e-10
+        assert np.array_equal(fe.se, mc.se) and np.array_equal(fe.p, mc.p)
+
+    @pytest.mark.parametrize("variant", ["family_fixed_effects", "mean_sibling_control"])
+    def test_null_calibration(self, variant):
+        """Under y = u_f + eps no SNP has an effect, so a variant whose SE
+        holds its size rejects about p = 5% of SNPs at p < 0.05. With S
+        outcome draws on F pairs and J independent SNPs, the pooled rejection
+        share has variance (p(1 - p)/J + 0.0262/F)/S. The first term is
+        binomial. The second sums, over the J^2 pairs of SNPs, the covariance
+        of their rejection indicators, rho^2 (2 c phi(c))^2 / 2 = 0.0262 rho^2
+        at c = 1.96, where rho is the correlation of their within-pair dosage
+        differences and E[rho^2] = 1/F. At S = 6, F = 1,000 and J = 2,000 the
+        SD is 0.29%, so the band 5% +- 4 SD (3.85-6.15%) is left by chance
+        with probability about 6e-5. The normal approximation to a t with
+        about F residual degrees of freedom moves the size by 0.03%."""
+        S, F, J = 6, 1000, 2000
+        panel = genome.random_panel(J, 1, seed=266)
+        _, children, ped = make_sibling_population(F, panel, 0.0, seed=267)
+        rng = np.random.default_rng(269)
+        rejected = [(gwas.run_sibling_gwas(children, ped, np.repeat(rng.standard_normal(F), 2)
+                                           + rng.standard_normal(2 * F), variant).p < 0.05).mean()
+                    for _ in range(S)]
+        assert abs(np.mean(rejected) - 0.05) <= 4 * np.sqrt((0.05 * 0.95 / J + 0.0262 / F) / S)
 
     def test_sibling_removes_nurture(self, sibling_world):
         panel, parents, children, ped, arch, per_snp = sibling_world
@@ -253,8 +284,9 @@ class TestSiblingGwas:
         y = np.random.default_rng(244).standard_normal(80)
         res = gwas.run_sibling_gwas(children, ped, y, "mean_sibling_control")
         x = children.dosages.astype(float)
-        fam_mean = 0.5 * (x[0::2] + x[1::2]).repeat(2, axis=0)
-        assert_dead_and_rest_match(res, 2, lambda j: (y, [x[:, j], fam_mean[:, j]]))
+        # the within-family reference: OLS on the SNP and family dummies, the intercept standing for family 0
+        dummies = list((np.arange(80)[:, None] // 2 == np.arange(1, 40)).astype(float).T)
+        assert_dead_and_rest_match(res, 2, lambda j: (y, [x[:, j]] + dummies))
 
     @pytest.mark.parametrize("variant", ["family_fixed_effects", "mean_sibling_control"])
     def test_pedigree_rows_matched_by_id(self, small_panel, small_ld, variant):
@@ -303,11 +335,10 @@ class TestOneLoop:
         monkeypatch.setattr(gwas, "CHUNK", 7)
         pop7, trio7, fe7, mc7 = four_designs(panel, 253)
         assert_same_stats(trio7, trio)
-        assert_same_stats(mc7, mc)
         # The Frisch-Waugh slope's X'y is one BLAS gemv per chunk, and OpenBLAS sums
         # the columns past a chunk's last full block of 4 in another order: a width
         # of 7 moves those in the last bit
-        for a, b in ((pop, pop7), (fe, fe7)):
+        for a, b in ((pop, pop7), (fe, fe7), (mc, mc7)):
             assert np.allclose(b.beta, a.beta, rtol=1e-12, atol=0) and np.allclose(b.se, a.se, rtol=1e-12, atol=0)
             assert np.array_equal(b.n, a.n) and b.n_dropped == a.n_dropped
 

@@ -29,9 +29,9 @@ def refit_power(spec, seed):
         E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
         Y = spec.beta_g * G + spec.beta_e * E + spec.beta_x * G * E + rng.standard_normal((size, spec.n))
         names, cols = gxe_design(G, E, GxeModelSpec())
-        beta, se = batched_ols_hc1(Y, cols)
         j = names.index("GxE")
-        p.extend(pvalue_from_z(beta[:, j] / se[:, j]))
+        beta, se = batched_ols_hc1(Y, cols, j)
+        p.extend(pvalue_from_z(beta[:, j] / se))
     return float((np.array(p) < spec.alpha).mean())
 
 

@@ -124,12 +124,13 @@ class TestTsls:
 
 
 def assert_batched_matches_ols(Y, cols):
-    beta, se = batched_ols_hc1(Y, cols)
-    for r in range(Y.shape[0]):
-        X = np.column_stack([np.broadcast_to(c, Y.shape)[r] for c in cols])
-        ref = ols(Y[r], X)
-        np.testing.assert_allclose(beta[r], ref.beta, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(se[r], [ref.se(t) for t in ref.names], rtol=1e-10)
+    """beta and, asked for coefficient by coefficient, every HC1 SE match ols."""
+    refs = [ols(Y[r], np.column_stack([np.broadcast_to(c, Y.shape)[r] for c in cols])) for r in range(Y.shape[0])]
+    for j in range(len(cols)):
+        beta, se = batched_ols_hc1(Y, cols, j)
+        for r, ref in enumerate(refs):
+            np.testing.assert_allclose(beta[r], ref.beta, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(se[r], ref.se(ref.names[j]), rtol=1e-10)
 
 
 class TestBatchedOlsHc1:
@@ -166,10 +167,10 @@ class TestBatchedOlsHc1:
         n, J = 80, 4
         x = rng.integers(0, 3, (J, n)).astype(float)
         y = np.broadcast_to(rng.standard_normal(n), (J, n))
-        full_beta, full_se = batched_ols_hc1(y, [np.ones(n), x])
+        full_beta, full_se = batched_ols_hc1(y, [np.ones(n), x], 1)
         x[1] = 0.0   # zero column
         x[3] = 2.0   # collinear with the intercept
-        beta, se = batched_ols_hc1(y, [np.ones(n), x])
+        beta, se = batched_ols_hc1(y, [np.ones(n), x], 1)
         assert np.isnan(beta[[1, 3]]).all() and np.isnan(se[[1, 3]]).all()
         np.testing.assert_array_equal(beta[[0, 2]], full_beta[[0, 2]])
         np.testing.assert_array_equal(se[[0, 2]], full_se[[0, 2]])
