@@ -19,7 +19,7 @@ import numpy as np
 
 from .genome import GenotypeMatrix
 from .gwas import GwasResult, LeadSnpSet, run_gwas
-from .regress import ols, tsls
+from .regress import ols, ols_beta, tsls
 from .util import ConfigError, Seed, Stream, child_rng
 
 
@@ -66,12 +66,11 @@ def build_pgi(
                mean=float(mean), sd=float(sd), n_flipped=int(flip.sum()))
 
 
-def incremental_r2(pgi: Pgi | np.ndarray, y: np.ndarray, controls: np.ndarray | None = None) -> float:
-    """R2 gain from adding the index to the control-only regression."""
+def incremental_r2(pgi: Pgi | np.ndarray, y: np.ndarray) -> float:
+    """R2 gain of the regression of y on [1, index] over the intercept-only fit."""
     v = pgi.values if isinstance(pgi, Pgi) else np.asarray(pgi, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    base = np.ones((n, 1)) if controls is None else np.column_stack([np.ones(n), controls])
+    base = np.ones((y.shape[0], 1))
     r2_base = ols(y, base, se="classical").r2
     r2_full = ols(y, np.column_stack([base, v]), se="classical").r2
     return float(r2_full - r2_base)
@@ -82,7 +81,6 @@ def split_sample_pgis(
     discovery_y: np.ndarray,
     analysis_g: GenotypeMatrix,
     seed: Seed,
-    controls: np.ndarray | None = None,
 ) -> tuple[Pgi, Pgi]:
     """Two indices from disjoint half-sample GWAS runs: their estimation
     errors are independent by construction."""
@@ -94,9 +92,7 @@ def split_sample_pgis(
     pgis = []
     for half in (half_a, half_b):
         ids = [discovery_g.ids[i] for i in sorted(half)]
-        sub = discovery_g.subset(ids)
-        ctl = None if controls is None else controls[sorted(half)]
-        res = run_gwas(sub, y[sorted(half)], controls=ctl)
+        res = run_gwas(discovery_g.subset(ids), y[sorted(half)])
         pgis.append(build_pgi(res, analysis_g))
     return pgis[0], pgis[1]
 
@@ -117,11 +113,12 @@ def oriv_estimate(
     pgi_a: Pgi | np.ndarray,
     pgi_b: Pgi | np.ndarray,
     y: np.ndarray,
-    controls: np.ndarray | None = None,
 ) -> OrivFit:
     """Stacked obviously-related IV: the sample is duplicated, with index A
     instrumented by B in one copy and B by A in the other, and standard
-    errors clustered on the individual."""
+    errors clustered on the individual. The first-stage F is the squared HC1
+    z of the instrument in the stacked first stage; ols_beta is the slope of
+    the OLS of y on [1, A]."""
     a = pgi_a.values if isinstance(pgi_a, Pgi) else np.asarray(pgi_a, dtype=float)
     b = pgi_b.values if isinstance(pgi_b, Pgi) else np.asarray(pgi_b, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -129,24 +126,17 @@ def oriv_estimate(
     if a.shape[0] != n or b.shape[0] != n:
         raise ConfigError("index and outcome lengths differ")
 
-    y2 = np.concatenate([y, y])
-    endog = np.concatenate([a, b])
-    instr = np.concatenate([b, a])
-    copy_flag = np.concatenate([np.zeros(n), np.ones(n)])
-    exog = copy_flag[:, None] if controls is None else np.column_stack([copy_flag, np.vstack([controls, controls])])
-    clusters = np.concatenate([np.arange(n), np.arange(n)])
-    fit = tsls(y2, endog, instr, exog=exog, clusters=clusters)
-
-    base = np.ones((n, 1)) if controls is None else np.column_stack([np.ones(n), controls])
-    ols_fit = ols(y, np.column_stack([base, a]))
-    lam = float(np.corrcoef(a, b)[0, 1])
+    copy_flag = np.repeat([0.0, 1.0], n)
+    fit, first = tsls(np.concatenate([y, y]), np.concatenate([a, b]), np.concatenate([b, a]),
+                      exog=copy_flag, clusters=np.tile(np.arange(n), 2))
+    f_stat = (first.coef("instrument") / first.se("instrument")) ** 2
     return OrivFit(
-        beta_iv=float(fit.beta[0]),
-        se=float(fit.se[0]),
-        first_stage=fit.first_stage,
-        first_stage_f=fit.first_stage_f,
-        ols_beta=float(ols_fit.beta[-1]),
-        attenuation=lam,
-        weak_instrument=fit.first_stage_f < 10.0,
+        beta_iv=fit.coef("endog"),
+        se=fit.se("endog"),
+        first_stage=first.coef("instrument"),
+        first_stage_f=f_stat,
+        ols_beta=float(ols_beta(y, np.column_stack([np.ones(n), a]))[1]),
+        attenuation=float(np.corrcoef(a, b)[0, 1]),
+        weak_instrument=f_stat < 10.0,
         n=n,
     )

@@ -2,19 +2,20 @@
 
 ols factorizes each design once, by reduced QR (checked_qr): the same R gives
 the rank check, the coefficients by a triangular solve and the bread
-(X'X)^-1 = R^-1 R^-T. One sandwich turns a bread and the scores into HC1 or
-CR1 covariances for both OLS (scores from X) and just-identified IV (scores
-from the instruments Z, bread (Z'X)^-1); classical covariances are also
-available. ols returns an OlsFit: coefficients, SEs and p-values read by
-column name, a JSON writer, and a covariance checked positive semidefinite.
-batched_ols_hc1 fits many small designs at once, with the HC1 SE of the one
-coefficient its caller reads; it takes the design as a list of columns, each
-broadcastable to the (R, n) outcome array, so columns shared by every fit are
-stored once. ols_beta gives one fit's coefficients only, from one QR of
-[X, y] under checked_qr's checks and messages. p-values use the two-sided
-normal approximation and are floored at 1e-320 before taking logs downstream.
+(X'X)^-1 = R^-1 R^-T. tsls solves just-identified IV for its coefficients,
+with bread (Z'X)^-1. Both end in one fit tail, which computes the residuals,
+the covariance (one sandwich on scores from X or from the instruments Z, HC1,
+or CR1 on integer cluster codes; or the classical one) and r2, and returns an
+OlsFit: coefficients, SEs and p-values read by column name, a JSON writer, and
+a covariance checked finite and positive semidefinite. tsls also returns its
+first-stage OlsFit. batched_ols_hc1 fits many small designs at once, with the
+HC1 SE of the one coefficient its caller reads; it takes the design as a list
+of columns, each broadcastable to the (R, n) outcome array, so columns shared
+by every fit are stored once. ols_beta gives one fit's coefficients only, from
+one QR of [X, y] under checked_qr's checks and messages. p-values use the
+two-sided normal approximation and are floored at 1e-320 before taking logs
+downstream.
 """
-
 from __future__ import annotations
 
 import json
@@ -102,20 +103,47 @@ def ols_beta(y: np.ndarray, X: np.ndarray, names: list[str] | None = None) -> np
     return np.linalg.solve(r[:k, :k], r[:k, k])
 
 
-def sandwich(S: np.ndarray, resid: np.ndarray, bread: np.ndarray, clusters: np.ndarray | None = None) -> np.ndarray:
-    """bread @ meat @ bread.T with score rows S * resid: HC1 when clusters is
-    None, else CR1 with the G/(G-1) * (n-1)/(n-k) small-sample factor.
+def sandwich(S: np.ndarray, resid: np.ndarray, bread: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+    """bread @ meat @ bread.T with score rows S * resid: HC1 when codes is
+    None, else CR1 on the integer cluster codes 0..G-1, with the
+    G/(G-1) * (n-1)/(n-k) small-sample factor.
     For OLS S = X and bread = (X'X)^-1; for IV S = Z and bread = (Z'X)^-1."""
     n, k = S.shape
     scores = S * resid[:, None]
-    if clusters is None:
+    if codes is None:
         factor = n / (n - k)
     else:
-        _, inv = np.unique(clusters, return_inverse=True)
-        n_g = inv.max() + 1
-        scores = np.stack([np.bincount(inv, weights=scores[:, j]) for j in range(k)], axis=1)
+        n_g = codes.max() + 1
+        scores = np.stack([np.bincount(codes, weights=scores[:, j]) for j in range(k)], axis=1)
         factor = (n_g / (n_g - 1)) * ((n - 1) / (n - k))
     return bread @ (scores.T @ scores) @ bread.T * factor
+
+
+def _fit_record(y, X, beta, S, bread, names, se, clusters) -> OlsFit:
+    """The fit tail of ols and tsls: residuals y - X beta, the covariance (the
+    sandwich on scores from S, or the classical one), r2 = 1 - SSR/SST, the
+    cluster count and the checked OlsFit. Callers run it under np.errstate, so
+    overflow shows as a non-finite covariance, which OlsFit rejects."""
+    n, k = X.shape
+    resid = y - X @ beta
+    n_clusters = None
+    if se == "cluster":
+        if clusters is None:
+            raise EstimationError("cluster SEs requested without a cluster variable")
+        _, codes = np.unique(clusters, return_inverse=True)
+        n_clusters = int(codes.max()) + 1
+        cov = sandwich(S, resid, bread, codes)
+    elif se == "classical":
+        cov = bread * (resid @ resid) / (n - k)
+    elif se == "hc1":
+        cov = sandwich(S, resid, bread)
+    else:
+        raise EstimationError(f"unknown se mode {se!r}")
+    tss = np.sum((y - y.mean()) ** 2)
+    r2 = 1.0 - (resid @ resid) / tss if tss > 0 else 0.0
+    return OlsFit(beta=beta, cov=cov, residuals=resid, r2=float(r2), n=n,
+                  names=list(names) if names else [f"x{i}" for i in range(k)],
+                  se_mode=se, n_clusters=n_clusters)
 
 
 def ols(
@@ -128,31 +156,11 @@ def ols(
     """OLS via one QR. se is one of 'hc1', 'classical', 'cluster' (needs clusters)."""
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
-    n, k = X.shape
-    # overflow shows as a non-finite covariance, which OlsFit rejects, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q, r = checked_qr(X, names)
         beta = solve_triangular(r, q.T @ y)
-        resid = y - X @ beta
-        r_inv = solve_triangular(r, np.eye(k))
-        bread = r_inv @ r_inv.T
-        n_clusters = None
-        if se == "cluster":
-            if clusters is None:
-                raise EstimationError("cluster SEs requested without a cluster variable")
-            cov = sandwich(X, resid, bread, clusters)
-            n_clusters = int(np.unique(clusters).size)
-        elif se == "classical":
-            cov = bread * (resid @ resid) / (n - k)
-        elif se == "hc1":
-            cov = sandwich(X, resid, bread)
-        else:
-            raise EstimationError(f"unknown se mode {se!r}")
-        tss = np.sum((y - y.mean()) ** 2)
-        r2 = 1.0 - (resid @ resid) / tss if tss > 0 else 0.0
-    return OlsFit(beta=beta, cov=cov, residuals=resid, r2=float(r2), n=n,
-                  names=list(names) if names else [f"x{i}" for i in range(k)],
-                  se_mode=se, n_clusters=n_clusters)
+        r_inv = solve_triangular(r, np.eye(X.shape[1]))
+        return _fit_record(y, X, beta, X, r_inv @ r_inv.T, names, se, clusters)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,44 +218,31 @@ def breusch_pagan(resid: np.ndarray, Z: np.ndarray) -> tuple[float, float]:
     return float(stat), p
 
 
-@dataclass
-class TslsFit:
-    beta: np.ndarray
-    cov: np.ndarray
-    names: list[str]
-    first_stage: float
-    first_stage_f: float
-    n: int
-
-    @property
-    def se(self) -> np.ndarray:
-        return np.sqrt(np.maximum(np.diag(self.cov), 0.0))
-
-
 def tsls(
     y: np.ndarray,
     endog: np.ndarray,
     instrument: np.ndarray,
-    exog: np.ndarray | None = None,
+    exog: np.ndarray,
     clusters: np.ndarray | None = None,
-) -> TslsFit:
-    """Just-identified 2SLS of y on [endog, exog] with one instrument.
+) -> tuple[OlsFit, OlsFit]:
+    """Just-identified 2SLS of y on [endog, 1, exog] with one instrument.
 
-    Covariance is the IV sandwich, cluster-robust when clusters are given
-    (CR1 factor), HC1 otherwise. Also reports the first-stage F of the
-    instrument (HC1 Wald on the partialled instrument) and its coefficient.
+    Returns (iv_fit, first_stage_fit), both OlsFit. The IV fit's coefficients
+    are named "endog", "w0" (the intercept), "w1", ...; its covariance is the
+    IV sandwich, with bread (Z'X)^-1 and scores from Z = [instrument, 1, exog],
+    CR1 on clusters when given, HC1 otherwise. Its r2 is 1 - SSR/SST, which
+    can be negative for IV. The first stage is the HC1 OLS of endog on Z, its
+    instrument coefficient named "instrument"; it is also the rank check of Z.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    ones = np.ones((n, 1))
-    W = ones if exog is None else np.column_stack([ones, exog])
+    W = np.column_stack([np.ones(n), exog])
     X = np.column_stack([endog, W])
     Z = np.column_stack([instrument, W])
     names = ["endog"] + [f"w{i}" for i in range(W.shape[1])]
-    # the first stage is also the rank check of Z
-    fs = ols(np.asarray(endog, dtype=float), Z, names=["instrument"] + names[1:], se="hc1")
+    first = ols(np.asarray(endog, dtype=float), Z, names=["instrument"] + names[1:], se="hc1")
     zx = Z.T @ X
-    beta = np.linalg.solve(zx, Z.T @ y)
-    cov = sandwich(Z, y - X @ beta, np.linalg.inv(zx), clusters)
-    f_stat = float((fs.beta[0] / fs.se("instrument")) ** 2)
-    return TslsFit(beta=beta, cov=cov, names=names, first_stage=float(fs.beta[0]), first_stage_f=f_stat, n=n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta = np.linalg.solve(zx, Z.T @ y)
+        se = "hc1" if clusters is None else "cluster"
+        return _fit_record(y, X, beta, Z, np.linalg.inv(zx), names, se, clusters), first

@@ -55,6 +55,33 @@ VALID_FILES = {
     "data": "iid\tY\tG\tE\tMoB\n" + "".join(
         f"i{i}\t{(i * 7) % 5 - 2.1}\t{(i * 3) % 4 - 1.5}\t{int(i % 6 >= 3)}\t{i % 6 - 3}\n" for i in range(12)),
 }
+# Valid inputs of the family GWAS designs, which VALID_FILES is too small for:
+# trio HC1 needs more trios than its 4 regressors, and sibling GWAS complete pairs
+FAMILY_FILES = {
+    "gwas-trio": {
+        "genotypes": "iid\trs0\trs1\n" + "".join(f"i{i}\t{a}\t{b}\n" for i, (a, b) in enumerate(
+            [(0, 1), (2, 1), (1, 0), (1, 2), (0, 2), (2, 0)])),
+        "mothers": "iid\trs0\trs1\n" + "".join(f"m{i}\t{a}\t{b}\n" for i, (a, b) in enumerate(
+            [(0, 1), (1, 1), (2, 0), (1, 2), (0, 1), (1, 0)])),
+        "fathers": "iid\trs0\trs1\n" + "".join(f"f{i}\t{a}\t{b}\n" for i, (a, b) in enumerate(
+            [(1, 0), (2, 2), (0, 1), (1, 1), (0, 2), (2, 1)])),
+        "phenotype": "iid\tY\ni0\t0.5\ni1\t-1.0\ni2\t0.2\ni3\t1.3\ni4\t-0.4\ni5\t0.9\n",
+        "pedigree": "child\tmother\tfather\tfamily\n" + "".join(f"i{i}\tm{i}\tf{i}\tfam{i}\n" for i in range(6)),
+    },
+    "gwas-sibling": {
+        "genotypes": "iid\trs0\trs1\ni0\t0\t1\ni1\t1\t2\ni2\t2\t0\ni3\t1\t0\ni4\t1\t2\ni5\t0\t1\n",
+        "phenotype": "iid\tY\ni0\t0.5\ni1\t-1.0\ni2\t0.2\ni3\t1.3\ni4\t-0.4\ni5\t0.9\n",
+        "pedigree": "child\tmother\tfather\tfamily\n" + "".join(
+            f"i{i}\tm{i // 2}\tf{i // 2}\tfam{i // 2}\n" for i in range(6)),
+    },
+}
+
+
+def valid_files(command):
+    """VALID_FILES with the command's own FAMILY_FILES in place."""
+    return {**VALID_FILES, **FAMILY_FILES.get(command, {})}
+
+
 COMMAND_INPUTS = {"gxe": ["data"], "rdd": ["data"], "permute": ["data"], "gwas": ["genotypes", "panel", "phenotype"],
                   "gwas-trio": ["genotypes", "panel", "phenotype", "mothers", "fathers", "pedigree"],
                   "gwas-sibling": ["genotypes", "panel", "phenotype", "pedigree"],
@@ -694,17 +721,30 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(data):
 def test_fuzzed_data_files_end_in_a_documented_exit_code(data):
     command = data.draw(st.sampled_from(sorted(COMMAND_INPUTS)))
     name = data.draw(st.sampled_from(COMMAND_INPUTS[command]))
-    valid = VALID_FILES[name]
+    files = valid_files(command)
+    valid = files[name]
     cut, drop = data.draw(st.integers(0, len(valid))), data.draw(st.integers(0, 4))
     mutated = valid[:cut] + data.draw(FUZZ_TEXT)[:6] + valid[cut + drop:]  # a near-valid file
     text = data.draw(st.one_of(st.just(mutated), FUZZ_TEXT))
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy's warnings do not reach the user
         before = prefill(Path(tmp), command)
-        code, err = exit_code_and_stderr(run_on_files, Path(tmp), command, {**VALID_FILES, name: text})
+        code, err = exit_code_and_stderr(run_on_files, Path(tmp), command, {**files, name: text})
         assert code == 0 or snapshot(Path(tmp) / "o") == before
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(FAMILY_FILES))
+def test_family_designs_run_on_their_valid_files(tmp_path, command):
+    """The family GWAS designs fit their valid inputs, so the fuzzed test above
+    mutates files that reach a successful fit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_on_files(tmp_path, command, valid_files(command)) == 0
+    header, *rows = (tmp_path / "o" / "sumstats.tsv").read_text().splitlines()
+    assert header.split("\t")[4:6] == ["BETA", "SE"] and len(rows) == 2
+    assert all(np.isfinite(float(v)) for row in rows for v in row.split("\t")[4:6])
 
 
 def test_overflowing_outcome_exits_3(tmp_path, capsys):

@@ -2,6 +2,8 @@
 the sandwich written out from the normal equations, and the batched kernel
 with one ols fit per replicate, as is the coefficient-only ols_beta."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,9 +114,24 @@ class TestTsls:
         bread = np.linalg.inv(Z.T @ X)
         beta = bread @ Z.T @ y
         expected = normal_equation_cov(Z, y - X @ beta, bread, clusters)
-        fit = tsls(y, endog, z, exog=w[:, None], clusters=clusters)
+        fit, _ = tsls(y, endog, z, exog=w[:, None], clusters=clusters)
         np.testing.assert_allclose(fit.beta, beta, rtol=1e-10)
         np.testing.assert_allclose(fit.cov, expected, rtol=1e-10)
+        assert fit.se_mode == ("cluster" if clustered else "hc1")
+        assert fit.n_clusters == (len(np.unique(clusters)) if clustered else None)
+
+    def test_overflowing_outcome_raises(self):
+        """One outcome of 0.9e200 overflows the IV meat: the covariance is not
+        finite, an EstimationError as in ols, not NaN SEs and numpy warnings."""
+        rng = np.random.default_rng(3)
+        z, w = rng.standard_normal(100), rng.standard_normal(100)
+        endog = z + rng.standard_normal(100)
+        y = endog + rng.standard_normal(100)
+        y[0] = 0.9e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimationError, match="covariance is not finite"):
+                tsls(y, endog, z, exog=w[:, None])
 
     def test_collinear_instrument_rejected(self):
         rng = np.random.default_rng(2)
