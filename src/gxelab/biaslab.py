@@ -28,7 +28,8 @@ from .gxe import GxeModelSpec, gxe_design, rge_check
 from .pgi import incremental_r2
 from .phenosim import CohortSizes, ScenarioDataset, ScenarioSpec, simulate_scenario, treated_indicator
 from .regress import ols_beta
-from .util import ConfigError, EstimationError, Seed, SimulationError, Stream, child_rng, indexed_map, substream
+from .util import (ConfigError, EstimationError, Seed, SimulationError, Stream, check_failures, child_rng, indexed_map,
+                   substream)
 
 DEFAULT_SIZES = CohortSizes(n_discovery=64, n_analysis=2000, n_snps=120)
 E_COLUMNS = ("exogenous", "predetermined", "endogenous_correlated")
@@ -139,9 +140,8 @@ _REPLICATE_ERRORS = (ConfigError, EstimationError, SimulationError, np.linalg.Li
 def _run_replicates(reps: int, threads: int, draw: Callable[[int], dict]) -> list[dict]:
     """draw(r) for every replicate r, in replicate order; draw keys its draws
     by r under its own replicate stream. A replicate that raises a simulation
-    or estimation error counts as failed and is left out; more than 1%
-    failures (at least 2) raise SimulationError, naming the first failed
-    replicate's error. Any other exception is a bug and propagates.
+    or estimation error counts as failed and is left out, under
+    util.check_failures. Any other exception is a bug and propagates.
     """
     if reps < 2:
         raise ConfigError(f"reps must be >= 2 for a Monte Carlo SE, got {reps}")
@@ -153,12 +153,8 @@ def _run_replicates(reps: int, threads: int, draw: Callable[[int], dict]) -> lis
             return e  # counted against the failure cap
 
     rows = indexed_map(work, reps, threads)
-    ok = [r for r in rows if not isinstance(r, Exception)]
-    n_failed = reps - len(ok)
-    if n_failed > max(1, int(0.01 * reps)):
-        e = next(r for r in rows if isinstance(r, Exception))
-        raise SimulationError(f"{n_failed}/{reps} replicates failed; the first with {type(e).__name__}: {e}")
-    return ok
+    check_failures([f"{type(e).__name__}: {e}" for e in rows if isinstance(e, Exception)], reps)
+    return [r for r in rows if not isinstance(r, Exception)]
 
 
 def _bias_report(spec: ScenarioSpec, ok: list[dict], reps: int) -> BiasReport:

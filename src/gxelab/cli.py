@@ -26,6 +26,7 @@ import shutil
 import sys
 import tempfile
 import types
+from collections import Counter
 
 import numpy as np
 import scipy
@@ -131,6 +132,9 @@ def validate_config(command: str, payload: dict) -> dict:
 
 def _read_columns(path: str) -> dict[str, np.ndarray]:
     header, rows = read_tsv(path)
+    repeated = [c for c, k in Counter(header).items() if k > 1]
+    if repeated:
+        raise ConfigError(f"column {repeated[0]!r} is repeated in {path}")
     out: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):
         col = [r[j] for r in rows]
@@ -227,6 +231,9 @@ def _load_phenotype(path: str, ids: list[str]) -> np.ndarray:
     if "iid" not in cols or "Y" not in cols:
         raise ConfigError(f"{path}: phenotype file needs iid and Y columns")
     index = {iid: i for i, iid in enumerate(cols["iid"])}
+    if len(index) < len(cols["iid"]):
+        repeated = next(i for i, k in Counter(cols["iid"].tolist()).items() if k > 1)
+        raise ConfigError(f"individual id {repeated!r} is repeated in {path}")
     try:
         return np.array([float(cols["Y"][index[i]]) for i in ids])
     except KeyError as e:
@@ -335,7 +342,7 @@ def _cmd_permute(cfg: dict, seed: int, threads: int, out: str) -> None:
         "t_percentile": res.t_percentile,
         "envelopes_coef": {str(k): list(v) for k, v in res.envelopes.items()},
         "envelopes_t": {str(k): list(v) for k, v in res.t_envelopes.items()},
-        "outside_95_t": res.outside_envelope(95, "t"),
+        "outside_95_t": res.outside_envelope(95),
         "n_perm": cfg["n_perm"],
     })
 

@@ -28,6 +28,7 @@ cells: the first failing one, to name its first bad cell.
 from __future__ import annotations
 
 import copy
+import graphlib
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -205,26 +206,17 @@ class Pedigree:
                     raise PedigreeError(f"family {fam}: siblings have different parents")
 
     def _check_acyclic(self) -> None:
-        parents = {c: (m, f) for c, m, f in zip(self.child_ids, self.mother_ids, self.father_ids)}
-        if len(parents) < len(self.child_ids):
+        if len(set(self.child_ids)) < len(self.child_ids):
             repeated = next(c for c, k in Counter(self.child_ids).items() if k > 1)
             raise PedigreeError(f"child id {repeated!r} is repeated")
-        # one depth-first walk per ancestry: only a return to the current path is a cycle (shared
-        # ancestry is not), and only a child who is also a parent can lie on one
+        # only a child who is also a parent can lie on a cycle (shared ancestry is not one); the graph
+        # keeps pedigree row order, so which individual is named does not depend on hash order
         is_parent = set(self.mother_ids) | set(self.father_ids)
-        done: set[str] = set()
-        for start in (c for c in self.child_ids if c in is_parent and c not in done):
-            path, stack = {start}, [(start, iter(parents[start]))]
-            while stack:
-                cur = next(stack[-1][1], None)
-                if cur is None:
-                    path.discard(stack[-1][0])
-                    done.add(stack.pop()[0])
-                elif cur in path:
-                    raise PedigreeError(f"individual {cur} is its own ancestor")
-                elif cur in parents and cur not in done:
-                    path.add(cur)
-                    stack.append((cur, iter(parents[cur])))
+        graph = {c: (m, f) for c, m, f in zip(self.child_ids, self.mother_ids, self.father_ids) if c in is_parent}
+        try:
+            graphlib.TopologicalSorter(graph).prepare()
+        except graphlib.CycleError as e:
+            raise PedigreeError(f"individual {e.args[1][0]} is its own ancestor") from None
 
 
 def allele_thresholds(maf: np.ndarray) -> np.ndarray:

@@ -269,7 +269,11 @@ def read_sumstats_tsv(path: str) -> GwasResult:
     if len(set(snp_ids)) < len(snp_ids):
         repeated = next(i for i, k in Counter(snp_ids).items() if k > 1)
         raise ConfigError(f"SNP {repeated!r} is repeated in {path}")
+    effect_allele = [r[3] for r in rows]
+    other = [a for a in effect_allele if a not in ("minor", "major")]
+    if other:
+        raise ConfigError(f"column 'EA' of {path} holds {other[0]!r}, not minor or major")
     chrom, pos, beta, se, p, n = (parse_column(path, SUMSTATS_HEADER[j], [r[j] for r in rows], typ)
                                   for j, typ in ((1, int), (2, int), (4, float), (5, float), (6, float), (7, int)))
-    return GwasResult(snp_ids=snp_ids, chrom=chrom, pos=pos, effect_allele=[r[3] for r in rows],
+    return GwasResult(snp_ids=snp_ids, chrom=chrom, pos=pos, effect_allele=effect_allele,
                       beta=beta, se=se, p=p, n=n, design="file")

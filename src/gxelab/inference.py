@@ -6,8 +6,9 @@ Y = beta_g*G + beta_e*E + beta_x*G*E + eps (G, eps standard normal, E
 Bernoulli) and counts HC1 rejections of the interaction. The fitted design
 [1, G, E, G*E] holds every term of that model, so a replicate's interaction
 estimate is beta_x + u, with u and the standard error those of the fit of
-eps alone: one draw of (u, se) per spec and seed gives the power at every
-beta_x, for power_curve's whole grid and every step of mde's bisection.
+eps alone. Power therefore does not depend on beta_g or beta_e, exactly, and
+one draw of (u, se) per spec and seed gives the power at every beta_x, for
+power_curve's whole grid and every step of mde's bisection.
 These common random numbers keep estimated power monotone in the effect
 size up to O(1/reps), which is what the bisection needs. It is not exactly
 monotone: a larger beta_x can pull a replicate out of the lower rejection
@@ -18,7 +19,10 @@ Both the power draw and the permutation test build their designs with
 gxe.gxe_design, with G and E stacked as (R, n) arrays, and fit a chunk of
 POWER_CHUNK replicates in one regress.batched_ols_hc1 call. The chunks run
 through util.chunk_map, and chunk c draws from the stream (POWER or
-PERMUTATION, c), so results do not depend on the thread count.
+PERMUTATION, c), so results do not depend on the thread count. A replicate
+or draw whose design is singular (NaN from batched_ols_hc1) fails, under the
+bias lab's rule, util.check_failures: power, its CI, mde and the permutation
+percentiles and envelopes read only the fitted ones.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .gxe import GxeModelSpec, fit_gxe, gxe_design
 from .regress import batched_ols_hc1, pvalue_from_z
-from .util import CalibrationError, ConfigError, Seed, Stream, child_rng, chunk_map
+from .util import CalibrationError, ConfigError, Seed, Stream, check_failures, child_rng, chunk_map
 
 POWER_CHUNK = 256  # replicates per batched fit, for power draws and permutations alike
 
@@ -62,7 +66,7 @@ class PowerCurve:
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     n: int
-    reps: int
+    reps: int  # fitted replicates
     alpha: float
     draw: tuple[np.ndarray, np.ndarray]  # the (u, se) replicates every power here is read from
 
@@ -89,7 +93,7 @@ class PowerCurve:
 
 
 def _interaction_draw(spec: PowerSpec, seed: Seed, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Per replicate, u and se such that the interaction estimate at any
+    """Per fitted replicate, u and se such that the interaction estimate at any
     beta_x is beta_x + u with HC1 standard error se: the fit of eps alone."""
     def fit(c: int, lo: int, hi: int):
         rng, size = child_rng(seed, Stream.POWER, c), hi - lo
@@ -101,7 +105,10 @@ def _interaction_draw(spec: PowerSpec, seed: Seed, threads: int = 1) -> tuple[np
         beta, se = batched_ols_hc1(eps, cols, j)
         return beta[:, j], se
 
-    return chunk_map(fit, spec.reps, POWER_CHUNK, threads)
+    u, se = chunk_map(fit, spec.reps, POWER_CHUNK, threads)
+    fitted = np.isfinite(se)
+    check_failures([f"a singular design (replicate {r})" for r in np.flatnonzero(~fitted)], spec.reps)
+    return u[fitted], se[fitted]
 
 
 def _power(draw: tuple[np.ndarray, np.ndarray], beta_x: float, alpha: float) -> float:
@@ -120,10 +127,11 @@ def power_curve(spec: PowerSpec, beta_x_grid: np.ndarray, seed: Seed, threads: i
     grid = np.asarray(beta_x_grid, dtype=float)
     draw = _interaction_draw(spec, seed, threads)
     power = np.array([_power(draw, b, spec.alpha) for b in grid])
-    half = 1.96 * np.sqrt(power * (1 - power) / spec.reps)
+    reps = len(draw[0])
+    half = 1.96 * np.sqrt(power * (1 - power) / reps)
     return PowerCurve(beta_x=grid, power=power,
                       ci_lo=np.clip(power - half, 0, 1), ci_hi=np.clip(power + half, 0, 1),
-                      n=spec.n, reps=spec.reps, alpha=spec.alpha, draw=draw)
+                      n=spec.n, reps=reps, alpha=spec.alpha, draw=draw)
 
 
 def mde(
@@ -153,15 +161,11 @@ class PermutationResult:
     envelopes: dict[int, tuple[float, float]]    # coefficient bounds
     t_envelopes: dict[int, tuple[float, float]]  # studentized bounds
 
-    def outside_envelope(self, level: int = 95, stat: str = "t") -> bool:
-        """Whether the observed statistic escapes the null envelope. The
-        studentized statistic is the default: permuted outcomes keep the
-        alternative's full variance, which widens the raw-coefficient null."""
-        if stat == "t":
-            lo, hi = self.t_envelopes[level]
-            return not (lo <= self.observed_t <= hi)
-        lo, hi = self.envelopes[level]
-        return not (lo <= self.observed_coef <= hi)
+    def outside_envelope(self, level: int = 95) -> bool:
+        """Whether the observed t escapes the null t envelope. The test is studentized because permuted
+        outcomes keep the alternative's full variance, which widens the raw-coefficient null."""
+        lo, hi = self.t_envelopes[level]
+        return not (lo <= self.observed_t <= hi)
 
 
 def _percentile(null: np.ndarray, observed: float) -> float:
@@ -181,7 +185,7 @@ def permutation_test(
     Each draw re-assigns the (G, E) pair across individuals -- one shared row
     permutation by default, so G and E keep their mutual relation but lose
     any link to Y -- and refits the model. joint=False permutes G and E
-    independently instead.
+    independently instead. The null holds the fitted draws only.
     """
     if n_perm < 100:
         raise ConfigError("n_perm must be >= 100")
@@ -210,6 +214,9 @@ def permutation_test(
         return beta[:, j], beta[:, j] / se
 
     null_coefs, null_ts = chunk_map(fit, n_perm, POWER_CHUNK, threads)
+    fitted = np.isfinite(null_ts)
+    check_failures([f"a singular design (draw {r})" for r in np.flatnonzero(~fitted)], n_perm)
+    null_coefs, null_ts = null_coefs[fitted], null_ts[fitted]
 
     envelopes, t_envelopes = {}, {}
     for level in (90, 95):

@@ -141,12 +141,9 @@ def simulate_family_outcome(
     y = (nurture.delta * gv_c + nurture.eta_m * gv_m + nurture.eta_f * gv_f
          + nurture.w * u_fam)
     if nurture.gamma != 0.0:
+        pairs = np.argsort(fam_inv, kind="stable").reshape(-1, 2)  # a sibling-pairs family's two rows
         sib_of = np.empty(len(pedigree.child_ids), dtype=np.intp)
-        by_family: dict[str, list[int]] = {}
-        for i, fam in enumerate(pedigree.family_ids):
-            by_family.setdefault(fam, []).append(i)
-        for rows in by_family.values():
-            sib_of[rows[0]], sib_of[rows[1]] = rows[1], rows[0]
+        sib_of[pairs] = pairs[:, ::-1]
         y = y + nurture.gamma * gv_c[sib_of]
     return y + rng.standard_normal(len(y))
 
@@ -244,7 +241,6 @@ class Cohort:
 class ScenarioDataset:
     spec: ScenarioSpec
     direct_weights: np.ndarray    # unit vector, per-SNP direct effects
-    nurture_weights: np.ndarray   # unit vector the nurture channel loads on
     arm_weights: np.ndarray | None
     analysis: Cohort
     discovery: Callable[[], Cohort]  # draws the discovery cohort, so only a caller that reads it pays for it
@@ -311,7 +307,7 @@ def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: Seed) -> Sce
             disc = _subset_cohort(disc, np.nonzero(disc.e == 1.0)[0])
         return disc
 
-    return ScenarioDataset(spec=spec, direct_weights=d, nurture_weights=m, arm_weights=s_arm, analysis=ana,
+    return ScenarioDataset(spec=spec, direct_weights=d, arm_weights=s_arm, analysis=ana,
                            discovery=discovery)
 
 

@@ -1,4 +1,5 @@
-"""Shared plumbing: random streams, deterministic parallel maps (indexed_map, chunk_map), file IO.
+"""Shared plumbing: random streams, deterministic parallel maps (indexed_map, chunk_map), the
+failed-replicate rule (check_failures), file IO.
 
 Random streams follow one key rule. Every generator is child_rng(seed, stream,
 *index): a numpy SeedSequence whose entropy is the master seed and whose spawn
@@ -125,6 +126,16 @@ def chunk_map(fit: Callable[[int, int, int], tuple], n: int, chunk: int, threads
     starts = range(0, max(n, 1), chunk)
     parts = indexed_map(lambda c: fit(c, starts[c], min(starts[c] + chunk, n)), len(starts), threads)
     return tuple(map(np.concatenate, zip(*parts)))
+
+
+def check_failures(failures: Sequence[str], reps: int) -> None:
+    """The failed-replicate rule of every Monte Carlo loop (bias lab, power draw,
+    permutation null), whose results read only the fitted replicates: more than
+    max(1, 1% of reps) failures, or fewer than two fitted replicates, raise
+    SimulationError naming the first failure. failures describes each failed
+    replicate, in replicate order."""
+    if len(failures) > max(1, int(0.01 * reps)) or reps - len(failures) < 2:
+        raise SimulationError(f"{len(failures)}/{reps} replicates failed; the first with {failures[0]}")
 
 
 def fmt_float(x: float) -> str:

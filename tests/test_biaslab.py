@@ -6,7 +6,7 @@ from scipy.special import ndtri
 
 from gxelab import biaslab as bl
 from gxelab.phenosim import CohortSizes, ScenarioSpec
-from gxelab.util import ConfigError, EstimationError, SimulationError
+from gxelab.util import ConfigError, EstimationError, SimulationError, check_failures
 
 SIZES = CohortSizes(n_discovery=64, n_analysis=2000, n_snps=120)
 
@@ -50,6 +50,24 @@ class TestRunCell:
         monkeypatch.setattr(bl, "_cell_design", failing)
         with pytest.raises(SimulationError, match="100/100 replicates failed; the first with EstimationError"):
             bl.run_cell(base_spec(e_regime="predetermined"), reps=100, seed=606, sizes=SIZES)
+
+    def test_two_replicates_need_two_fits(self):
+        # one failure is within the cap, but a Monte Carlo SE needs two fitted replicates
+        def draw(r):
+            if r == 0:
+                raise EstimationError("singular design")
+            return {"G": 0.0}
+
+        with pytest.raises(SimulationError, match="1/2 replicates failed; the first with EstimationError: singular"):
+            bl._run_replicates(2, 1, draw)
+
+    def test_failure_rule(self):
+        # at most max(1, 1% of reps) failures, and at least two fitted replicates
+        for failed, reps in ((1, 100), (2, 200), (0, 2), (1, 3)):
+            check_failures(["EstimationError: singular design"] * failed, reps)
+        for failed, reps in ((2, 100), (3, 200), (1, 2)):
+            with pytest.raises(SimulationError, match=f"^{failed}/{reps} replicates failed; the first with Estim"):
+                check_failures(["EstimationError: singular design"] * failed, reps)
 
     @pytest.mark.parametrize("kw", [dict(e_regime="endogenous_correlated", corr_e_estar=1.5),
                                     dict(e_regime="endogenous_active_rge", rho_active=-1.2)])

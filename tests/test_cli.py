@@ -112,6 +112,14 @@ VALID_CONFIGS = {"simulate": {"n": 12, "n_snps": 6, "h2": 0.5},
                  "bias-table": {"reps": 2, "n_analysis": 30, "n_snps": 10}}
 
 
+def strict_json(path):
+    """The JSON file at path, parsed with NaN and Infinity rejected, as a strict parser would."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def snapshot(out):
     """{name: bytes} of the files in `out`; a directory there (a .staging-*) maps to None."""
     return {p.name: p.read_bytes() if p.is_file() else None for p in Path(out).iterdir()}
@@ -381,6 +389,34 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "2/2 replicates failed; the first with EstimationError: design has 3 rows for 6 columns" in err
 
+    def test_singular_power_replicates_exit_4(self, tmp_path, capsys):
+        # ten rows, 5% treated: most replicates have at most one treated row, so their design is singular
+        cfg = write_config(tmp_path, "power.json", {"beta_e": 0.5, "n": 10, "treated_share": 0.05,
+                                                    "beta_x_grid": [3.0], "reps": 1000})
+        with fails_cleanly(tmp_path, "power") as out:
+            assert run(["power", "--config", cfg, "--seed", 1, "--out", out]) == 4
+        assert "912/1000 replicates failed; the first with a singular design (replicate 0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ones, code, message", [
+        ((range(3), range(2, 5)), 4, "81/200 replicates failed; the first with a singular design (draw 5)"),
+        ((range(1, 12, 2), (2, 3, 5, 6, 8, 11)), 0, ""),
+    ], ids=["over_the_cap", "one_failure"])
+    def test_singular_permutation_draws(self, tmp_path, capsys, ones, code, message):
+        """Binary G and E permuted apart: a draw whose G*E column is all zero or
+        equals G or E is a failed replicate. Over the cap the run exits 4; under
+        it, the null, percentiles and envelopes hold the fitted draws, and no
+        artifact holds a NaN."""
+        G, E = np.zeros(12), np.zeros(12)
+        G[list(ones[0])], E[list(ones[1])] = 1.0, 1.0
+        data = "iid\tY\tG\tE\n" + "".join(f"i{i}\t{(i * 7) % 5 - 2.1}\t{G[i]:g}\t{E[i]:g}\n" for i in range(12))
+        with fails_cleanly(tmp_path, "permute") if code else contextlib.nullcontext(tmp_path / "o") as out:
+            assert run_on_files(tmp_path, "permute", {"data": data}, out=out, n_perm=200, joint=False) == code
+        assert message in capsys.readouterr().err
+        if code == 0:
+            null = (out / "permutation_null.tsv").read_text().splitlines()
+            assert len(null) == 1 + 199 and "nan" not in "".join(null)
+            strict_json(out / "permutation.json")
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"n": 100, "wat": 1})
         with fails_cleanly(tmp_path, "simulate") as out:
@@ -527,6 +563,9 @@ class TestErrorPaths:
         ("gxe-iid-control", "data", VALID_FILES["data"], 2, "column 'iid' is not numeric"),
         ("permute-iid-control", "data", VALID_FILES["data"], 2, "column 'iid' is not numeric"),
         ("rdd-iid-covariate", "data", VALID_FILES["data"], 2, "column 'iid' is not numeric"),
+        ("gwas", "phenotype", VALID_FILES["phenotype"] + "i0\t123\n", 2, "individual id 'i0' is repeated"),
+        ("gxe", "data", VALID_FILES["data"].replace("\tMoB\n", "\tY\n", 1), 2, "column 'Y' is repeated"),
+        ("pgi", "sumstats", VALID_FILES["sumstats"].replace("minor", "A", 1), 2, "holds 'A', not minor or major"),
     ], ids=["empty", "non_numeric", "ragged", "header_only", "inf", "nan",
             "genotype_non_numeric", "genotype_300", "panel_pos", "sumstats_beta", "repeated_iid", "repeated_child",
             "genotype_header_only", "parent_in_both_files", "genotype_two_digit", "genotype_empty_cell",
@@ -534,7 +573,8 @@ class TestErrorPaths:
             "panel_block_not_contiguous", "panel_header", "sumstats_repeated_snp", "sumstats_header",
             "pedigree_header", "trio_child_not_genotyped", "sibling_family_not_genotyped", "phenotype_columns",
             "phenotype_missing_individual", "gxe_missing_column", "permute_missing_column", "rdd_missing_column", "rdd_fractional_month", "rdd_inconsistent_treatment",
-            "gxe_non_numeric_control", "permute_non_numeric_control", "rdd_non_numeric_covariate"])
+            "gxe_non_numeric_control", "permute_non_numeric_control", "rdd_non_numeric_covariate",
+            "phenotype_repeated_id", "data_repeated_column", "sumstats_effect_allele"])
     def test_malformed_data_file_exits_cleanly(self, tmp_path, capsys, command, key, text, code, message):
         with fails_cleanly(tmp_path, command):
             assert run_on_files(tmp_path, command, {**VALID_FILES, key: text}) == code
@@ -677,6 +717,31 @@ class TestStaleOutputs:
         assert sorted(os.listdir(out)) == ["gxe_fit.json", "manifest.json", "sub"]
 
 
+# The JSON artifact of each command beyond its manifest, and configs of the
+# commands that read no data file (power with its MDE)
+JSON_ARTIFACTS = {"gxe": ["gxe_fit.json"], "rdd": ["rdd_fit.json"], "power": ["mde.json"],
+                  "permute": ["permutation.json"], "bias-table": ["bias_table.json"]}
+JSON_CONFIGS = {**VALID_CONFIGS, "power": {"beta_e": 0.5, "n": 400, "beta_x_grid": [0.0, 0.2], "reps": 100,
+                                           "mde": True}}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_json_artifacts_are_strict_json(tmp_path, command):
+    """Every JSON file a valid run writes, manifest included, parses with NaN
+    and Infinity rejected."""
+    with warnings.catch_warnings():  # rdd on VALID_FILES warns of its 6 running-variable clusters
+        warnings.simplefilter("ignore", UserWarning)
+        if command in JSON_CONFIGS:
+            cfg = write_config(tmp_path, "cfg.json", JSON_CONFIGS[command])
+            assert run([command, "--config", cfg, "--seed", 1, "--out", tmp_path / "o"]) == 0
+        else:
+            assert run_on_files(tmp_path, command, VALID_FILES) == 0
+    names = sorted(p.name for p in (tmp_path / "o").glob("*.json"))
+    assert names == sorted(["manifest.json", *JSON_ARTIFACTS.get(command, [])])
+    for name in names:
+        assert strict_json(tmp_path / "o" / name)
+
+
 # ---------------------------------------------------------------------------
 # Fuzzed inputs: any config or data file ends in exit 0, 2, 3 or 4
 # ---------------------------------------------------------------------------
@@ -719,13 +784,20 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_fuzzed_data_files_end_in_a_documented_exit_code(data):
+    """A data file of a command cut and spliced with fuzz text, with one cell
+    set to another row's value of its column (a file that keeps its structure,
+    so family designs reach their fits), or fuzz text alone."""
     command = data.draw(st.sampled_from(sorted(COMMAND_INPUTS)))
     name = data.draw(st.sampled_from(COMMAND_INPUTS[command]))
     files = valid_files(command)
     valid = files[name]
     cut, drop = data.draw(st.integers(0, len(valid))), data.draw(st.integers(0, 4))
     mutated = valid[:cut] + data.draw(FUZZ_TEXT)[:6] + valid[cut + drop:]  # a near-valid file
-    text = data.draw(st.one_of(st.just(mutated), FUZZ_TEXT))
+    rows = [line.split("\t") for line in valid.splitlines()]
+    i, k = data.draw(st.integers(1, len(rows) - 1)), data.draw(st.integers(0, len(rows[0]) - 1))
+    rows[i][k] = data.draw(st.sampled_from([row[k] for row in rows[1:]]))
+    swapped = "".join("\t".join(row) + "\n" for row in rows)  # one cell holds another row's value of its column
+    text = data.draw(st.one_of(st.just(mutated), st.just(swapped), FUZZ_TEXT))
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy's warnings do not reach the user
         before = prefill(Path(tmp), command)

@@ -7,7 +7,7 @@ from scipy import stats
 from gxelab import inference as inf
 from gxelab.gxe import GxeModelSpec, fit_gxe, gxe_design
 from gxelab.regress import batched_ols_hc1, pvalue_from_z
-from gxelab.util import CalibrationError, ConfigError, Stream, child_rng
+from gxelab.util import CalibrationError, ConfigError, SimulationError, Stream, child_rng
 
 
 def make_dataset(n, beta_x, seed, beta_g=0.259, beta_e=0.9):
@@ -183,3 +183,45 @@ class TestPermutation:
         b = inf.permutation_test(data, GxeModelSpec(), n_perm=300, seed=546, threads=4)
         assert np.array_equal(a.null_coefs, b.null_coefs)
         assert a.envelopes == b.envelopes
+
+
+# Binary G and E on 12 rows: permuted apart (joint=False), a draw's G*E column
+# can be all zero or equal to G or E, so its design is singular
+BINARY_Y = np.array([0.3, -1.2, 2.1, 0.4, -0.5, 1.1, -0.7, 0.2, 0.9, -1.6, 0.6, -0.1])
+
+
+class TestFailedReplicates:
+    """A singular Monte Carlo fit is a failed replicate under util.check_failures:
+    results read only the fitted replicates, and too many failures raise."""
+
+    def test_singular_power_draw_raises(self):
+        spec = inf.PowerSpec(beta_g=0.259, beta_e=0.5, beta_x=3.0, n=10, treated_share=0.05, reps=1000)
+        with pytest.raises(SimulationError, match=r"912/1000 replicates failed; the first with a singular design"):
+            inf.power_curve(spec, np.array([3.0]), seed=1)
+
+    def test_power_reads_only_fitted_replicates(self):
+        # 14 rows, half treated: a draw with at most one treated or untreated row is singular
+        spec = inf.PowerSpec(beta_g=0.3, beta_e=0.5, beta_x=0.5, n=14, reps=1000)
+        curve = inf.power_curve(spec, np.array([0.5]), seed=1)
+        u, se = curve.draw
+        assert curve.reps == len(u) == len(se) == 998 and np.isfinite(se).all()
+        rejections = int(round(curve.power[0] * 998))
+        assert curve.power[0] == rejections / 998
+        half = 1.96 * np.sqrt(curve.power[0] * (1 - curve.power[0]) / 998)
+        assert curve.ci_hi[0] - curve.power[0] == pytest.approx(half, rel=1e-12)
+        assert 0.0 < curve.mde(target_power=0.25) < 0.5
+
+    def test_singular_permutation_draws_raise(self):
+        G, E = np.zeros(12), np.zeros(12)
+        G[:3], E[2:5] = 1.0, 1.0
+        with pytest.raises(SimulationError, match=r"81/200 replicates failed; the first with a singular design"):
+            inf.permutation_test({"Y": BINARY_Y, "G": G, "E": E}, GxeModelSpec(), n_perm=200, seed=1, joint=False)
+
+    def test_permutation_reads_only_fitted_draws(self):
+        G = np.tile([0.0, 1.0], 6)
+        E = np.array([0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 1], dtype=float)
+        res = inf.permutation_test({"Y": BINARY_Y, "G": G, "E": E}, GxeModelSpec(), n_perm=200, seed=1, joint=False)
+        assert len(res.null_coefs) == len(res.null_ts) == 199
+        assert np.isfinite(res.null_ts).all() and np.isfinite(res.null_coefs).all()
+        assert np.isfinite([*res.envelopes[95], *res.t_envelopes[95]]).all()
+        assert res.t_percentile == (res.null_ts <= res.observed_t).mean()
