@@ -15,11 +15,12 @@ monotone: a larger beta_x can pull a replicate out of the lower rejection
 tail of the two-sided test, so near beta_x = 0 the estimate can dip by a
 few replicates' worth.
 
-Both the power draw and the permutation test build their designs with
-gxe.gxe_design, with G and E stacked as (R, n) arrays, and fit a chunk of
-POWER_CHUNK replicates in one regress.batched_ols_hc1 call. The chunks run
-through util.chunk_map, and chunk c draws from the stream (POWER or
-PERMUTATION, c), so results do not depend on the thread count. A replicate
+Both the power draw and the permutation test draw chunk c of POWER_CHUNK
+replicates as (R, n) arrays from the stream (POWER or PERMUTATION, c) and fit
+it FIT_ROWS rows at a time, each block's gxe.gxe_design columns in one
+regress.batched_ols_hc1 call, so only one block's design is held. Each row is
+fit on its own and the chunks run through util.chunk_map, so results depend
+on neither the block size nor the thread count. A replicate
 or draw whose design is singular (NaN from batched_ols_hc1) fails, under the
 bias lab's rule, util.check_failures: power, its CI, mde and the permutation
 percentiles and envelopes read only the fitted ones.
@@ -35,7 +36,8 @@ from .gxe import GxeModelSpec, fit_gxe, gxe_design
 from .regress import batched_ols_hc1, pvalue_from_z
 from .util import CalibrationError, ConfigError, Seed, Stream, check_failures, child_rng, chunk_map
 
-POWER_CHUNK = 256  # replicates per batched fit, for power draws and permutations alike
+POWER_CHUNK = 256  # replicates per stream draw, for power draws and permutations alike
+FIT_ROWS = 16  # replicates per design build and batched fit: sets the memory held, not the results
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,10 @@ class PowerCurve:
 
         Stops when the estimated power is within power_tol of the target or the
         bracket is narrower than width_tol; returns the bracket midpoint.
+        Power at beta_x = 0 is the test size, so the target must lie in (alpha, 1).
         """
+        if not (self.alpha < target_power < 1.0):
+            raise ConfigError(f"target power must be in (alpha = {self.alpha}, 1), got {target_power}")
         lo, hi = 0.0, 1.0
         if _power(self.draw, hi, self.alpha) < target_power:
             raise CalibrationError(f"target power {target_power} unreachable with beta_x <= 1")
@@ -92,6 +97,19 @@ class PowerCurve:
         return 0.5 * (lo + hi)
 
 
+def _fit_interaction(Y: np.ndarray, G: np.ndarray, E: np.ndarray, spec: GxeModelSpec,
+                     data: dict[str, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(beta_GxE, HC1 se) of each row of Y on the design of the same rows of
+    G and E, built and fit FIT_ROWS rows at a time; NaN for a singular one."""
+    blocks = []
+    for s in range(0, len(G), FIT_ROWS):
+        names, cols = gxe_design(G[s:s + FIT_ROWS], E[s:s + FIT_ROWS], spec, data)
+        j = names.index("GxE")
+        beta, se = batched_ols_hc1(Y[s:s + FIT_ROWS], cols, j)
+        blocks.append((beta[:, j], se))
+    return tuple(np.concatenate(b) for b in zip(*blocks))
+
+
 def _interaction_draw(spec: PowerSpec, seed: Seed, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per fitted replicate, u and se such that the interaction estimate at any
     beta_x is beta_x + u with HC1 standard error se: the fit of eps alone."""
@@ -99,11 +117,7 @@ def _interaction_draw(spec: PowerSpec, seed: Seed, threads: int = 1) -> tuple[np
         rng, size = child_rng(seed, Stream.POWER, c), hi - lo
         G = rng.standard_normal((size, spec.n))
         E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
-        eps = rng.standard_normal((size, spec.n))
-        names, cols = gxe_design(G, E, GxeModelSpec())
-        j = names.index("GxE")
-        beta, se = batched_ols_hc1(eps, cols, j)
-        return beta[:, j], se
+        return _fit_interaction(rng.standard_normal((size, spec.n)), G, E, GxeModelSpec())
 
     u, se = chunk_map(fit, spec.reps, POWER_CHUNK, threads)
     fitted = np.isfinite(se)
@@ -208,10 +222,8 @@ def permutation_test(
             perm = rng.permutation(n)
             Gp[r] = G[perm]
             Ep[r] = E[perm] if joint else E[rng.permutation(n)]
-        names, cols = gxe_design(Gp, Ep, fit_spec, data)
-        j = names.index("GxE")
-        beta, se = batched_ols_hc1(np.broadcast_to(Y, (size, n)), cols, j)
-        return beta[:, j], beta[:, j] / se
+        beta, se = _fit_interaction(np.broadcast_to(Y, (size, n)), Gp, Ep, fit_spec, data)
+        return beta, beta / se
 
     null_coefs, null_ts = chunk_map(fit, n_perm, POWER_CHUNK, threads)
     fitted = np.isfinite(null_ts)

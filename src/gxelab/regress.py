@@ -132,6 +132,8 @@ def _fit_record(y, X, beta, S, bread, names, se, clusters) -> OlsFit:
             raise EstimationError("cluster SEs requested without a cluster variable")
         _, codes = np.unique(clusters, return_inverse=True)
         n_clusters = int(codes.max()) + 1
+        if n_clusters < 2:
+            raise EstimationError(f"cluster SEs need at least two clusters, got {n_clusters}")
         cov = sandwich(S, resid, bread, codes)
     elif se == "classical":
         cov = bread * (resid @ resid) / (n - k)

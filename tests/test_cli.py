@@ -639,11 +639,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command, config, files, code, message", [
         ("power", {"beta_e": 0.5, "n": 20, "beta_x_grid": [0.1], "reps": 100, "mde": True}, {}, 4,
          "target power 0.8 unreachable"),
+        *[("power", {"beta_e": 0.5, "n": 200, "beta_x_grid": [0.2], "reps": 100, "mde": True, "target_power": t},
+           {}, 2, f"config error: target power must be in (alpha = 0.05, 1), got {t}") for t in (0.0, -1.0, 0.04, 2.0)],
         ("simulate", {"n": 20, "n_snps": 10, "design": "trios", "h2": 1.0}, {}, 2, "target_h2 1.0 outside [0, 1)"),
         ("rdd", {}, {"data": "iid\tY\tG\tE\tMoB\n" + "".join(  # every treated index beyond +3
             f"i{i}\t{(i * 11) % 7 - 3}\t{(i * 7) % 5 - 2 + 6 * (i % 6 >= 3)}\t{int(i % 6 >= 3)}\t{i % 6 - 3}\n"
             for i in range(24))}, 2, "slope plot needs two arms"),
-    ], ids=["power_mde_unreachable", "simulate_trio_h2_one", "rdd_arm_trimmed_away"])
+    ], ids=["power_mde_unreachable", "power_target_zero", "power_target_negative", "power_target_below_alpha",
+            "power_target_above_one", "simulate_trio_h2_one", "rdd_arm_trimmed_away"])
     def test_failure_after_a_first_artifact_commits_nothing(self, tmp_path, capsys, command, config, files, code,
                                                            message):
         with fails_cleanly(tmp_path, command) as out:
@@ -848,6 +851,17 @@ def test_oversized_simulate_exits_2(tmp_path, capsys, monkeypatch):
         assert run(["simulate", "--config", cfg, "--seed", 1, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["config error: not enough memory for simulate, n=1000000000, n_snps=5000"]
+
+
+def test_one_cluster_exits_3(tmp_path, capsys):
+    """Cluster SEs on a column with one value leave CR1's G/(G-1) factor
+    undefined: an estimation error (exit 3) that names the cluster count."""
+    header, *rows = VALID_FILES["data"].splitlines()  # MoB, the last column, set to 0 in every row
+    text = header + "\n" + "".join(row.rpartition("\t")[0] + "\t0\n" for row in rows)
+    with fails_cleanly(tmp_path, "gxe"):
+        assert run_on_files(tmp_path, "gxe", {**VALID_FILES, "data": text}, se="cluster", cluster_on="MoB") == 3
+    err = capsys.readouterr().err
+    assert "cluster SEs need at least two clusters, got 1" in err and "Traceback" not in err
 
 
 def test_cli_import_leaves_out_scipy_stats():

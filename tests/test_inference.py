@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,13 @@ class TestMde:
         m_large = inf.mde(large, seed=514)
         assert m_small / m_large == pytest.approx(2.0, rel=0.15)
 
+    @pytest.mark.parametrize("target", [0.0, -1.0, 0.04, 0.05, 1.0, 2.0])
+    def test_target_outside_alpha_to_one_raises(self, target):
+        # power at beta_x = 0 is alpha and power is at most 1: no effect size has these targets
+        curve = inf.power_curve(inf.PowerSpec(beta_g=0.2, beta_e=0.5, beta_x=0.0, n=200, reps=100), np.empty(0), seed=1)
+        with pytest.raises(ConfigError, match=rf"target power must be in \(alpha = 0.05, 1\), got {target}$"):
+            curve.mde(target_power=target)
+
     def test_unreachable_target(self):
         spec = inf.PowerSpec(beta_g=0.1, beta_e=0.1, beta_x=0.0, n=40, reps=500)
         with pytest.raises(CalibrationError):
@@ -183,6 +191,96 @@ class TestPermutation:
         b = inf.permutation_test(data, GxeModelSpec(), n_perm=300, seed=546, threads=4)
         assert np.array_equal(a.null_coefs, b.null_coefs)
         assert a.envelopes == b.envelopes
+
+
+def with_controls(n, seed):
+    """make_dataset's rows plus two controls c1, c2, one of them tied to E."""
+    data = make_dataset(n, beta_x=0.1, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    return {**data, "c1": rng.standard_normal(n), "c2": data["E"] + rng.standard_normal(n)}
+
+
+CONTROLLED = GxeModelSpec(controls=("c1", "c2"), control_interactions=True)
+
+
+def peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedFit:
+    """Each POWER_CHUNK chunk is drawn whole and fit FIT_ROWS rows at a time.
+    Every row's fit is its own, so the results equal one batched_ols_hc1 call
+    on the whole chunk, bit for bit, while only one block's design is held."""
+
+    @pytest.fixture
+    def fit_rows(self, monkeypatch):
+        """The row counts of every batched_ols_hc1 call the inference module makes."""
+        rows = []
+
+        def counted(Y, X, j):
+            rows.append(len(Y))
+            return batched_ols_hc1(Y, X, j)
+
+        monkeypatch.setattr(inf, "batched_ols_hc1", counted)
+        return rows
+
+    def test_power_draw_equals_whole_chunk_fit(self, fit_rows):
+        spec = inf.PowerSpec(beta_g=0.259, beta_e=0.9, beta_x=0.0, n=200, reps=300)
+        assert spec.reps % inf.POWER_CHUNK % inf.FIT_ROWS  # a partial last chunk ends in a partial block
+        u, se = inf._interaction_draw(spec, seed=531)
+        whole = []
+        for c, lo in enumerate(range(0, spec.reps, inf.POWER_CHUNK)):
+            rng = child_rng(531, Stream.POWER, c)
+            size = min(inf.POWER_CHUNK, spec.reps - lo)
+            G = rng.standard_normal((size, spec.n))
+            E = (rng.random((size, spec.n)) < spec.treated_share).astype(float)
+            names, cols = gxe_design(G, E, GxeModelSpec())
+            j = names.index("GxE")
+            beta, chunk_se = batched_ols_hc1(rng.standard_normal((size, spec.n)), cols, j)
+            whole.append((beta[:, j], chunk_se))
+        assert np.array_equal(u, np.concatenate([b for b, _ in whole]))
+        assert np.array_equal(se, np.concatenate([e for _, e in whole]))
+        assert max(fit_rows) == inf.FIT_ROWS and sum(fit_rows) == spec.reps
+
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_permutation_null_equals_whole_chunk_fit(self, fit_rows, joint):
+        n, n_perm = 300, 257  # one full chunk and a one-draw chunk
+        data = with_controls(n, seed=532)
+        res = inf.permutation_test(data, CONTROLLED, n_perm=n_perm, seed=533, joint=joint)
+        Y = data["Y"]
+        coefs, ts = [], []
+        for c, lo in enumerate(range(0, n_perm, inf.POWER_CHUNK)):
+            rng = child_rng(533, Stream.PERMUTATION, c)
+            size = min(inf.POWER_CHUNK, n_perm - lo)
+            Gp, Ep = np.empty((size, n)), np.empty((size, n))
+            for r in range(size):
+                perm = rng.permutation(n)
+                Gp[r] = data["G"][perm]
+                Ep[r] = data["E"][perm] if joint else data["E"][rng.permutation(n)]
+            names, cols = gxe_design(Gp, Ep, CONTROLLED, data)
+            j = names.index("GxE")
+            beta, se = batched_ols_hc1(np.broadcast_to(Y, (size, n)), cols, j)
+            coefs.append(beta[:, j])
+            ts.append(beta[:, j] / se)
+        assert np.array_equal(res.null_coefs, np.concatenate(coefs))
+        assert np.array_equal(res.null_ts, np.concatenate(ts))
+        assert max(fit_rows) == inf.FIT_ROWS and sum(fit_rows) == n_perm
+
+    def test_peak_memory_of_a_permutation_test(self):
+        # the benchmark's permute op: a whole 256-draw chunk's ten design columns
+        # of 2,000 rows are 39 MiB at once; one block's, with the chunk's draws, 11 MiB
+        data = with_controls(2000, seed=534)
+        assert peak_mib(lambda: inf.permutation_test(data, CONTROLLED, n_perm=1000, seed=535)) <= 16
+
+    def test_peak_memory_of_a_power_curve(self):
+        # the benchmark's power op: 15.4 MiB when a whole chunk is fit at once
+        spec = inf.PowerSpec(beta_g=0.259, beta_e=0.9, beta_x=0.0, n=1113, reps=1000)
+        assert peak_mib(lambda: inf.power_curve(spec, np.array([0.0, 0.1]), seed=536)) <= 10
 
 
 # Binary G and E on 12 rows: permuted apart (joint=False), a draw's G*E column

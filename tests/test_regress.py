@@ -52,6 +52,15 @@ class TestOls:
         np.testing.assert_allclose(fit.cov, expected, rtol=1e-10)
         assert fit.n_clusters == (25 if se == "cluster" else None)
 
+    def test_one_cluster_raises(self):
+        # CR1's G/(G-1) factor divides by zero at one cluster
+        y, X, _ = heteroskedastic_data()
+        one = np.zeros(len(y))
+        with pytest.raises(EstimationError, match=r"cluster SEs need at least two clusters, got 1$"):
+            ols(y, X, se="cluster", clusters=one)
+        with pytest.raises(EstimationError, match=r"cluster SEs need at least two clusters, got 1$"):
+            tsls(y, X[:, 1], X[:, 1] + np.random.default_rng(2).standard_normal(len(y)), exog=X[:, 2:], clusters=one)
+
     def test_rank_deficient_names_columns(self):
         y, X, _ = heteroskedastic_data()
         X = np.column_stack([X, 2 * X[:, 1]])
