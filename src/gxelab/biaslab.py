@@ -1,11 +1,14 @@
 """Monte Carlo bias harness for the nine estimation scenarios.
 
-Each cell runs the full pipeline per replicate: simulate a scenario dataset,
-build the analysis cohort's index for the cell's index regime, standardize it
-per member (child, plus parents when the regime controls for family), and
-build and fit the interaction design (regress.ols_beta, coefficients only),
-all inside the replicate's draw, so a replicate keeps no design once it is
-fit. The mean estimates are compared with the generating values.
+A cell's data do not depend on its index regime, so the cells of a table
+column share one replicate loop (run_cells): each replicate simulates one
+dataset, computes each distinct index once, and per cell standardizes the
+analysis cohort's index per member (child, plus parents when the regime
+controls for family) and builds and fits the interaction design
+(regress.ols_beta, coefficients only) inside the draw, so no dataset or
+design outlives its replicate. Mean estimates are compared with the
+generating values; each cell's replicates are iid, and the cells of a
+column are dependent by design.
 
 The index defaults to the probability limit of the design's per-SNP
 estimand (an infinite discovery cohort), a combination of the cohort's
@@ -18,7 +21,7 @@ are the discovery genomes drawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -137,24 +140,34 @@ def _fit(names: list[str], X: np.ndarray, y: np.ndarray) -> dict[str, float]:
 _REPLICATE_ERRORS = (ConfigError, EstimationError, SimulationError, np.linalg.LinAlgError)
 
 
-def _run_replicates(reps: int, threads: int, draw: Callable[[int], dict]) -> list[dict]:
+def _outcome(fn: Callable, *args):
+    """fn(*args), or the simulation or estimation error it raised: a failed replicate."""
+    try:
+        return fn(*args)
+    except _REPLICATE_ERRORS as e:
+        return e
+
+
+def _run_replicates(reps: int, threads: int, draw: Callable[[int], dict | list], cells: int | None = None) -> list:
     """draw(r) for every replicate r, in replicate order; draw keys its draws
     by r under its own replicate stream. A replicate that raises a simulation
     or estimation error counts as failed and is left out, under
-    util.check_failures. Any other exception is a bug and propagates.
+    util.check_failures. Any other exception is a bug and propagates. With
+    cells = k, draw(r) returns one _outcome per cell and each cell gets its own
+    fitted list and failure rule; a draw that raises fails in every cell.
     """
     if reps < 2:
         raise ConfigError(f"reps must be >= 2 for a Monte Carlo SE, got {reps}")
 
-    def work(r: int) -> dict | Exception:
-        try:
-            return draw(r)
-        except _REPLICATE_ERRORS as e:
-            return e  # counted against the failure cap
+    def work(r: int) -> list:
+        out = _outcome(draw, r)
+        return out if cells and not isinstance(out, Exception) else [out] * (cells or 1)
 
-    rows = indexed_map(work, reps, threads)
-    check_failures([f"{type(e).__name__}: {e}" for e in rows if isinstance(e, Exception)], reps)
-    return [r for r in rows if not isinstance(r, Exception)]
+    fitted = []
+    for outs in zip(*indexed_map(work, reps, threads)):
+        check_failures([f"{type(e).__name__}: {e}" for e in outs if isinstance(e, Exception)], reps)
+        fitted.append([o for o in outs if not isinstance(o, Exception)])
+    return fitted if cells else fitted[0]
 
 
 def _bias_report(spec: ScenarioSpec, ok: list[dict], reps: int) -> BiasReport:
@@ -167,24 +180,37 @@ def _bias_report(spec: ScenarioSpec, ok: list[dict], reps: int) -> BiasReport:
                       reps=len(ok), n_failed=reps - len(ok), spec=spec)
 
 
-def run_cell(
-    spec: ScenarioSpec,
-    reps: int,
-    seed: Seed,
-    sizes: CohortSizes = DEFAULT_SIZES,
-    discovery: str = "plim",
-    threads: int = 1,
-) -> BiasReport:
-    """Replicated pipeline for one scenario cell."""
+def run_cells(specs: list[ScenarioSpec], reps: int, seed: Seed, sizes: CohortSizes = DEFAULT_SIZES,
+              discovery: str = "plim", threads: int = 1) -> list[BiasReport]:
+    """One report per spec, for specs that differ only in g_regime: replicate r
+    simulates one dataset under (CELL_REPLICATE, r), computes the trio and the
+    population index at most once each, and fits every cell on it."""
     if discovery not in ("plim", "finite"):
         raise ConfigError(f"unknown discovery mode {discovery!r}")
+    if len({s.with_(g_regime=G_ROWS[0]) for s in specs}) != 1:
+        raise ConfigError("the cells of one replicate loop may differ only in g_regime")
     index = plim_index if discovery == "plim" else finite_index
 
-    def draw(r: int) -> dict:
-        ds = simulate_scenario(spec, sizes, substream(seed, Stream.CELL_REPLICATE, r))
-        return _fit(*_cell_design(ds, index(ds)), ds.analysis.y)
+    def draw(r: int) -> list:
+        ds = simulate_scenario(specs[0], sizes, substream(seed, Stream.CELL_REPLICATE, r))
+        indexes = {}  # the trio (True) and population (False) index, each computed once
 
-    return _bias_report(spec, _run_replicates(reps, threads, draw), reps)
+        def fit(cell: ScenarioDataset) -> dict:
+            trio = cell.spec.g_regime == "trio_pgi_family_controls"
+            if trio not in indexes:
+                indexes[trio] = index(cell)
+            return _fit(*_cell_design(cell, indexes[trio]), ds.analysis.y)
+
+        return [_outcome(fit, replace(ds, spec=spec)) for spec in specs]
+
+    fitted = _run_replicates(reps, threads, draw, len(specs))
+    return [_bias_report(spec, ok, reps) for spec, ok in zip(specs, fitted)]
+
+
+def run_cell(spec: ScenarioSpec, reps: int, seed: Seed, sizes: CohortSizes = DEFAULT_SIZES,
+             discovery: str = "plim", threads: int = 1) -> BiasReport:
+    """Replicated pipeline for one scenario cell: run_cells([spec], ...)[0]."""
+    return run_cells([spec], reps, seed, sizes, discovery, threads)[0]
 
 
 @dataclass
@@ -208,24 +234,18 @@ class TableReport:
         return rows
 
 
-def run_table(
-    base: ScenarioSpec,
-    reps: int,
-    seed: Seed,
-    sizes: CohortSizes = DEFAULT_SIZES,
-    discovery: str = "plim",
-    threads: int = 1,
-) -> TableReport:
-    """All nine cells with shared effect sizes and confound strengths; cell
-    (i, j) runs under the substream (BIAS_CELL, i, j)."""
+def run_table(base: ScenarioSpec, reps: int, seed: Seed, sizes: CohortSizes = DEFAULT_SIZES,
+              discovery: str = "plim", threads: int = 1) -> TableReport:
+    """All nine cells with shared effect sizes and confound strengths, row by
+    row. Column j is one run_cells under the substream (BIAS_COLUMN, j): its
+    cells' replicates are iid, the cells dependent by design (one dataset per
+    replicate for every index regime), and the columns independent."""
     # every cell's spec is built, and so checked, before any replicate runs
-    specs = {(row, col): base.with_(g_regime=row, e_regime=col) for row in G_ROWS for col in E_COLUMNS}
-    cells = {}
-    for i, row in enumerate(G_ROWS):
-        for j, col in enumerate(E_COLUMNS):
-            cells[(row, col)] = run_cell(specs[(row, col)], reps, substream(seed, Stream.BIAS_CELL, i, j), sizes,
-                                         discovery, threads)
-    return TableReport(cells=cells)
+    columns = [[base.with_(g_regime=row, e_regime=col) for row in G_ROWS] for col in E_COLUMNS]
+    reports = [run_cells(specs, reps, substream(seed, Stream.BIAS_COLUMN, j), sizes, discovery, threads)
+               for j, specs in enumerate(columns)]
+    return TableReport(cells={(row, col): reports[j][i] for i, row in enumerate(G_ROWS)
+                              for j, col in enumerate(E_COLUMNS)})
 
 
 def overcontrol_experiment(

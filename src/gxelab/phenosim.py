@@ -243,7 +243,7 @@ class ScenarioDataset:
     direct_weights: np.ndarray    # unit vector, per-SNP direct effects
     arm_weights: np.ndarray | None
     analysis: Cohort
-    discovery: Callable[[], Cohort]  # draws the discovery cohort, so only a caller that reads it pays for it
+    discovery: Callable[[], Cohort]  # draws the discovery cohort on its first call; only a caller that reads it pays
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -281,7 +281,7 @@ def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: Seed) -> Sce
     """One Table-1 cell's data over unlinked SNPs with MAF ~ U(0.2, 0.5): a
     discovery cohort (for GWAS weights) and a disjoint analysis cohort with
     outcome, environment and confounds. Each cohort's genomes come from the
-    substream (SCENARIO_COHORT, cohort), the discovery cohort's when it is called."""
+    substream (SCENARIO_COHORT, cohort), the discovery cohort's once, on its first call."""
     rng = child_rng(seed, Stream.SCENARIO)
     panel_rng = child_rng(seed, Stream.SCENARIO_PANEL)
     panel = _unlinked_panel(sizes.n_snps).with_maf(panel_rng.uniform(0.2, 0.5, size=sizes.n_snps))
@@ -301,14 +301,14 @@ def simulate_scenario(spec: ScenarioSpec, sizes: CohortSizes, seed: Seed) -> Sce
     ana = _cohort(spec, panel, weights, "a", substream(seed, Stream.SCENARIO_COHORT, 1),
                   _outcome_draws(spec, sizes.n_analysis, rng))
 
+    @functools.cache
     def discovery() -> Cohort:
         disc = _cohort(spec, panel, weights, "d", substream(seed, Stream.SCENARIO_COHORT, 0), disc_draws)
         if spec.e_regime == "endogenous_gwas_selection":
             disc = _subset_cohort(disc, np.nonzero(disc.e == 1.0)[0])
         return disc
 
-    return ScenarioDataset(spec=spec, direct_weights=d, arm_weights=s_arm, analysis=ana,
-                           discovery=discovery)
+    return ScenarioDataset(spec=spec, direct_weights=d, arm_weights=s_arm, analysis=ana, discovery=discovery)
 
 
 def _outcome_draws(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:

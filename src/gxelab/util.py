@@ -5,8 +5,8 @@ Random streams follow one key rule. Every generator is child_rng(seed, stream,
 *index): a numpy SeedSequence whose entropy is the master seed and whose spawn
 key is (stream, *index). The tag comes first and is a member of the Stream
 registry, and each tag takes a fixed number of index values. A function that
-runs more than once under one master seed (a cohort, a bias cell, a
-replicate) is handed substream(seed, stream, *index) as its seed, which
+runs more than once under one master seed (a cohort, a bias-table column,
+a replicate) is handed substream(seed, stream, *index) as its seed, which
 appends the group to the spawn key. With fixed arities a key splits back into
 its (tag, index...) groups in one way only, so two draw sites share a stream
 only if they share a key. Nothing is added to the seed or to the entropy:
@@ -76,7 +76,7 @@ class Stream(IntEnum):
     SPLIT_SAMPLE = 10
     POWER = 11, 1               # (chunk,)
     PERMUTATION = 12, 1         # (chunk,)
-    BIAS_CELL = 13, 2           # (row, column) of the bias table
+    BIAS_COLUMN = 13, 1         # (column,) of the bias table: its three rows share each replicate's data
     CELL_REPLICATE = 14, 1      # (replicate,)
     SELECTION_REPLICATE = 15, 1
     NOISE_REPLICATE = 16, 1

@@ -6,7 +6,7 @@ from scipy.special import ndtri
 
 from gxelab import biaslab as bl
 from gxelab.phenosim import CohortSizes, ScenarioSpec
-from gxelab.util import ConfigError, EstimationError, SimulationError, check_failures
+from gxelab.util import ConfigError, EstimationError, SimulationError, Stream, check_failures, substream
 
 SIZES = CohortSizes(n_discovery=64, n_analysis=2000, n_snps=120)
 
@@ -141,6 +141,50 @@ class TestRunTable:
         signs = table.sign_matrix()
         assert set(signs) == set(bl.G_ROWS)
 
+    @pytest.mark.parametrize("discovery", ["plim", "finite"])
+    def test_cells_equal_run_cell_on_the_column_stream(self, discovery):
+        """A column's rows share each replicate's dataset and index, and that
+        changes no cell's arithmetic: every cell equals run_cell of its spec
+        under its column's substream, to the bit."""
+        sizes = CohortSizes(n_discovery=64, n_analysis=200, n_snps=20)
+        table = bl.run_table(base_spec(), reps=5, seed=615, sizes=sizes, discovery=discovery)
+        assert list(table.cells) == [(row, col) for row in bl.G_ROWS for col in bl.E_COLUMNS]
+        for (row, col), rep in table.cells.items():
+            alone = bl.run_cell(base_spec(g_regime=row, e_regime=col), reps=5,
+                                seed=substream(615, Stream.BIAS_COLUMN, bl.E_COLUMNS.index(col)), sizes=sizes,
+                                discovery=discovery)
+            assert rep.as_dict() == alone.as_dict()
+        with pytest.raises(ConfigError, match="only in g_regime"):
+            bl.run_cells([base_spec(), base_spec(e_regime="predetermined")], reps=5, seed=615, sizes=sizes)
+
+    @pytest.mark.parametrize("site, row, failed", [("simulate_scenario", 0, [1, 1, 1]), ("_cell_design", 2, [0, 0, 1])])
+    def test_failures_are_counted_per_cell(self, monkeypatch, site, row, failed):
+        # one failed simulation fails its replicate in every row of the column; one failed fit, in its own row only
+        real, hits = getattr(bl, site), []
+
+        def fail_once(first, *args):
+            spec = first if site == "simulate_scenario" else first.spec
+            if spec.g_regime == bl.G_ROWS[row] and not hits:
+                hits.append(spec)
+                raise EstimationError("singular design")
+            return real(first, *args)
+
+        monkeypatch.setattr(bl, site, fail_once)
+        reports = bl.run_cells([base_spec(g_regime=g) for g in bl.G_ROWS], reps=100, seed=616,
+                               sizes=CohortSizes(n_discovery=64, n_analysis=200, n_snps=20))
+        assert [r.n_failed for r in reports] == failed
+
+    def test_peak_memory_of_a_column(self):
+        # each replicate's dataset is dropped once its three cells are fit, so a
+        # column keeps none of its replicates' (3 n_analysis x n_snps) dosage blocks
+        tracemalloc.start()
+        try:
+            bl.run_cells([base_spec(g_regime=row) for row in bl.G_ROWS], reps=200, seed=614, sizes=SIZES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
 
 class TestOvercontrol:
     def test_nurture_pulls_child_estimate_down(self):
@@ -210,32 +254,33 @@ class TestGwasSelection:
 # Bias-lab results, (mean, mc_se, verdict) for G, E and GxE, then the failed
 # count, per cell. First recorded before the replicate kernel moved to one
 # dosage block per cohort; re-recorded when independent-SNP founders and the
-# transmission choices moved to raw-word draws.
+# transmission choices moved to raw-word draws, and again when the three rows
+# of a column came to share each replicate's dataset (stream (BIAS_COLUMN, j)).
 PIN_BASE = ScenarioSpec(g_regime="trio_pgi_family_controls", e_regime="exogenous", eta_m=0.5, eta_f=0.5,
                         nurture_alignment=0.3)
 PIN_SIZES = CohortSizes(n_discovery=64, n_analysis=300, n_snps=40)
 PINNED_TABLES = {
     "plim": {
-        ("trio_pgi_family_controls", "exogenous"): ([(0.33239271559508926, 0.08307200005707148, "ambiguous"), (0.6029293391066022, 0.08061509133444024, "ambiguous"), (0.19399770271962494, 0.0777768373182208, "ambiguous")], 0),
-        ("trio_pgi_family_controls", "predetermined"): ([(0.24106399969569636, 0.017766518406007133, "unbiased"), (0.7402999190880942, 0.02931689788800524, "up"), (0.1464591975541879, 0.030447022303845137, "ambiguous")], 0),
-        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.17631391601200389, 0.05467011936771121, "ambiguous"), (0.7500340314467829, 0.03635055077145426, "up"), (0.21231446679848687, 0.024599531293737934, "ambiguous")], 0),
-        ("regular_pgi_family_controls", "exogenous"): ([(0.2348237262073565, 0.04679742033422062, "ambiguous"), (0.5908077566141255, 0.04330291621967909, "ambiguous"), (0.12861501875718234, 0.029001207205298248, "ambiguous")], 0),
-        ("regular_pgi_family_controls", "predetermined"): ([(0.1789082730260262, 0.04116198235335965, "ambiguous"), (0.7224546474345973, 0.023212542437472446, "up"), (0.09299507850882355, 0.009111065147762156, "down")], 0),
-        ("regular_pgi_family_controls", "endogenous_correlated"): ([(0.12275761533486633, 0.044607191558049916, "down"), (0.7683097067831213, 0.0405473539163715, "up"), (0.11865237242265995, 0.021453058197252985, "ambiguous")], 0),
-        ("regular_pgi_no_family", "exogenous"): ([(0.6902366346967774, 0.026814685829614573, "up"), (0.5992649773806243, 0.0604156287159368, "ambiguous"), (0.013530530257968026, 0.018953409608589704, "down")], 0),
-        ("regular_pgi_no_family", "predetermined"): ([(0.5780374893606786, 0.02150875269917176, "up"), (0.7861438927717247, 0.028420344461161928, "up"), (0.12126915773548948, 0.029295777970603735, "ambiguous")], 0),
-        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.6434838749673316, 0.024779461354772922, "up"), (0.7359321832439892, 0.022369719855452837, "up"), (0.08058413372844693, 0.01715326024786643, "down")], 0),
+        ("trio_pgi_family_controls", "exogenous"): ([(0.25633889893876177, 0.06662825588387393, "ambiguous"), (0.6564023720072077, 0.03871275024737289, "ambiguous"), (0.13413338765833463, 0.06922697251105604, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "predetermined"): ([(0.20548185564442845, 0.01860554260665703, "unbiased"), (0.7285410204501855, 0.008261246069191038, "up"), (0.1313222390100501, 0.026909016678513992, "ambiguous")], 0),
+        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.2535399703967505, 0.04217413452573182, "ambiguous"), (0.7532798842754787, 0.03484055256863875, "up"), (0.16835654499246852, 0.03108647193822288, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "exogenous"): ([(0.09700926172492445, 0.0433052030121052, "down"), (0.644548788468397, 0.052303211291014326, "ambiguous"), (0.1558783225855009, 0.04258794132052233, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "predetermined"): ([(0.13994095692818356, 0.015357885103151668, "down"), (0.690629207741893, 0.013030538131548863, "up"), (0.11265027888897487, 0.030641384901604084, "ambiguous")], 0),
+        ("regular_pgi_family_controls", "endogenous_correlated"): ([(0.1527776751170536, 0.03650889353967441, "ambiguous"), (0.7638829690137174, 0.0158174346066423, "up"), (0.07662313902634448, 0.04120135003951857, "ambiguous")], 0),
+        ("regular_pgi_no_family", "exogenous"): ([(0.5609241939438299, 0.04607772921852174, "up"), (0.6215310889571564, 0.044661326100447304, "ambiguous"), (0.13529422158443877, 0.04717824963221517, "ambiguous")], 0),
+        ("regular_pgi_no_family", "predetermined"): ([(0.617777397146641, 0.022863587921851895, "up"), (0.7530371971790005, 0.01624789120579957, "up"), (0.10470247768801927, 0.029648248825325952, "ambiguous")], 0),
+        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.6190252487456943, 0.018235168407118005, "up"), (0.7710028689233922, 0.02855299908305582, "up"), (0.06244950434845489, 0.037195288414800375, "ambiguous")], 0),
     },
     "finite": {
-        ("trio_pgi_family_controls", "exogenous"): ([(0.10318011830177974, 0.06957653138120792, "ambiguous"), (0.6006109015646239, 0.07843949415233976, "ambiguous"), (0.117189854857586, 0.11214502747208176, "ambiguous")], 0),
-        ("trio_pgi_family_controls", "predetermined"): ([(0.061881055586920704, 0.025967041319861196, "down"), (0.8478582278468495, 0.026384159813221977, "up"), (-0.0021637632349698344, 0.059288154317310396, "ambiguous")], 0),
-        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.0684287951949671, 0.0466820170355156, "down"), (0.7344446858265631, 0.0435447973406889, "up"), (0.09496414862225859, 0.03996868618736307, "ambiguous")], 0),
-        ("regular_pgi_family_controls", "exogenous"): ([(0.13956877739912746, 0.05548975787898844, "ambiguous"), (0.6420351464288309, 0.05145101995303988, "ambiguous"), (0.03022272027453223, 0.0347015307684738, "down")], 0),
-        ("regular_pgi_family_controls", "predetermined"): ([(0.17177085946262857, 0.05741484683878028, "ambiguous"), (0.7921597448930342, 0.01819501145806196, "up"), (0.0294985693866147, 0.028321283524581867, "down")], 0),
-        ("regular_pgi_family_controls", "endogenous_correlated"): ([(0.052129101881321, 0.031038829617208996, "down"), (0.7725249864802092, 0.027986900376682937, "up"), (0.11999353232294167, 0.027360833396967033, "ambiguous")], 0),
-        ("regular_pgi_no_family", "exogenous"): ([(0.37577858201298814, 0.05895046984388195, "ambiguous"), (0.584752390316024, 0.07784634796038367, "ambiguous"), (-0.02153775777658291, 0.06920521215143943, "ambiguous")], 0),
-        ("regular_pgi_no_family", "predetermined"): ([(0.2734982802158642, 0.038926803722248854, "ambiguous"), (0.8448444530400688, 0.035587974752786355, "up"), (0.10020517653031234, 0.024775440757125126, "ambiguous")], 0),
-        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.36868212686671287, 0.014913759862914908, "up"), (0.7389383518669068, 0.025495669974569174, "up"), (0.011690998198972286, 0.03559440411920157, "down")], 0),
+        ("trio_pgi_family_controls", "exogenous"): ([(0.18725754409703785, 0.05048484899064205, "ambiguous"), (0.6149239642933019, 0.04790065231841798, "ambiguous"), (-0.05341287239005623, 0.06570185262626402, "down")], 0),
+        ("trio_pgi_family_controls", "predetermined"): ([(0.09358668326834396, 0.034619283147632886, "down"), (0.8343576163975698, 0.011658598474207292, "up"), (-0.01458128150636913, 0.03810332530328194, "down")], 0),
+        ("trio_pgi_family_controls", "endogenous_correlated"): ([(0.021038496964721553, 0.03289879921944107, "down"), (0.7363894432946271, 0.04171835528001806, "up"), (0.016137618636650832, 0.019513755601774298, "down")], 0),
+        ("regular_pgi_family_controls", "exogenous"): ([(0.15675040114086966, 0.043911811629928146, "ambiguous"), (0.6720744051226916, 0.046395063070465745, "ambiguous"), (0.031993785657015335, 0.017651810242572098, "down")], 0),
+        ("regular_pgi_family_controls", "predetermined"): ([(0.10633020042467796, 0.03345339128112299, "down"), (0.7835057205787258, 0.017958330653146243, "up"), (0.0030111527903050306, 0.03511277307099561, "down")], 0),
+        ("regular_pgi_family_controls", "endogenous_correlated"): ([(-0.0005685502554690821, 0.04865999105793424, "down"), (0.7323708643455707, 0.03794937714328346, "up"), (0.04919375396882811, 0.02221470227906187, "down")], 0),
+        ("regular_pgi_no_family", "exogenous"): ([(0.33357888015022447, 0.03760978870701135, "ambiguous"), (0.6515856159461023, 0.0499419870479763, "ambiguous"), (0.03961785862322658, 0.024456833972558836, "down")], 0),
+        ("regular_pgi_no_family", "predetermined"): ([(0.3253288738944113, 0.033771578565866996, "ambiguous"), (0.8174402330603477, 0.010676111005311368, "up"), (0.0013370539229135305, 0.031911707136640086, "down")], 0),
+        ("regular_pgi_no_family", "endogenous_correlated"): ([(0.2615890897590742, 0.020320414213196577, "ambiguous"), (0.7487946854496181, 0.03815177356017072, "up"), (0.05165653890677116, 0.025477769250355387, "down")], 0),
     },
 }
 PINNED_SELECTION = ([(0.29569959658454853, 0.027357540349069075, "ambiguous"), (0.713038488928828, 0.05514215368499934, "ambiguous"), (-0.04162836088294987, 0.03974767790424966, "ambiguous")], 0)

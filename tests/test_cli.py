@@ -377,7 +377,7 @@ class TestErrorPaths:
         calls = []
         cfg = write_config(tmp_path, "bias.json", {"corr_e_estar": 2, "reps": 2, "n_analysis": 30, "n_snps": 10})
         with fails_cleanly(tmp_path, "bias-table") as out:
-            monkeypatch.setattr(cli.biaslab, "run_cell", lambda *args, **kw: calls.append(args))
+            monkeypatch.setattr(cli.biaslab, "run_cells", lambda *args, **kw: calls.append(args))
             assert run(["bias-table", "--config", cfg, "--seed", 1, "--out", out]) == 2
         assert "a_parent^2 + corr_e_estar^2 must be <= 1" in capsys.readouterr().err
         assert calls == []  # rejected before any cell runs

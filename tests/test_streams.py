@@ -38,9 +38,19 @@ def test_no_stream_is_drawn_twice(tmp_path, drawn_keys):
     keys = [key(ss) for ss in drawn_keys]
     repeated = {k for k in keys if keys.count(k) > 1}
     assert not repeated
-    # each replicate of each cell draws exactly its scenario, scenario panel, analysis-cohort founders and
-    # transmission (plim mode draws no discovery cohort)
-    assert len(keys) - n_simulate == 9 * 2 * 4
+    # each replicate of each column draws exactly its scenario, scenario panel, analysis-cohort founders and
+    # transmission, once for all three rows (plim mode draws no discovery cohort)
+    assert len(keys) - n_simulate == 3 * 2 * 4
+
+
+def test_finite_table_draws_each_discovery_cohort_once(drawn_keys):
+    # each replicate of each column draws its scenario, scenario panel, analysis founders and transmission, and
+    # discovery founders and transmission, though both population rows and the trio row read the discovery cohort
+    base = phenosim.ScenarioSpec(g_regime="trio_pgi_family_controls", e_regime="exogenous", eta_m=0.2, eta_f=0.2)
+    biaslab.run_table(base, reps=2, seed=5, sizes=phenosim.CohortSizes(n_discovery=20, n_analysis=200, n_snps=20),
+                      discovery="finite")
+    keys = [key(ss) for ss in drawn_keys]
+    assert len(set(keys)) == len(keys) == 3 * 2 * 6
 
 
 def test_every_spawn_key_is_a_chain_of_stream_groups(tmp_path, drawn_keys):
@@ -82,11 +92,11 @@ def test_trait_effects_are_not_founder_latent_draws(drawn_keys):
 def test_substream_appends_a_group_and_checks_its_arity():
     from gxelab.util import Stream, child_rng, substream
 
-    cell = substream(7, Stream.BIAS_CELL, 1, 2)
-    rep = substream(cell, Stream.CELL_REPLICATE, 3)
-    assert (rep.entropy, rep.spawn_key) == (7, (Stream.BIAS_CELL, 1, 2, Stream.CELL_REPLICATE, 3))
-    assert np.array_equal(child_rng(cell, Stream.CELL_REPLICATE, 3).random(4),
-                          np.random.default_rng(np.random.SeedSequence(7, spawn_key=(13, 1, 2, 14, 3))).random(4))
-    for bad in [(11,), (Stream.POWER,), (Stream.PANEL, 0), (Stream.BIAS_CELL, 1)]:
+    column = substream(7, Stream.BIAS_COLUMN, 2)
+    rep = substream(column, Stream.CELL_REPLICATE, 3)
+    assert (rep.entropy, rep.spawn_key) == (7, (Stream.BIAS_COLUMN, 2, Stream.CELL_REPLICATE, 3))
+    assert np.array_equal(child_rng(column, Stream.CELL_REPLICATE, 3).random(4),
+                          np.random.default_rng(np.random.SeedSequence(7, spawn_key=(13, 2, 14, 3))).random(4))
+    for bad in [(11,), (Stream.POWER,), (Stream.PANEL, 0), (Stream.BIAS_COLUMN, 1, 2)]:
         with pytest.raises(TypeError):
             substream(7, *bad)
